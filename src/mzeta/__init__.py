@@ -8,7 +8,8 @@ polynomials), lambda_rings (Witt operations and lambda structures),
 rationality (Hankel, global, pointwise, and periodic-ratio tests), motivic
 (variety expressions and their zeta series), measures (surface measure
 sequences and the irrationality harness), suite (named self-checks), and
-cli (the `mzeta` executable).
+cli (the `mzeta` executable); oracles holds the brute-force references the
+checks compare against and imports nothing else from the package.
 """
 
 from .errors import (

@@ -223,9 +223,8 @@ def opposite_sigma(x, order=None):
             "sigma to order %d needs lambda data to order %d, have %d"
             % (n, n, x.order)
         )
-    ring = x.ring
-    signed = TruncSeries(ring, x.lambdas[: n + 1]).scale_arg(ring.from_int(-1))
-    return LambdaElement.from_series(signed.inverse())
+    lam = TruncSeries(x.ring, x.lambdas[: n + 1])
+    return LambdaElement.from_series(lam.opposite())
 
 
 class LambdaRule:
@@ -261,10 +260,8 @@ class LambdaRule:
         return str(a)
 
 
-class BinomialIntegers(LambdaRule):
-    """The integers with lambda^n(r) = binom(r, n); this one is special."""
-
-    name = "binomial-integers"
+class _IntegerCarrier(LambdaRule):
+    """Plain Python ints as the carrier; subclasses choose lam."""
 
     def from_int(self, n):
         return int(n)
@@ -278,11 +275,17 @@ class BinomialIntegers(LambdaRule):
     def eq(self, a, b):
         return a == b
 
+
+class BinomialIntegers(_IntegerCarrier):
+    """The integers with lambda^n(r) = binom(r, n); this one is special."""
+
+    name = "binomial-integers"
+
     def lam(self, n, x):
         return gen_binom(x, n)
 
 
-class SigmaIntegers(LambdaRule):
+class SigmaIntegers(_IntegerCarrier):
     """The integers with the opposite structure sigma^n(r) = binom(r+n-1, n).
 
     A valid lambda structure, but not special: the product identity for
@@ -290,18 +293,6 @@ class SigmaIntegers(LambdaRule):
     """
 
     name = "sigma-integers"
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
 
     def lam(self, n, x):
         return gen_binom(x + n - 1, n)

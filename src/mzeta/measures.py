@@ -163,8 +163,6 @@ def mu(surface, n):
     """The n-th graded measure 1 + h1n s + P_n s^2 of the surface."""
     if n < 1:
         raise InvalidInputError("measure index must be positive")
-    if n == 1:
-        return GradedSpace.from_coeffs([1, surface.q, surface.pg])
     return GradedSpace.from_coeffs(
         [1, surface.h1(n), surface.plurigenus(n)]
     )

@@ -36,9 +36,9 @@ from .errors import (
     PrecisionError,
     VarietySyntaxError,
 )
-from .rationality import _eval_poly_at, poly_str, verify_global
+from .rationality import _eval_poly_at, verify_global
 from .rings import MultiPoly, PolynomialRing
-from .series import TruncSeries
+from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
 
 def _check_param(value, what):
@@ -336,9 +336,6 @@ class CurveModel:
         self.increment = increment
         self._classes = [ring.one()]
 
-    def symbol_names(self):
-        return _family_names(self.index, self.genus)
-
     def sym_class(self, n):
         ring = self.ring
         g = self.genus
@@ -398,12 +395,7 @@ class MotivicModel:
         self.L = self.ring.var("L")
 
     def _L_power(self, k):
-        if k == 0:
-            return self.ring.one()
         return MultiPoly.var("L", k)
-
-    def curve_model(self, node):
-        return self._models[id(node)]
 
     def zeta_series(self, terms):
         if terms < 1:
@@ -439,8 +431,7 @@ class MotivicModel:
             return z
         if isinstance(e, Curve):
             if e.genus == 0:
-                one = TruncSeries.geometric(ring, ring.one(), n)
-                return one.mul(TruncSeries.geometric(ring, self.L, n))
+                return self._zeta(Proj(1), n)
             model = self._models[id(e)]
             return TruncSeries(ring, [model.sym_class(i) for i in range(n)])
         if isinstance(e, Disjoint):
@@ -485,13 +476,13 @@ class MotivicModel:
             if eps == 0:
                 continue
             binom = [ring.one(), ring.neg(self._L_power(k))]
-            piece = _poly_pow(ring, binom, abs(eps))
+            piece = poly_pow(ring, binom, abs(eps))
             if eps > 0:
-                num = _poly_mul(ring, num, piece)
+                num = poly_mul(ring, num, piece)
             else:
-                den = _poly_mul(ring, den, piece)
-        num = _poly_trim(ring, num)
-        den = _poly_trim(ring, den)
+                den = poly_mul(ring, den, piece)
+        num = poly_trim(ring, num)
+        den = poly_trim(ring, den)
         verified = (len(num) - 1) + (len(den) - 1) + 2
         f = self.zeta_series(verified)
         report = verify_global(f, den, num)
@@ -527,7 +518,7 @@ class MotivicModel:
                     ring, [ring.one(), ring.neg(self.L)], 2 * g + 1
                 )
             )
-            num = _poly_trim(ring, list(shear.mul(series).coeffs))
+            num = poly_trim(ring, shear.mul(series).coeffs)
             return ({0: -1, 1: -1}, num, [ring.one()])
         if isinstance(e, Disjoint):
             fa = self._form(e.left)
@@ -569,42 +560,9 @@ class MotivicModel:
         scale = self._L_power(r)
         return (
             {k + r: v for k, v in factors.items()},
-            _poly_scale_t(ring, num, scale),
-            _poly_scale_t(ring, den, scale),
+            poly_scale_t(ring, num, scale),
+            poly_scale_t(ring, den, scale),
         )
-
-
-def _poly_mul(ring, a, b):
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ring.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return out
-
-
-def _poly_pow(ring, p, k):
-    out = [ring.one()]
-    for _ in range(k):
-        out = _poly_mul(ring, out, p)
-    return out
-
-
-def _poly_scale_t(ring, p, c):
-    out = []
-    power = ring.one()
-    for coeff in p:
-        out.append(ring.mul(coeff, power))
-        power = ring.mul(power, c)
-    return out
-
-
-def _poly_trim(ring, p):
-    out = list(p)
-    while len(out) > 1 and ring.is_zero(out[-1]):
-        out.pop()
-    return out
 
 
 def _form_mul(ring, fa, fb):
@@ -614,15 +572,15 @@ def _form_mul(ring, fa, fb):
     factors = {k: v for k, v in factors.items() if v}
     return (
         factors,
-        _poly_mul(ring, fa[1], fb[1]),
-        _poly_mul(ring, fa[2], fb[2]),
+        poly_mul(ring, fa[1], fb[1]),
+        poly_mul(ring, fa[2], fb[2]),
     )
 
 
 def _form_pow(ring, form, a):
     factors = {k: v * a for k, v in form[0].items() if v * a}
-    num = _poly_pow(ring, form[1], abs(a))
-    den = _poly_pow(ring, form[2], abs(a))
+    num = poly_pow(ring, form[1], abs(a))
+    den = poly_pow(ring, form[2], abs(a))
     if a >= 0:
         return (factors, num, den)
     return (factors, den, num)
@@ -737,7 +695,7 @@ def virtual_finiteness_check(expr, precision, increment="J"):
             "direct",
             lam,
             True,
-            _poly_trim(ring, list(lam.coeffs)),
+            poly_trim(ring, lam.coeffs),
             [ring.one()],
         )
     pline = [ring.one(), ring.add(ring.one(), model.L), model.L]
@@ -752,7 +710,7 @@ def virtual_finiteness_check(expr, precision, increment="J"):
         lam,
         False,
         pline,
-        _poly_trim(ring, list(witness.coeffs[: 2 * genus + 1])),
+        poly_trim(ring, witness.coeffs[: 2 * genus + 1]),
     )
 
 

@@ -1,13 +1,13 @@
-"""Independent oracle helpers shared by test modules.
+"""Brute-force oracles shared by the self-check suite and the tests.
 
-Everything here is re-derived from first principles (brute force where
-possible) so the tests do not reuse the package's own machinery as its
-judge.
+Everything here is re-derived from first principles and imports nothing
+from the rest of the package, so the checks do not reuse the package's own
+machinery as its judge.
 """
 
 
 def binom(n, k):
-    """Generalized binomial via the falling-factorial product."""
+    """Generalized binomial via the falling-factorial product; any integer n."""
     if k < 0:
         return 0
     num = 1

@@ -34,7 +34,7 @@ from .rings import (
     frac_from_json,
     frac_to_json,
 )
-from .series import TruncSeries
+from .series import TruncSeries, poly_str, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +438,6 @@ class PadeResult:
         return "(%s) / (%s)" % (num, den)
 
 
-def poly_str(ring, coeffs):
-    parts = []
-    for i, c in enumerate(coeffs):
-        if ring.is_zero(c):
-            continue
-        text = ring.elem_str(c)
-        if i == 0:
-            parts.append(text)
-        elif text == "1":
-            parts.append("t^%d" % i if i > 1 else "t")
-        else:
-            parts.append("(%s)*%s" % (text, "t^%d" % i if i > 1 else "t"))
-    return " + ".join(parts) if parts else "0"
-
-
 def pade_reconstruct(f, den_deg):
     """Find g, h with g f = h (mod t^precision), deg g <= den_deg, g(0) = 1,
     deg h <= den_deg, over a field; exact linear algebra throughout.
@@ -491,12 +476,8 @@ def pade_reconstruct(f, den_deg):
             return PadeResult(
                 ring, d, reason="tail coefficient %d nonzero" % k
             )
-    num = [gf.coefficient(k) for k in range(d + 1)]
-    while len(num) > 1 and ring.is_zero(num[-1]):
-        num.pop()
-    while len(den) > 1 and ring.is_zero(den[-1]):
-        den.pop()
-    return PadeResult(ring, d, num=num, den=den)
+    num = poly_trim(ring, [gf.coefficient(k) for k in range(d + 1)])
+    return PadeResult(ring, d, num=num, den=poly_trim(ring, den))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +646,7 @@ class GroupSeries:
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
-            parts.append("0" if c is None else str(c.normalized()))
+            parts.append("0" if c is None else str(c))
         return "[" + ", ".join(parts) + "]"
 
 
@@ -694,7 +675,7 @@ class PeriodFound:
 
     def __str__(self):
         hs = ", ".join(
-            "i=%d (mod %d): %s" % (r, self.period, h.normalized())
+            "i=%d (mod %d): %s" % (r, self.period, h)
             for r, h in enumerate(self.ratios)
         )
         return "period %d from offset %d with ratios {%s}" % (

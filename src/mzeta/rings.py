@@ -9,7 +9,8 @@ coefficients:
   * FractionField        -- Frac of Z or Z[vars], no gcd auto-normalization
 
 Elements are plain values (MultiPoly, FractionElem) and the ring objects own
-the arithmetic, so quotient reduction and fraction rules live in one place.
+the arithmetic.  Ring holds the MultiPoly arithmetic once; subclasses define
+membership (validate), and FractionField overrides it with fraction rules.
 A SquareZeroRing may be given an explicit variable list or a prefix, in which
 case variables prefix1, prefix2, ... exist on demand.
 
@@ -182,14 +183,7 @@ class MultiPoly:
     def pow(self, n):
         if n < 0:
             raise InvalidElementError("negative power of a polynomial")
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            base = base.mul(base) if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.mul, MultiPoly.const(1))
 
     def substitute(self, mapping):
         """Replace variables by MultiPoly (or int) values; others stay."""
@@ -222,9 +216,6 @@ class MultiPoly:
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     __hash__ = None
 
@@ -264,6 +255,21 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+def power(x, n, mul, one):
+    """x**n (n >= 0) by repeated squaring; returns one for n == 0 and x
+    itself for n == 1, so no product is formed that is not needed."""
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
 
 
 def _mono_mul(k1, k2):
@@ -336,9 +342,6 @@ class FractionElem:
             return NotImplemented
         return self.num.mul(other.den) == other.num.mul(self.den)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __str__(self):
@@ -362,7 +365,7 @@ def frac_from_json(obj):
 
 
 class Ring:
-    """Common interface: arithmetic, equality, validation, JSON."""
+    """Common interface, with the MultiPoly arithmetic; subclasses validate."""
 
     kind = None
     is_domain = False
@@ -375,51 +378,45 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n):
-        raise NotImplementedError
+        return MultiPoly.const(n)
 
     def add(self, a, b):
-        raise NotImplementedError
+        self.validate(a), self.validate(b)
+        return a.add(b)
 
     def neg(self, a):
-        raise NotImplementedError
+        self.validate(a)
+        return a.neg()
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        self.validate(a), self.validate(b)
+        return a.mul(b)
 
     def mul_int(self, a, n):
-        raise NotImplementedError
+        return a.mul_int(n)
 
     def eq(self, a, b):
-        raise NotImplementedError
+        self.validate(a), self.validate(b)
+        return a == b
 
     def is_zero(self, a):
-        return self.eq(a, self.zero())
+        return a.is_zero()
 
     def pow(self, a, n):
         if n < 0:
             raise NotInvertibleError("negative ring power")
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            if n > 1:
-                base = self.mul(base, base)
-            n >>= 1
-        return out
+        self.validate(a)
+        return power(a, n, self.mul, self.one())
 
     def validate(self, a):
         raise NotImplementedError
 
-    def invert(self, a):
-        raise NotInvertibleError("inversion is not supported in %s" % self.kind)
-
     def divide_exact(self, a, n):
         """Exact division by a nonzero integer (rings here are torsion-free)."""
-        raise NotImplementedError
+        return a.divide_int_exact(n)
 
     def elem_to_json(self, a):
         return poly_to_json(a)
@@ -435,43 +432,25 @@ class Ring:
     def to_json(self):
         raise NotImplementedError
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         import json
 
         return "Ring(%s)" % json.dumps(self.to_json(), sort_keys=True)
 
 
+def _check_var_names(variables):
+    vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise InvalidInputError("duplicate variable names")
+    for v in vs:
+        if not _VAR_RE.match(v):
+            raise InvalidInputError("bad variable name %r" % v)
+    return vs
+
+
 class IntegerRing(Ring):
     kind = "integers"
     is_domain = True
-
-    def from_int(self, n):
-        return MultiPoly.const(n)
-
-    def add(self, a, b):
-        self.validate(a), self.validate(b)
-        return a.add(b)
-
-    def neg(self, a):
-        self.validate(a)
-        return a.neg()
-
-    def mul(self, a, b):
-        self.validate(a), self.validate(b)
-        return a.mul(b)
-
-    def mul_int(self, a, n):
-        return a.mul_int(n)
-
-    def eq(self, a, b):
-        self.validate(a), self.validate(b)
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
@@ -491,9 +470,6 @@ class IntegerRing(Ring):
             raise ExactDivisionError("inexact integer division")
         return MultiPoly.const(q)
 
-    def divide_exact(self, a, n):
-        return a.divide_int_exact(n)
-
     def to_json(self):
         return {"kind": "integers"}
 
@@ -506,44 +482,13 @@ class PolynomialRing(Ring):
     is_domain = True
 
     def __init__(self, variables):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise InvalidInputError("duplicate variable names")
-        for v in vs:
-            if not _VAR_RE.match(v):
-                raise InvalidInputError("bad variable name %r" % v)
-        self.variables = vs
-        self._varset = set(vs)
-
-    def from_int(self, n):
-        return MultiPoly.const(n)
+        self.variables = _check_var_names(variables)
+        self._varset = set(self.variables)
 
     def var(self, name):
         if name not in self._varset:
             raise RingMismatchError("variable %r is not in this ring" % name)
         return MultiPoly.var(name)
-
-    def add(self, a, b):
-        self.validate(a), self.validate(b)
-        return a.add(b)
-
-    def neg(self, a):
-        self.validate(a)
-        return a.neg()
-
-    def mul(self, a, b):
-        self.validate(a), self.validate(b)
-        return a.mul(b)
-
-    def mul_int(self, a, n):
-        return a.mul_int(n)
-
-    def eq(self, a, b):
-        self.validate(a), self.validate(b)
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
@@ -560,9 +505,6 @@ class PolynomialRing(Ring):
 
     def exact_div(self, a, b):
         return poly_exact_div(a, b)
-
-    def divide_exact(self, a, n):
-        return a.divide_int_exact(n)
 
     def to_json(self):
         return {"kind": "poly", "vars": list(self.variables)}
@@ -626,14 +568,8 @@ class SquareZeroRing(Ring):
             raise InvalidInputError("bad variable prefix %r" % prefix)
         self.prefix = prefix
         if variables is not None:
-            vs = tuple(variables)
-            if len(set(vs)) != len(vs):
-                raise InvalidInputError("duplicate variable names")
-            for v in vs:
-                if not _VAR_RE.match(v):
-                    raise InvalidInputError("bad variable name %r" % v)
-            self.variables = vs
-            self._varset = set(vs)
+            self.variables = _check_var_names(variables)
+            self._varset = set(self.variables)
         else:
             self.variables = None
             self._varset = None
@@ -666,30 +602,9 @@ class SquareZeroRing(Ring):
         p.terms = out
         return p
 
-    def from_int(self, n):
-        return MultiPoly.const(n)
-
-    def add(self, a, b):
-        self.validate(a), self.validate(b)
-        return a.add(b)
-
-    def neg(self, a):
-        self.validate(a)
-        return a.neg()
-
     def mul(self, a, b):
         self.validate(a), self.validate(b)
         return self.reduce(a.mul(b))
-
-    def mul_int(self, a, n):
-        return a.mul_int(n)
-
-    def eq(self, a, b):
-        self.validate(a), self.validate(b)
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
@@ -716,9 +631,6 @@ class SquareZeroRing(Ring):
             power = self.reduce(power.mul(n).mul_int(c))
             sign = -sign
         return out
-
-    def divide_exact(self, a, n):
-        return a.divide_int_exact(n)
 
     def to_json(self):
         if self.prefix is not None:
@@ -789,8 +701,7 @@ class FractionField(Ring):
     def div(self, a, b):
         return self.mul(a, self.invert(b))
 
-    def exact_div(self, a, b):
-        return self.div(a, b)
+    exact_div = div
 
     def divide_exact(self, a, n):
         if n == 0:
@@ -842,6 +753,8 @@ def eval_poly(expr, mapping, ops):
             if v not in mapping:
                 raise InvalidInputError("no value supplied for %r" % v)
             val = mapping[v]
+            # one factor at a time, not power(): a Witt-ring product costs
+            # more as its operands grow, and squaring val first grows them
             for _ in range(e):
                 term = ops.mul(term, val)
         total = ops.add(total, term)

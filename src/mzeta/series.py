@@ -15,6 +15,9 @@ The first direction is division-free; the second divides by k, which is exact
 in every ring here because each coefficient produced is the image of a
 universal polynomial with integer coefficients (the rings are torsion-free
 Z-algebras, so exactness is also uniqueness).
+
+Untruncated polynomials in t (closed forms, Pade results) are coefficient
+lists [c_0, c_1, ...]; the poly_* helpers at the end are their arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import ring_from_json
+from .rings import power, ring_from_json
 
 
 class TruncSeries:
@@ -114,17 +117,10 @@ class TruncSeries:
             out.append(acc)
         return TruncSeries(r, out)
 
-    def mul_scalar(self, c):
-        r = self.ring
-        return TruncSeries(r, [r.mul(c, a) for a in self.coeffs])
-
     def pow(self, n):
         if n < 0:
             return self.inverse().pow(-n)
-        out = TruncSeries.one(self.ring, self.precision)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
+        return power(self, n, TruncSeries.mul, TruncSeries.one(self.ring, self.precision))
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term.
@@ -150,14 +146,7 @@ class TruncSeries:
 
     def scale_arg(self, c):
         """Substitute t -> c t."""
-        r = self.ring
-        out = []
-        power = r.one()
-        for i, a in enumerate(self.coeffs):
-            if i:
-                power = r.mul(power, c)
-            out.append(r.mul(power, a))
-        return TruncSeries(r, out)
+        return TruncSeries(self.ring, poly_scale_t(self.ring, self.coeffs, c))
 
     def opposite(self):
         """f(t) -> f(-t)^{-1}, the involution swapping the two lambda structures."""
@@ -284,6 +273,19 @@ def _require_one(f):
         raise InvalidInputError("Witt-ring operations need constant term 1")
 
 
+def _output_precision(what, k, f, precision):
+    """Precision of an operation whose t^m coefficient needs input
+    coefficients up to t^(k m): the most f supports, or the requested one."""
+    limit = (f.precision - 1) // k + 1
+    m = limit if precision is None else precision
+    if m > limit:
+        raise PrecisionError(
+            "%s %d at precision %d needs input precision %d, have %d"
+            % (what, k, m, k * (m - 1) + 1, f.precision)
+        )
+    return m
+
+
 def witt_product_series(f, g):
     """Coefficients of the Witt product; same precision as the inputs."""
     _require_one(f)
@@ -314,13 +316,7 @@ def witt_exterior_series(k, f, precision=None):
         m = precision or f.precision
         coeffs = [r.one()] + ([r.one()] if m > 1 else []) + [r.zero()] * (m - 2)
         return TruncSeries(r, coeffs)
-    limit = (f.precision - 1) // k + 1
-    m = limit if precision is None else precision
-    if m > limit:
-        raise PrecisionError(
-            "exterior power %d at precision %d needs input precision %d, have %d"
-            % (k, m, k * (m - 1) + 1, f.precision)
-        )
+    m = _output_precision("exterior power", k, f, precision)
     if k == 1:
         return f.truncate(m)
     if m == 1:
@@ -339,13 +335,7 @@ def witt_adams_series(n, f, precision=None):
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
     r = f.ring
-    limit = (f.precision - 1) // n + 1
-    m = limit if precision is None else precision
-    if m > limit:
-        raise PrecisionError(
-            "Adams operation %d at precision %d needs input precision %d, have %d"
-            % (n, m, n * (m - 1) + 1, f.precision)
-        )
+    m = _output_precision("Adams operation", n, f, precision)
     if n == 1:
         return f.truncate(m)
     if m == 1:
@@ -353,3 +343,54 @@ def witt_adams_series(n, f, precision=None):
     p = power_sums(f, n * (m - 1))
     big = [p[rr * n - 1] for rr in range(1, m)]
     return from_power_sums(r, big, m)
+
+
+# Coefficient-list polynomials in t: [c_0, c_1, ...] over a ring.
+
+
+def poly_mul(ring, a, b):
+    out = [ring.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if ring.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return out
+
+
+def poly_pow(ring, p, k):
+    return power(p, k, lambda a, b: poly_mul(ring, a, b), [ring.one()])
+
+
+def poly_scale_t(ring, p, c):
+    """Substitute t -> c t."""
+    out = []
+    scale = ring.one()
+    for i, coeff in enumerate(p):
+        if i:
+            scale = ring.mul(scale, c)
+        out.append(ring.mul(scale, coeff))
+    return out
+
+
+def poly_trim(ring, p):
+    """Drop vanishing top coefficients, keeping at least the constant."""
+    out = list(p)
+    while len(out) > 1 and ring.is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def poly_str(ring, coeffs):
+    parts = []
+    for i, c in enumerate(coeffs):
+        if ring.is_zero(c):
+            continue
+        text = ring.elem_str(c)
+        if i == 0:
+            parts.append(text)
+        elif text == "1":
+            parts.append("t^%d" % i if i > 1 else "t")
+        else:
+            parts.append("(%s)*%s" % (text, "t^%d" % i if i > 1 else "t"))
+    return " + ".join(parts) if parts else "0"

@@ -53,6 +53,7 @@ from .motivic import (
     zeta_rational,
     zeta_series,
 )
+from .oracles import multiset_graded_lambda
 from .rationality import (
     QQ,
     GroupSeries,
@@ -217,33 +218,6 @@ def _random_witt(rng, ring, precision, degree=2, span=3):
                 p = p.add(MultiPoly.var("L", d).mul_int(c))
         coeffs.append(p)
     return WittElement(TruncSeries(ring, coeffs))
-
-
-def _single_degree_lambda(dim, p, i):
-    c = math.comb(dim, i) if p % 2 else math.comb(dim + i - 1, i)
-    return p * i, c
-
-
-def _multiset_lambda(m, dims):
-    """Coefficient list of lambda^m on a graded space, by enumerating how
-    the m factors distribute over the degrees; the independent expansion
-    used to cross-check the generating-function engine."""
-    out = {}
-
-    def walk(pos, remaining, s_exp, coeff):
-        if pos == len(dims):
-            if remaining == 0 and coeff:
-                out[s_exp] = out.get(s_exp, 0) + coeff
-            return
-        for take in range(remaining + 1):
-            dexp, c = _single_degree_lambda(dims[pos], pos, take)
-            if c == 0 and take > 0:
-                continue
-            walk(pos + 1, remaining - take, s_exp + dexp, coeff * c)
-
-    walk(0, m, 0, 1)
-    top = max(out) if out else 0
-    return [out.get(j, 0) for j in range(top + 1)]
 
 
 def _surface_general_type():
@@ -1472,7 +1446,7 @@ def _acceptance_8(rng):
     seq = mu_sym_sequence(abelian, 6)
     for m in range(7):
         _require(
-            seq.entry(m).coeff_list() == _multiset_lambda(m, [1, 2, 1]),
+            seq.entry(m).coeff_list() == multiset_graded_lambda(m, [1, 2, 1]),
             "generating function and multiset expansion agree at m=%d" % m,
         )
     track = boundedness_check(seq, 1)

@@ -29,7 +29,7 @@ import tempfile
 
 from .errors import InvalidInputError, NonSymmetricError
 from .rings import MultiPoly, PolynomialRing, poly_from_json, poly_to_json
-from .series import TruncSeries, witt_exterior_series, witt_product_series
+from .series import TruncSeries, power_sums, witt_exterior_series, witt_product_series
 
 
 def esym_of_elements(k, elems):
@@ -220,15 +220,10 @@ def newton_polynomial(n):
         raise InvalidInputError("power sums are indexed from 1")
 
     def build():
-        e = [MultiPoly.var("e%d" % i) for i in range(n + 1)]
-        psums = [None]
-        for k in range(1, n + 1):
-            acc = e[k].mul_int(k if k % 2 else -k)
-            for i in range(1, k):
-                term = e[i].mul(psums[k - i])
-                acc = acc.add(term if i % 2 else term.neg())
-            psums.append(acc)
-        return psums[n]
+        names = ["e%d" % i for i in range(1, n + 1)]
+        ring = PolynomialRing(names)
+        f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
+        return power_sums(f, n)[n - 1]
 
     return _cached("newton_%d" % n, build)
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from helpers import binom, multiset_graded_lambda
 from mzeta.errors import InvalidElementError, InvalidInputError, PrecisionError
 from mzeta.lambda_rings import (
     BigWitt,
@@ -24,6 +23,7 @@ from mzeta.lambda_rings import (
     witt_mul,
     witt_neg,
 )
+from mzeta.oracles import binom, multiset_graded_lambda
 from mzeta.rings import IntegerRing, PolynomialRing
 from mzeta.series import TruncSeries
 

@@ -18,9 +18,8 @@ from mzeta.measures import (
     mu,
     mu_sym_sequence,
 )
+from mzeta.oracles import binom, multiset_graded_lambda
 from mzeta.rationality import NoWitnessUpTo, PeriodFound
-
-from helpers import binom, multiset_graded_lambda
 
 
 def k3():

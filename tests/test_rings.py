@@ -24,6 +24,7 @@ from mzeta.rings import (
     poly_exact_div,
     poly_from_json,
     poly_to_json,
+    power,
     ring_from_json,
 )
 
@@ -145,6 +146,14 @@ def test_fraction_equality_cross_multiplication():
     assert a.num == num and a.den == den
 
 
+def test_fraction_unequal_to_other_types():
+    # != follows __eq__: a non-fraction operand is unequal, without a warning
+    one = FractionElem(MultiPoly.const(1), MultiPoly.const(1))
+    assert one != 5 and not one == 5
+    assert one != FractionElem(MultiPoly.const(2), MultiPoly.const(1))
+    assert not one != FractionElem(MultiPoly.const(2), MultiPoly.const(2))
+
+
 def test_fraction_field_arithmetic():
     rng = random.Random(7)
     for _ in range(40):
@@ -214,6 +223,24 @@ def test_coefficients_exceed_machine_ints():
     assert Z.mul(a, a).as_int() == 10**80
     blob = poly_to_json(Z.mul(a, a))
     assert poly_from_json(blob).as_int() == 10**80
+
+
+def test_power_by_squaring_product_count():
+    count = [0]
+
+    def mul(a, b):
+        count[0] += 1
+        return a * b
+
+    for n in range(40):
+        count[0] = 0
+        assert power(3, n, mul, 1) == 3**n
+        # bit_length - 1 squarings plus popcount - 1 combining products
+        assert count[0] == max(n.bit_length() + bin(n).count("1") - 2, 0)
+    x = MultiPoly.var("x")
+    assert power(x, 1, mul, None) is x
+    assert Z.pow(MultiPoly.const(-2), 0) == MultiPoly.const(1)
+    assert ZL.pow(ZL.var("L"), 5) == MultiPoly.var("L", 5)
 
 
 def test_eval_poly():

@@ -37,6 +37,15 @@ def test_mul_truncates_to_min_precision():
         a.coefficient(7)
 
 
+def test_pow_matches_repeated_product():
+    f = TruncSeries.from_ints(Z, [1, 2, -1, 3, 0, 5])
+    expected = TruncSeries.one(Z, 6)
+    for n in range(7):
+        assert f.pow(n).eq(expected)
+        assert f.pow(-n).mul(expected).eq(TruncSeries.one(Z, 6))
+        expected = expected.mul(f)
+
+
 def test_point_zeta_squared():
     ones = TruncSeries.from_ints(Z, [1] * 8)
     sq = ones.mul(ones)

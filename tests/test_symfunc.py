@@ -5,6 +5,7 @@ import pytest
 
 from mzeta import symfunc
 from mzeta.errors import NonSymmetricError, InvalidInputError
+from mzeta.oracles import binom
 from mzeta.rings import IntegerRing, MultiPoly
 from mzeta.series import TruncSeries, witt_exterior_series, witt_product_series
 from mzeta.symfunc import (
@@ -24,21 +25,6 @@ from mzeta.symfunc import (
 def poly_of(text_vars, builder):
     """Tiny helper: builder receives the variable polynomials."""
     return builder(*[MultiPoly.var(v) for v in text_vars])
-
-
-def binom(n, k):
-    """Generalized binomial coefficient, defined for any integer n."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
 
 
 def eval_at_ints(p, values):
