@@ -49,3 +49,11 @@ def multiset_graded_lambda(m, dims):
     walk(0, m, 0, 1)
     top = max(out) if out else 0
     return [out.get(j, 0) for j in range(top + 1)]
+
+
+def linear_factors(roots):
+    """Coefficients of prod(1 - r t) over the roots, one factor at a time."""
+    out = [1]
+    for r in roots:
+        out = [a - r * b for a, b in zip(out + [0], [0] + out)]
+    return out

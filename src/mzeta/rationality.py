@@ -27,9 +27,8 @@ from .errors import (
     PrecisionError,
 )
 from .rings import (
+    QQ,
     FractionElem,
-    FractionField,
-    IntegerRing,
     MultiPoly,
     frac_from_json,
     frac_to_json,
@@ -484,15 +483,6 @@ def pade_reconstruct(f, den_deg):
 # pointwise rationality
 
 
-QQ = FractionField(IntegerRing())
-
-
-def _fraction_to_elem(q):
-    return FractionElem(
-        MultiPoly.const(q.numerator), MultiPoly.const(q.denominator)
-    )
-
-
 def _eval_poly_at(poly, assignment):
     total = Fraction(0)
     for key, c in poly.terms.items():
@@ -518,6 +508,8 @@ def apply_measure(f, assignment):
     square-zero quotient must kill every variable.
     """
     ring = f.ring
+    if ring == QQ:
+        return f
     if ring.kind == "square_zero":
         for v in set(assignment) - {"*"}:
             if Fraction(assignment[v]) != 0:
@@ -537,8 +529,8 @@ def apply_measure(f, assignment):
                 raise InvalidMeasureError(
                     "measure sends a denominator to zero"
                 )
-            return _fraction_to_elem(num / den)
-        return _fraction_to_elem(_eval_poly_at(c, assignment))
+            return num / den
+        return _eval_poly_at(c, assignment)
 
     return f.map_coefficients(convert, QQ)
 

@@ -6,18 +6,27 @@ coefficients:
   * IntegerRing          -- Z
   * PolynomialRing       -- Z[vars], sparse multivariate
   * SquareZeroRing       -- Z[vars] / (v^2 : v in vars), reduction is eager
-  * FractionField        -- Frac of Z or Z[vars], no gcd auto-normalization
+  * FractionField        -- Frac of Z or Z[vars]; Frac(Z) is the RationalField
+                            QQ, whose elements are fractions.Fraction values,
+                            always in lowest terms with a positive denominator;
+                            Frac(Z[vars]) holds FractionElem values with no gcd
+                            auto-normalization
 
-Elements are plain values (MultiPoly, FractionElem) and the ring objects own
-the arithmetic.  Ring holds the MultiPoly arithmetic once; subclasses define
-membership (validate), and FractionField overrides it with fraction rules.
+Elements are plain values (MultiPoly, Fraction, FractionElem) and the ring
+objects own the arithmetic.  Ring holds the MultiPoly arithmetic once;
+subclasses define membership (validate), and the two fraction fields override
+it with fraction rules.  QQ's operations are plain Fraction operations that
+trust their operands; its elements are validated where they enter, in
+TruncSeries construction and JSON loading.
+
 A SquareZeroRing may be given an explicit variable list or a prefix, in which
 case variables prefix1, prefix2, ... exist on demand.
 
-JSON encodings round-trip bit-exactly:
+JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
 
   polynomial  {"terms": [{"c": "<decimal int>", "e": {"<var>": <exp>, ...}}, ...]}
-  fraction    {"num": <poly>, "den": <poly>}
+  fraction    {"num": <poly>, "den": <poly>}; QQ writes the reduced numerator
+              and the positive denominator as constant polynomials
   ring        {"kind": "integers"} | {"kind": "poly", "vars": [...]}
               | {"kind": "square_zero", "vars": [...] } | {"kind": "square_zero", "prefix": "x"}
               | {"kind": "fraction", "of": <ring>}
@@ -26,8 +35,11 @@ JSON encodings round-trip bit-exactly:
 from __future__ import annotations
 
 import re
+import sys
+from fractions import Fraction
 
 from .errors import (
+    DegreeCutoffError,
     ExactDivisionError,
     InvalidElementError,
     InvalidInputError,
@@ -244,9 +256,9 @@ class MultiPoly:
             body = "*".join(factors)
             mag = abs(c)
             if body:
-                text = body if mag == 1 else "%d*%s" % (mag, body)
+                text = body if mag == 1 else int_str(mag) + "*" + body
             else:
-                text = str(mag)
+                text = int_str(mag)
             if not chunks:
                 chunks.append(text if c > 0 else "-" + text)
             else:
@@ -255,6 +267,18 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+def int_str(n):
+    """str(n) for an int; past the interpreter's limit on int-to-str
+    conversion a typed error instead of a ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DegreeCutoffError(
+            "a coefficient has more than %d decimal digits, the interpreter's "
+            "limit for int-to-str conversion" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def power(x, n, mul, one):
@@ -286,7 +310,7 @@ def _mono_mul(k1, k2):
 def poly_to_json(p):
     out = []
     for mono, c in sorted(p.terms.items()):
-        out.append({"c": str(c), "e": {v: e for v, e in mono}})
+        out.append({"c": int_str(c), "e": {v: e for v, e in mono}})
     return {"terms": out}
 
 
@@ -645,15 +669,102 @@ class SquareZeroRing(Ring):
         )
 
 
-class FractionField(Ring):
-    """Field of fractions of Z or Z[vars]; equality by cross-multiplication."""
+class RationalField(Ring):
+    """Q, with fractions.Fraction elements, which are always in lowest terms
+    with a positive denominator.  The operations trust their operands."""
 
     kind = "fraction"
     is_domain = True
     is_field = True
 
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def mul_int(self, a, n):
+        return a * n
+
+    def eq(self, a, b):
+        return a == b
+
+    def is_zero(self, a):
+        return not a
+
+    def validate(self, a):
+        if not isinstance(a, Fraction):
+            raise RingMismatchError("expected a fraction element")
+
+    def invert(self, a):
+        if not a:
+            raise NotInvertibleError("division by zero")
+        return 1 / a
+
+    def div(self, a, b):
+        if not b:
+            raise NotInvertibleError("division by zero")
+        return a / b
+
+    exact_div = div
+
+    def divide_exact(self, a, n):
+        if n == 0:
+            raise ExactDivisionError("division by zero")
+        return a / n
+
+    def elem_to_json(self, a):
+        return frac_to_json(
+            FractionElem(MultiPoly.const(a.numerator), MultiPoly.const(a.denominator))
+        )
+
+    def elem_from_json(self, obj):
+        f = frac_from_json(obj)
+        _ZZ.validate(f.num)
+        _ZZ.validate(f.den)
+        return Fraction(f.num.constant_term(), f.den.constant_term())
+
+    def elem_str(self, a):
+        if a.denominator == 1:
+            return int_str(a.numerator)
+        return "(%s)/(%s)" % (int_str(a.numerator), int_str(a.denominator))
+
+    def to_json(self):
+        return {"kind": "fraction", "of": {"kind": "integers"}}
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+
+_ZZ = IntegerRing()
+QQ = RationalField()
+
+
+class FractionField(Ring):
+    """Field of fractions of Z or Z[vars].  Over Z[vars] elements are
+    unreduced FractionElems, equal by cross-multiplication; over Z the
+    constructor returns QQ."""
+
+    kind = "fraction"
+    is_domain = True
+    is_field = True
+
+    def __new__(cls, base):
+        if isinstance(base, IntegerRing):
+            return QQ
+        return super().__new__(cls)
+
     def __init__(self, base):
-        if not isinstance(base, (IntegerRing, PolynomialRing)):
+        if not isinstance(base, PolynomialRing):
             raise InvalidInputError("fraction field needs an integral domain base")
         self.base = base
 

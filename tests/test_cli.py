@@ -2,12 +2,14 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr
 
 from mzeta import cli
 from mzeta.lambda_rings import LambdaElement
 from mzeta.motivic import Proj, zeta_rational, zeta_series
-from mzeta.rationality import GroupSeries
+from mzeta.oracles import linear_factors
+from mzeta.rationality import QQ, GroupSeries
 from mzeta.rings import IntegerRing, MultiPoly
 from mzeta.series import TruncSeries, series_from_json
 
@@ -278,3 +280,83 @@ def test_usage_errors_exit_two():
         code, _ = run_cli([])
         assert code == 2
     assert "usage" in stderr.getvalue()
+
+
+def _specialized_file(tmp_path, expr, terms, q):
+    """Write the zeta series of expr at L=q as a series file over QQ."""
+    code, payload = run_json(
+        ["zeta", expr, "--terms", str(terms), "--specialize", "L=%d" % q]
+    )
+    assert code == 0
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(payload["specialized"]["series"]))
+    return str(path)
+
+
+def _qq_list(objs):
+    return [QQ.elem_from_json(c) for c in objs]
+
+
+def test_pade_degree_seven_on_p6(tmp_path):
+    # the unreduced solve used to build integers past the int-to-str digit
+    # limit and crash while writing JSON
+    path = _specialized_file(tmp_path, "P(6)", 20, 3)
+    code, payload = run_json(["pade", path, "--den-deg", "7"])
+    assert code == 0
+    assert payload["success"] is True
+    assert _qq_list(payload["den"]) == linear_factors([3**i for i in range(7)])
+    assert _qq_list(payload["num"]) == [1]
+
+
+def test_pade_degree_six_on_disjoint_union(tmp_path):
+    # Disj(P(3),P(1)) at L=5: 1/((1-t)^2 (1-5t)^2 (1-25t)(1-125t))
+    path = _specialized_file(tmp_path, "Disj(P(3),P(1))", 16, 5)
+    code, payload = run_json(["pade", path, "--den-deg", "6"])
+    assert code == 0
+    assert payload["success"] is True
+    assert _qq_list(payload["den"]) == linear_factors([1, 1, 5, 5, 25, 125])
+    assert _qq_list(payload["num"]) == [1]
+
+
+def test_coefficient_past_digit_limit_is_a_typed_error():
+    # 10^5000 has more digits than int-to-str conversion allows
+    argv = ["zeta", "A(5000)", "--terms", "2", "--specialize", "L=10"]
+    for fmt in ("json", "text"):
+        code, text = run_cli(argv + ["--format", fmt])
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["error"] == "degree_cutoff"
+        assert "%d decimal digits" % sys.get_int_max_str_digits() in error["message"]
+
+
+def _qq_series_file(tmp_path, coeffs):
+    path = tmp_path / "qq.json"
+    ring = {"kind": "fraction", "of": {"kind": "integers"}}
+    path.write_text(json.dumps({"ring": ring, "coeffs": coeffs}))
+    return str(path)
+
+
+def _poly(*terms):
+    return {"terms": [{"c": str(c), "e": e} for c, e in terms]}
+
+
+def test_qq_bad_fractions_are_typed_errors(tmp_path):
+    one = {"num": _poly((1, {})), "den": _poly((1, {}))}
+    zero_den = {"num": _poly((1, {})), "den": _poly()}
+    non_constant = {"num": _poly((1, {"L": 1})), "den": _poly((1, {}))}
+    for bad, error in ((zero_den, "invalid_element"), (non_constant, "ring_mismatch")):
+        path = _qq_series_file(tmp_path, [one, bad, one, one])
+        code, payload = run_json(["pade", path, "--den-deg", "1"])
+        assert code == 1
+        assert payload["error"]["error"] == error
+
+
+def test_qq_written_in_lowest_terms(tmp_path):
+    # a 1 x 1 Hankel grid echoes the coefficient: 6/-4 comes back as -3/2
+    path = _qq_series_file(tmp_path, [{"num": _poly((6, {})), "den": _poly((-4, {}))}])
+    code, payload = run_json(["hankel", path, "--m-max", "0", "--offset-max", "0"])
+    assert code == 0
+    assert payload["determinants"] == [[{"num": _poly((-3, {})), "den": _poly((2, {}))}]]
+    code, text = run_cli(["hankel", path, "--m-max", "0", "--offset-max", "0"])
+    assert code == 0
+    assert text.endswith("m=0: [(-3)/(2)]\n")

@@ -6,15 +6,19 @@ tests/data/cli_golden.txt.  Input files are written from the literal JSON
 below, and the temporary directory is replaced by "<tmp>" in the
 transcript.  To record the expected file again after an intended output
 change, run this module as a script: python tests/test_cli_golden.py
+It prints the "$ mzeta ..." header of every block that changed, was added
+or was removed.
 """
 
 import io
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 from mzeta import cli
+from mzeta.oracles import linear_factors
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.txt"
 
@@ -84,6 +88,10 @@ INPUTS = {
         QQ, [frac(c, 30 ** k) for k, c in
              enumerate(_rational_ints([1, 10], [1, -15, -36], 8))]
     ),
+    # zeta of P(6) at L=3: 1/((1 - t)(1 - 3t)...(1 - 3^6 t)), 20 terms
+    "p6": series(
+        QQ, [frac(c) for c in _rational_ints([1], linear_factors([3 ** i for i in range(7)]), 20)]
+    ),
     "wit_powers": {"coeffs": [frac(L(k)) for k in range(14)]},
     "wit_gaps": {"coeffs": [None if k % 2 else frac(L(k // 2)) for k in range(12)]},
     "w_sq": series(Z, [poly(c) for c in (1, 2, 1, 0, 0, 0, 0, 0)]),
@@ -127,6 +135,7 @@ CORPUS = [
     ["pade", "{qq_mixed}", "--den-deg", "2"],
     ["pade", "{qq_mixed}", "--den-deg", "3"],
     ["pade", "{z_geom}", "--den-deg", "1"],
+    ["pade", "{p6}", "--den-deg", "7"],
     ["witness", "{wit_powers}", "--max-period", "3", "--max-offset", "4"],
     ["witness", "{wit_gaps}", "--max-period", "3", "--max-offset", "3"],
     ["witness", "{bad_json}", "--max-period", "2", "--max-offset", "2"],
@@ -175,13 +184,53 @@ def transcript(root):
     return "".join(chunks).replace(str(root), "<tmp>")
 
 
+def blocks(text):
+    """{header line: block text} for a transcript; each block starts with
+    its "$ mzeta ..." line."""
+    out = {}
+    for chunk in re.split(r"(?m)^(?=\$ mzeta )", text):
+        if chunk:
+            out[chunk.split("\n", 1)[0]] = chunk
+    return out
+
+
+def block_changes(old, new):
+    """(status, header) pairs, in transcript order, for every block of the
+    new transcript that differs from the old one or is missing there, then
+    every block of the old one that is gone."""
+    before, after = blocks(old), blocks(new)
+    out = []
+    for header, chunk in after.items():
+        if header not in before:
+            out.append(("added", header))
+        elif before[header] != chunk:
+            out.append(("changed", header))
+    out += [("removed", h) for h in before if h not in after]
+    return out
+
+
 def test_cli_output_matches_golden(tmp_path):
     assert transcript(tmp_path) == GOLDEN.read_text()
 
 
+def test_block_changes_names_each_header():
+    old = "$ mzeta a\n[exit 0]\n1\n$ mzeta b\n[exit 0]\n2\n$ mzeta c\n[exit 0]\n3\n"
+    new = "$ mzeta a\n[exit 0]\n1\n$ mzeta b\n[exit 1]\n2\n$ mzeta d\n[exit 0]\n4\n"
+    assert block_changes(old, new) == [
+        ("changed", "$ mzeta b"), ("added", "$ mzeta d"), ("removed", "$ mzeta c"),
+    ]
+    assert block_changes(new, new) == []
+
+
 if __name__ == "__main__":
+    old = GOLDEN.read_text() if GOLDEN.exists() else ""
     with tempfile.TemporaryDirectory() as tmp:
         # keep the universal-polynomial cache out of the home directory
         os.environ["MZETA_CACHE_DIR"] = os.path.join(tmp, "cache")
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(transcript(pathlib.Path(tmp)))
+        new = transcript(pathlib.Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(new)
+    changes = block_changes(old, new)
+    for status, header in changes:
+        print("%-8s %s" % (status, header))
+    print("%d of %d blocks changed, added or removed" % (len(changes), len(blocks(new))))

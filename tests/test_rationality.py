@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ from mzeta.errors import (
     InvalidMeasureError,
     PrecisionError,
 )
+from mzeta.motivic import Proj, specialize, zeta_rational, zeta_series
+from mzeta.oracles import linear_factors
 from mzeta.rationality import (
     GroupSeries,
     NoWitnessUpTo,
@@ -35,7 +38,7 @@ Z = IntegerRing()
 
 
 def q(n, d=1):
-    return FractionElem(MultiPoly.const(n), MultiPoly.const(d))
+    return Fraction(n, d)
 
 
 def qq_series(ints, extra=0):
@@ -273,6 +276,44 @@ def test_pointwise_projective_line():
     assert all(v.rational for v in verdicts)
     assert verdicts[0].result.den == [q(1), q(-5), q(4)]  # (1-t)(1-4t)
     assert verdicts[1].result.den == [q(1), q(-2), q(1)]  # (1-t)^2
+
+
+def test_apply_measure_keeps_rational_series():
+    f = qq_series([1, 2, 3])
+    assert apply_measure(f, {"L": 4}).eq(f)
+
+
+def _projective_at(k, L, terms):
+    """zeta(P(k)) at the integer L over QQ, and the same integers over Z."""
+    image = specialize(zeta_series(Proj(k), terms), {"L": L})
+    ints = [c.numerator for c in image.coeffs]
+    assert [Fraction(n) for n in ints] == list(image.coeffs)
+    return image, TruncSeries.from_ints(Z, ints)
+
+
+def test_pade_recovers_specialized_rational_form():
+    # second derivation: Pade over QQ at the minimal degree k + 1 agrees
+    # with the closed form 1/prod_{i<=k}(1 - L^i t) specialised at L = 2..5
+    for k in range(1, 7):
+        form = zeta_rational(Proj(k))
+        for L in range(2, 6):
+            image, _ = _projective_at(k, L, 2 * k + 4)
+            res = pade_reconstruct(image, k + 1)
+            assert res.success
+            assert res.den == linear_factors([L**i for i in range(k + 1)])
+            assert res.den == [specialize(c, {"L": L}) for c in form.den]
+            assert res.num == [specialize(c, {"L": L}) for c in form.num] == [1]
+
+
+def test_hankel_grid_over_qq_equals_grid_over_z():
+    for k in range(1, 7):
+        for L in range(2, 6):
+            image, ints = _projective_at(k, L, 2 * k + 6)
+            over_q = hankel_test(image, k + 1, 2)
+            over_z = hankel_test(ints, k + 1, 2)
+            for row_q, row_z in zip(over_q.grid, over_z.grid):
+                assert row_q == [Fraction(d.as_int()) for d in row_z]
+            assert over_q.summary == over_z.summary == (k + 1, 0)
 
 
 def test_pointwise_square_zero_augmentation():

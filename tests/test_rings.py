@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from mzeta.errors import (
     NotInvertibleError,
     RingMismatchError,
 )
+from mzeta.rationality import QQ
 from mzeta.rings import (
     FractionElem,
     FractionField,
@@ -177,6 +179,32 @@ def test_fraction_display_normalization():
     n = f.normalized()
     assert str(n) == "(-L)/(2)" or str(n) == "(-1*L)/(2)"
     assert QL.eq(f, n)
+
+
+def test_rationals_are_one_fraction_backed_field():
+    from_json = ring_from_json({"kind": "fraction", "of": {"kind": "integers"}})
+    for ring in (FractionField(Z), from_json):
+        assert ring is QQ
+    assert QQ.from_int(3) == Fraction(3)
+    assert QQ.div(QQ.from_int(6), QQ.from_int(-4)) == Fraction(-3, 2)
+    with pytest.raises(NotInvertibleError):
+        QQ.invert(QQ.zero())
+    with pytest.raises(RingMismatchError):
+        QQ.validate(FractionElem(MultiPoly.const(1), MultiPoly.const(2)))
+
+
+def test_rational_json_in_lowest_terms():
+    a = QQ.elem_from_json({"num": {"terms": [{"c": "6", "e": {}}]},
+                           "den": {"terms": [{"c": "-4", "e": {}}]}})
+    assert a == Fraction(-3, 2)
+    assert QQ.elem_to_json(a) == {
+        "num": {"terms": [{"c": "-3", "e": {}}]},
+        "den": {"terms": [{"c": "2", "e": {}}]},
+    }
+    # text is what the unreduced fraction printed
+    for n, d in [(0, 5), (6, -4), (-7, 3), (12, 4), (5, 1)]:
+        want = str(FractionElem(MultiPoly.const(n), MultiPoly.const(d)))
+        assert QQ.elem_str(Fraction(n, d)) == want
 
 
 def test_poly_exact_div():
