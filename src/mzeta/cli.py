@@ -45,11 +45,13 @@ _MAX_N = 8
 _MAX_MN = 10
 
 
-def _emit(args, payload, text):
+def _emit(args, payload, render):
+    """Print payload as JSON, or in text mode what render() returns; the
+    text is built only when it is printed."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True), file=args.out)
     else:
-        print(text, file=args.out)
+        print(render(), file=args.out)
     return 0
 
 
@@ -88,11 +90,10 @@ def _cmd_zeta(args):
     model = MotivicModel(expr, increment=args.curve_increment)
     f = model.zeta_series(args.terms)
     payload = {"expr": str(expr), "terms": args.terms, "series": f.to_json()}
-    lines = ["zeta series of %s to %d terms:" % (expr, args.terms), str(f)]
+    form = image = None
     if args.rational:
         form = model.rational_form()
         payload["rational"] = form.to_json()
-        lines.append("closed form: %s" % form)
     if args.specialize:
         assignment = _parse_assignment(args.specialize)
         image = specialize(f, assignment)
@@ -100,32 +101,40 @@ def _cmd_zeta(args):
             "assignment": {k: v for k, v in sorted(assignment.items())},
             "series": image.to_json(),
         }
-        lines.append(
-            "specialized at %s: %s"
-            % (
-                ", ".join("%s=%d" % kv for kv in sorted(assignment.items())),
-                image,
+
+    def render():
+        lines = ["zeta series of %s to %d terms:" % (expr, args.terms), str(f)]
+        if form is not None:
+            lines.append("closed form: %s" % form)
+        if image is not None:
+            lines.append(
+                "specialized at %s: %s"
+                % (
+                    ", ".join("%s=%d" % kv for kv in sorted(assignment.items())),
+                    image,
+                )
             )
-        )
-    return _emit(args, payload, "\n".join(lines))
+        return "\n".join(lines)
+
+    return _emit(args, payload, render)
 
 
 def _cmd_hankel(args):
     f = series_from_json(_load_json(args.series))
     report = hankel_test(f, args.m_max, args.offset_max)
-    return _emit(args, report.to_json(), str(report))
+    return _emit(args, report.to_json(), report.__str__)
 
 
 def _cmd_pade(args):
     f = series_from_json(_load_json(args.series))
     result = pade_reconstruct(f, args.den_deg)
-    return _emit(args, result.to_json(), str(result))
+    return _emit(args, result.to_json(), result.__str__)
 
 
 def _cmd_witness(args):
     gs = GroupSeries.from_json(_load_json(args.series))
     verdict = periodic_ratio_test(gs, args.max_period, args.max_offset)
-    return _emit(args, verdict.to_json(), str(verdict))
+    return _emit(args, verdict.to_json(), verdict.__str__)
 
 
 def _cmd_lambda_op(args):
@@ -138,22 +147,21 @@ def _cmd_lambda_op(args):
         f = WittElement(series_from_json(_load_json(args.inputs[0])))
         g = WittElement(series_from_json(_load_json(args.inputs[1])))
         result = witt_mul(f, g)
-        return _emit(args, result.to_json(), str(result))
+        return _emit(args, result.to_json(), result.__str__)
     if len(args.inputs) != 1:
         raise InvalidInputError("--op %s takes one input file" % op)
     f = series_from_json(_load_json(args.inputs[0]))
     if op in ("lambda", "witt-lambda"):
         result = witt_lambda(args.k, WittElement(f))
-        return _emit(args, result.to_json(), str(result))
+        return _emit(args, result.to_json(), result.__str__)
     # sigma and psi read the file as lambda data: coeffs[i] = lambda^i(x)
     x = LambdaElement.from_series(f)
     if op == "sigma":
         sigma = opposite_sigma(x, args.k)
-        payload = sigma.to_json()
-        return _emit(args, payload, str(sigma))
+        return _emit(args, sigma.to_json(), sigma.__str__)
     value = adams(args.k, x)
     payload = {"psi": args.k, "value": x.ring.elem_to_json(value)}
-    return _emit(args, payload, x.ring.elem_str(value))
+    return _emit(args, payload, lambda: x.ring.elem_str(value))
 
 
 def _cmd_universal(args):
@@ -183,15 +191,16 @@ def _cmd_universal(args):
             poly = newton_polynomial(args.n)
         else:
             poly = witt_product_coeff(args.n)
+    text = str(poly)
     payload = {
         "which": which,
         "n": args.n,
         "poly": poly_to_json(poly),
-        "text": str(poly),
+        "text": text,
     }
     if which == "Q":
         payload["m"] = args.m
-    return _emit(args, payload, str(poly))
+    return _emit(args, payload, lambda: text)
 
 
 def _cmd_measure(args):
@@ -209,12 +218,16 @@ def _cmd_measure(args):
         payload["boundedness"] = boundedness_check(report.sequence, 1).to_json()
     if not args.witness:
         payload.pop("witness", None)
-    text = str(report)
-    if not args.witness:
-        text = "\n".join(
+
+    def render():
+        text = str(report)
+        if args.witness:
+            return text
+        return "\n".join(
             line for line in text.splitlines() if "witness search" not in line
         )
-    return _emit(args, payload, text)
+
+    return _emit(args, payload, render)
 
 
 def _cmd_suite(args):

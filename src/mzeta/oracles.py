@@ -57,3 +57,41 @@ def linear_factors(roots):
     for r in roots:
         out = [a - r * b for a, b in zip(out + [0], [0] + out)]
     return out
+
+
+def tuple_poly_add(p, q):
+    """Sum of polynomials given as dicts from sorted (variable, exponent)
+    tuples to nonzero integer coefficients."""
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def tuple_poly_mul(p, q, square_zero=False):
+    """Product of two such polynomials, one monomial pair at a time; with
+    square_zero, monomials with an exponent of 2 or more are dropped."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            exps = dict(k1)
+            for v, e in k2:
+                exps[v] = exps.get(v, 0) + e
+            if square_zero and any(e >= 2 for e in exps.values()):
+                continue
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def tuple_poly_substitute(p, images):
+    """p with each variable in images replaced by its image polynomial, all
+    at once, by expanding every term as a product of powers."""
+    out = {}
+    for key, c in p.items():
+        term = {tuple((v, e) for v, e in key if v not in images): c}
+        for v, e in key:
+            for _ in range(e if v in images else 0):
+                term = tuple_poly_mul(term, images[v])
+        out = tuple_poly_add(out, term)
+    return out

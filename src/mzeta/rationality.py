@@ -225,7 +225,7 @@ def _square_free_monomials(variables):
     out = [()]
     for v in sorted(variables):
         out += [key + ((v, 1),) for key in out]
-    return out
+    return [MultiPoly({key: 1}) for key in out]
 
 
 def _square_zero_annihilator_exists(ring, coeffs):
@@ -239,15 +239,12 @@ def _square_zero_annihilator_exists(ring, coeffs):
     variables = set()
     for c in coeffs:
         variables |= c.variables()
+    if len(variables) > 12:
+        return None  # over 4096 square-free monomials: too large to certify either way
     basis = _square_free_monomials(variables)
-    if len(basis) > 4096:
-        return None  # too large to certify either way
-    index = {key: pos for pos, key in enumerate(basis)}
     equations = {}
     for j, c in enumerate(coeffs):
-        for pos, key in enumerate(basis):
-            mono = MultiPoly.__new__(MultiPoly)
-            mono.terms = {key: 1}
+        for pos, mono in enumerate(basis):
             prod = ring.mul(mono, c)
             for tkey, tc in prod.terms.items():
                 eq = equations.setdefault((j, tkey), [0] * len(basis))
@@ -485,7 +482,7 @@ def pade_reconstruct(f, den_deg):
 
 def _eval_poly_at(poly, assignment):
     total = Fraction(0)
-    for key, c in poly.terms.items():
+    for key, c in poly.items():
         val = Fraction(c)
         for v, e in key:
             if v in assignment:

@@ -19,6 +19,26 @@ it with fraction rules.  QQ's operations are plain Fraction operations that
 trust their operands; its elements are validated where they enter, in
 TruncSeries construction and JSON loading.
 
+Monomials are packed integers (the layout of Monagan and Pearce's packed
+exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a
+64-bit field, and the monomial prod v_i^e_i is the integer sum e_i << 64*i,
+so the product of two monomials is one integer addition.  Field i belongs
+to the i-th name in a module table that is append-only, filled on first
+sight of a name under a lock, and shared by the whole process.  Like
+sys.intern, the table fixes only how a name is stored: no value, output
+order or error depends on it, because equality compares packed dicts built
+from the same table, and everything that leaves the process (JSON, str,
+sorting, error messages) decodes keys back to names first.  Packed keys
+therefore mean nothing outside the process that made them.  A key is as
+long as the field of its highest variable, so the table suits the few dozen
+names a computation uses, not an unbounded stream of fresh names.
+
+The top bit of every field is a guard: exponents must stay below 2^63.
+Larger ones raise DegreeCutoffError at construction and JSON load, and each
+product ORs its result keys once to test the guard bits.  Two exponents
+below 2^63 sum to less than 2^64, so a carry never reaches a neighbouring
+field before it is caught.
+
 A SquareZeroRing may be given an explicit variable list or a prefix, in which
 case variables prefix1, prefix2, ... exist on demand.
 
@@ -36,7 +56,10 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import (
     DegreeCutoffError,
@@ -49,6 +72,89 @@ from .errors import (
 
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+_FIELD = 64
+_FIELD_MASK = (1 << _FIELD) - 1
+_EXP_LIMIT = 1 << (_FIELD - 1)
+
+# the name table: field index -> name, and back
+_names = []
+_fields = {}
+_names_lock = threading.Lock()
+# over every registered field: the guard bit, and the bits of exponents >= 2
+_GUARD = 0
+_ABOVE_ONE = 0
+
+
+def _field(name):
+    """Field index of a variable name, registered on first sight."""
+    i = _fields.get(name)
+    if i is None:
+        global _GUARD, _ABOVE_ONE
+        with _names_lock:
+            i = _fields.get(name)
+            if i is None:
+                i = len(_names)
+                _names.append(name)
+                _GUARD |= 1 << (_FIELD * i + _FIELD - 1)
+                _ABOVE_ONE |= (_FIELD_MASK - 1) << (_FIELD * i)
+                # published last: whoever sees the index sees the masks
+                _fields[name] = i
+    return i
+
+
+def _pack(pairs):
+    """Packed monomial of (variable, exponent) pairs; exponents must lie in
+    [0, 2^63)."""
+    key = 0
+    for v, e in pairs:
+        if e < 0:
+            raise InvalidElementError("negative exponent on %r" % v)
+        if e:
+            if e >= _EXP_LIMIT:
+                raise _exponent_cutoff()
+            key += e << (_FIELD * _field(v))
+            if key & _GUARD:
+                raise _exponent_cutoff()
+    return key
+
+
+def _decode(key):
+    """The (variable, exponent) pairs of a packed monomial, sorted by name."""
+    out = []
+    while key:
+        shift = ((key & -key).bit_length() - 1) // _FIELD * _FIELD
+        e = (key >> shift) & _FIELD_MASK
+        out.append((_names[shift // _FIELD], e))
+        key ^= e << shift
+    out.sort()
+    return tuple(out)
+
+
+def _exponent_cutoff():
+    return DegreeCutoffError("an exponent is 2^63 or more, the limit of a monomial field")
+
+
+def _check_guard(terms):
+    if reduce(or_, terms, 0) & _GUARD:
+        raise _exponent_cutoff()
+
+
+def _poly(terms):
+    """MultiPoly over an already packed dict with nonzero coefficients."""
+    p = MultiPoly.__new__(MultiPoly)
+    p.terms = terms
+    return p
+
+
+def _bare_var_field(p):
+    """Field index when p is a single variable to the first power, else None."""
+    if len(p.terms) != 1:
+        return None
+    (key, c), = p.terms.items()
+    if c != 1 or not key or key & (key - 1) or key.bit_length() % _FIELD != 1:
+        return None
+    return key.bit_length() // _FIELD
+
 
 def _natural_key(name):
     """Sort key splitting digit runs, so c2 < c10 and J < J2."""
@@ -56,97 +162,104 @@ def _natural_key(name):
     return tuple(int(p) if p.isdigit() else p for p in parts if p != "")
 
 
+def _int_text(n):
+    """n in decimal for an error message, or its size where the interpreter
+    refuses to convert it."""
+    try:
+        return str(n)
+    except ValueError:
+        return "an integer of %d bits" % n.bit_length()
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Z.
 
-    Terms are stored as a dict mapping a monomial key, a sorted tuple of
-    (variable, exponent) pairs with exponent >= 1, to a nonzero integer
-    coefficient. Instances are treated as immutable.
+    terms maps a packed monomial (see the module docstring) to a nonzero
+    integer coefficient; items() gives the same terms with decoded keys,
+    tuples of (variable, exponent) pairs sorted by name.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """terms maps sequences of (variable, exponent) pairs to integers."""
         clean = {}
         if terms:
-            for key, coeff in terms.items():
+            for pairs, coeff in terms.items():
                 if coeff == 0:
                     continue
-                key = tuple(sorted((v, e) for v, e in key if e != 0))
-                for v, e in key:
-                    if e < 0:
-                        raise InvalidElementError("negative exponent on %r" % v)
-                clean[key] = clean.get(key, 0) + coeff
-                if clean[key] == 0:
+                key = _pack(pairs)
+                s = clean.get(key, 0) + coeff
+                if s:
+                    clean[key] = s
+                else:
                     del clean[key]
         self.terms = clean
 
     @classmethod
     def const(cls, c):
-        p = cls.__new__(cls)
-        p.terms = {(): int(c)} if c else {}
-        return p
+        return _poly({0: int(c)} if c else {})
 
     @classmethod
     def var(cls, name, exp=1, coeff=1):
         if not _VAR_RE.match(name):
             raise InvalidElementError("bad variable name %r" % name)
-        p = cls.__new__(cls)
         if coeff == 0 or exp < 0:
-            p.terms = {}
-        elif exp == 0:
-            p.terms = {(): coeff}
-        else:
-            p.terms = {((name, exp),): coeff}
-        return p
+            return _poly({})
+        return _poly({_pack(((name, exp),)): coeff})
+
+    def items(self):
+        """The terms as (((variable, exponent), ...), coefficient) pairs."""
+        return [(_decode(key), c) for key, c in self.terms.items()]
 
     def is_zero(self):
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def as_int(self):
-        if any(key for key in self.terms):
+        if any(self.terms):
             raise InvalidElementError("polynomial is not a constant")
         return self.constant_term()
 
     def variables(self):
-        vs = set()
-        for key in self.terms:
-            for v, _ in key:
-                vs.add(v)
-        return vs
+        return {v for v, _ in _decode(reduce(or_, self.terms, 0))}
 
     def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in key) for key in self.terms)
+        return max((sum(e for _, e in mono) for mono, _ in self.items()), default=0)
 
     def degree_in(self, var):
-        d = 0
-        for key in self.terms:
-            for v, e in key:
-                if v == var and e > d:
-                    d = e
-        return d
+        if var not in _fields:
+            return 0
+        shift = _FIELD * _fields[var]
+        return max(((key >> shift) & _FIELD_MASK for key in self.terms), default=0)
 
     def coefficient_of(self, var, exp):
         """Collect the coefficient of var**exp as a polynomial in the rest."""
-        out = {}
+        if var not in _fields:
+            return self if exp == 0 else MultiPoly.const(0)
+        shift = _FIELD * _fields[var]
+        drop = exp << shift
+        return _poly({
+            key - drop: c for key, c in self.terms.items()
+            if (key >> shift) & _FIELD_MASK == exp
+        })
+
+    def collect(self, names):
+        """Group the terms by their exponent vector on names: a dict from the
+        vector to its coefficient, a polynomial in the other variables."""
+        shifts = [_FIELD * _field(v) for v in names]
+        block = 0
+        for s in shifts:
+            block |= _FIELD_MASK << s
+        keep = ~block
+        groups = {}
         for key, c in self.terms.items():
-            got = 0
-            rest = []
-            for v, e in key:
-                if v == var:
-                    got = e
-                else:
-                    rest.append((v, e))
-            if got == exp:
-                out[tuple(rest)] = out.get(tuple(rest), 0) + c
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {k: v for k, v in out.items() if v != 0}
-        return p
+            vec = tuple((key >> s) & _FIELD_MASK for s in shifts)
+            groups.setdefault(vec, {})[key & keep] = c
+        return {vec: _poly(terms) for vec, terms in groups.items()}
 
     def add(self, other):
         out = dict(self.terms)
@@ -156,41 +269,37 @@ class MultiPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def neg(self):
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {key: -c for key, c in self.terms.items()}
-        return p
+        return _poly({key: -c for key, c in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def mul(self, other):
         # plain Z[vars] product; quotient rings reduce afterwards
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        b = b.items()
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _mono_mul(k1, k2)
-                s = out.get(key, 0) + c1 * c2
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                key = k1 + k2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+        _check_guard(out)
+        return _poly(out)
 
     def mul_int(self, n):
         if n == 0:
             return MultiPoly.const(0)
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = {key: c * n for key, c in self.terms.items()}
-        return p
+        return _poly({key: c * n for key, c in self.terms.items()})
 
     def pow(self, n):
         if n < 0:
@@ -198,20 +307,46 @@ class MultiPoly:
         return power(self, n, MultiPoly.mul, MultiPoly.const(1))
 
     def substitute(self, mapping):
-        """Replace variables by MultiPoly (or int) values; others stay."""
-        vals = {}
+        """Replace variables by MultiPoly (or int) values; others stay.
+
+        When every value is a bare variable this is a rename of fields, with
+        no polynomial product."""
+        images = {}
         for v, val in mapping.items():
-            vals[v] = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-        out = MultiPoly.const(0)
+            # a name never registered occurs in no polynomial
+            if v in _fields:
+                images[_FIELD * _fields[v]] = (
+                    val if isinstance(val, MultiPoly) else MultiPoly.const(val)
+                )
+        moved = 0
+        for shift in images:
+            moved |= _FIELD_MASK << shift
+        keep = ~moved
+        out = {}
+        targets = {shift: _bare_var_field(val) for shift, val in images.items()}
+        # distinct targets: each field then sums at most two exponents below
+        # 2^63, which cannot carry past the guard bit
+        renames = None not in targets.values() and len(set(targets.values())) == len(targets)
+        if renames:
+            for key, c in self.terms.items():
+                new = key & keep
+                for shift, i in targets.items():
+                    new += ((key >> shift) & _FIELD_MASK) << (_FIELD * i)
+                _accumulate(out, new, c)
+            _check_guard(out)
+            return _poly(out)
+        powers = {}
         for key, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for v, e in key:
-                if v in vals:
-                    term = term.mul(vals[v].pow(e))
-                else:
-                    term = term.mul(MultiPoly.var(v, e))
-            out = out.add(term)
-        return out
+            term = _poly({key & keep: c})
+            for shift, val in images.items():
+                e = (key >> shift) & _FIELD_MASK
+                if e:
+                    if (shift, e) not in powers:
+                        powers[shift, e] = val.pow(e)
+                    term = term.mul(powers[shift, e])
+            for k, tc in term.terms.items():
+                _accumulate(out, k, tc)
+        return _poly(out)
 
     def divide_int_exact(self, n):
         if n == 0:
@@ -220,11 +355,11 @@ class MultiPoly:
         for key, c in self.terms.items():
             q, r = divmod(c, n)
             if r:
-                raise ExactDivisionError("coefficient %d not divisible by %d" % (c, n))
+                raise ExactDivisionError(
+                    "coefficient %s not divisible by %s" % (_int_text(c), _int_text(n))
+                )
             out[key] = q
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -232,10 +367,10 @@ class MultiPoly:
     __hash__ = None
 
     def sorted_terms(self):
-        """Terms in display order: total degree, then lex on natural var order."""
-        if not self.terms:
-            return []
-        vs = sorted(self.variables(), key=_natural_key)
+        """Decoded terms in display order: total degree, then lex on natural
+        var order."""
+        items = self.items()
+        vs = sorted({v for mono, _ in items for v, _ in mono}, key=_natural_key)
         index = {v: i for i, v in enumerate(vs)}
 
         def key(item):
@@ -245,7 +380,7 @@ class MultiPoly:
                 vec[index[v]] = e
             return (-sum(vec), tuple(-x for x in vec))
 
-        return sorted(self.terms.items(), key=key)
+        return sorted(items, key=key)
 
     def __str__(self):
         if not self.terms:
@@ -267,6 +402,14 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+def _accumulate(terms, key, c):
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        del terms[key]
 
 
 def int_str(n):
@@ -296,32 +439,41 @@ def power(x, n, mul, one):
         x = mul(x, x)
 
 
-def _mono_mul(k1, k2):
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    d = dict(k1)
-    for v, e in k2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
 def poly_to_json(p):
-    out = []
-    for mono, c in sorted(p.terms.items()):
-        out.append({"c": int_str(c), "e": {v: e for v, e in mono}})
-    return {"terms": out}
+    return {"terms": [{"c": int_str(c), "e": dict(mono)} for mono, c in sorted(p.items())]}
+
+
+def _json_int(x, what):
+    """An int from a JSON integer or decimal string, with typed errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InvalidInputError(
+            "%s must be an integer or a decimal string, not %s" % (what, type(x).__name__)
+        )
+    try:
+        return int(x)
+    except ValueError:
+        if x.strip().lstrip("+-").isdigit():
+            raise DegreeCutoffError(
+                "%s has more than %d decimal digits, the interpreter's limit "
+                "for str-to-int conversion" % (what, sys.get_int_max_str_digits())
+            ) from None
+        raise InvalidInputError("%s %r is not an integer" % (what, x[:40])) from None
 
 
 def poly_from_json(obj):
     if not isinstance(obj, dict) or "terms" not in obj:
         raise InvalidInputError("expected a polynomial object with 'terms'")
+    if not isinstance(obj["terms"], list):
+        raise InvalidInputError("a polynomial's 'terms' must be a list")
     terms = {}
     for t in obj["terms"]:
-        c = int(t["c"])
-        mono = tuple(sorted((str(v), int(e)) for v, e in t.get("e", {}).items()))
-        terms[mono] = terms.get(mono, 0) + c
+        if not isinstance(t, dict) or "c" not in t:
+            raise InvalidInputError("each polynomial term must be an object with 'c'")
+        exps = t.get("e", {})
+        if not isinstance(exps, dict):
+            raise InvalidInputError("a term's 'e' must map variables to exponents")
+        mono = tuple((str(v), _json_int(e, "exponent")) for v, e in exps.items())
+        terms[mono] = terms.get(mono, 0) + _json_int(t["c"], "coefficient")
     return MultiPoly(terms)
 
 
@@ -479,14 +631,14 @@ class IntegerRing(Ring):
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("integer ring holds polynomial constants")
-        if a.variables():
+        if any(a.terms):
             raise RingMismatchError("element %s has variables, ring is Z" % a)
 
     def invert(self, a):
         c = a.as_int()
         if c in (1, -1):
             return a
-        raise NotInvertibleError("%d is not a unit in Z" % c)
+        raise NotInvertibleError("%s is not a unit in Z" % _int_text(c))
 
     def exact_div(self, a, b):
         q, r = divmod(a.as_int(), b.as_int())
@@ -508,6 +660,10 @@ class PolynomialRing(Ring):
     def __init__(self, variables):
         self.variables = _check_var_names(variables)
         self._varset = set(self.variables)
+        # every field of the ring's variables: an element's keys OR into it
+        self._mask = 0
+        for v in self.variables:
+            self._mask |= _FIELD_MASK << (_FIELD * _field(v))
 
     def var(self, name):
         if name not in self._varset:
@@ -517,8 +673,8 @@ class PolynomialRing(Ring):
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("expected a polynomial element")
-        extra = a.variables() - self._varset
-        if extra:
+        if reduce(or_, a.terms, self._mask) != self._mask:
+            extra = a.variables() - self._varset
             raise RingMismatchError("variables %s not in ring %s" % (sorted(extra), list(self.variables)))
 
     def invert(self, a):
@@ -546,11 +702,10 @@ def poly_exact_div(a, b):
     """
     if b.is_zero():
         raise ExactDivisionError("division by zero polynomial")
-    vars_all = sorted(a.variables() | b.variables())
+    shifts = [_FIELD * _fields[v] for v in sorted(a.variables() | b.variables())]
 
     def vec(key):
-        d = dict(key)
-        return tuple(d.get(v, 0) for v in vars_all)
+        return tuple((key >> s) & _FIELD_MASK for s in shifts)
 
     bkey = max(b.terms, key=vec)
     bvec = vec(bkey)
@@ -559,20 +714,16 @@ def poly_exact_div(a, b):
     rem = a
     while not rem.is_zero():
         rkey = max(rem.terms, key=vec)
-        rvec = vec(rkey)
         rc = rem.terms[rkey]
-        diff = tuple(x - y for x, y in zip(rvec, bvec))
-        if any(d < 0 for d in diff):
+        if any(x < y for x, y in zip(vec(rkey), bvec)):
             raise ExactDivisionError("polynomial division is not exact")
         q, r = divmod(rc, blead)
         if r:
             raise ExactDivisionError("polynomial division is not exact")
-        key = tuple((v, e) for v, e in zip(vars_all, diff) if e)
-        quot[key] = quot.get(key, 0) + q
-        t = MultiPoly.__new__(MultiPoly)
-        t.terms = {key: q}
-        rem = rem.sub(t.mul(b))
-    return MultiPoly(quot)
+        # the leading monomial strictly drops, so no key comes twice
+        quot[rkey - bkey] = q
+        rem = rem.sub(_poly({rkey - bkey: q}).mul(b))
+    return _poly(quot)
 
 
 class SquareZeroRing(Ring):
@@ -591,13 +742,19 @@ class SquareZeroRing(Ring):
         if prefix is not None and not _VAR_RE.match(prefix):
             raise InvalidInputError("bad variable prefix %r" % prefix)
         self.prefix = prefix
+        # the exponent-one bit of each known variable's field; a prefix ring
+        # learns its variables from the name table as they are registered
+        self._ones = 0
         if variables is not None:
             self.variables = _check_var_names(variables)
             self._varset = set(self.variables)
+            for v in self.variables:
+                self._ones |= 1 << (_FIELD * _field(v))
         else:
             self.variables = None
             self._varset = None
             self._prefix_re = re.compile(re.escape(prefix) + r"[1-9][0-9]*\Z")
+            self._scanned = 0
 
     def _valid_var(self, v):
         if self._varset is not None:
@@ -617,14 +774,8 @@ class SquareZeroRing(Ring):
         return MultiPoly.var("%s%d" % (self.prefix, i))
 
     def reduce(self, a):
-        out = {}
-        for key, c in a.terms.items():
-            if any(e >= 2 for _, e in key):
-                continue
-            out[key] = c
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        return p
+        squares = _ABOVE_ONE
+        return _poly({key: c for key, c in a.terms.items() if not key & squares})
 
     def mul(self, a, b):
         self.validate(a), self.validate(b)
@@ -633,19 +784,39 @@ class SquareZeroRing(Ring):
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("expected a polynomial element")
-        for key in a.terms:
-            for v, e in key:
+        # a key ORs into the ones bits iff its variables are the ring's and
+        # every exponent is 1
+        acc = reduce(or_, a.terms, self._ones)
+        if acc == self._ones:
+            return
+        if self.prefix is not None and self._scanned < len(_names):
+            self._learn_names()
+            acc |= self._ones
+            if acc == self._ones:
+                return
+        # the decoded check names the offending variable; after a race
+        # between two threads learning names it may find nothing wrong, and
+        # then a is valid
+        for mono, _ in a.items():
+            for v, e in mono:
                 if not self._valid_var(v):
                     raise RingMismatchError("variable %r is not in this ring" % v)
                 if e >= 2:
                     raise InvalidElementError("unreduced square %s^%d" % (v, e))
+
+    def _learn_names(self):
+        end = len(_names)
+        for i in range(self._scanned, end):
+            if self._prefix_re.match(_names[i]):
+                self._ones |= 1 << (_FIELD * i)
+        self._scanned = end
 
     def invert(self, a):
         """Invert c + n with c = +-1 and n nilpotent, by a finite geometric sum."""
         self.validate(a)
         c = a.constant_term()
         if c not in (1, -1):
-            raise NotInvertibleError("constant term %d is not a unit in Z" % c)
+            raise NotInvertibleError("constant term %s is not a unit in Z" % _int_text(c))
         n = a.sub(MultiPoly.const(c))
         out = MultiPoly.const(0)
         power = MultiPoly.const(1)
@@ -858,7 +1029,7 @@ def eval_poly(expr, mapping, ops):
     universal polynomial evaluation over rings, Witt rings, and lambda rules.
     """
     total = ops.from_int(0)
-    for mono, c in sorted(expr.terms.items()):
+    for mono, c in sorted(expr.items()):
         term = ops.from_int(c)
         for v, e in mono:
             if v not in mapping:

@@ -23,6 +23,7 @@ lists [c_0, c_1, ...]; the poly_* helpers at the end are their arithmetic.
 from __future__ import annotations
 
 from .errors import (
+    DegreeCutoffError,
     InvalidInputError,
     NotInvertibleError,
     PrecisionError,
@@ -132,10 +133,14 @@ class TruncSeries:
         r = self.ring
         try:
             u = r.invert(self.coeffs[0])
-        except NotInvertibleError:
+        except NotInvertibleError as e:
+            try:
+                got = "got " + r.elem_str(self.coeffs[0])
+            except DegreeCutoffError:  # too many digits to print
+                got = str(e)
             raise NotInvertibleError(
-                "series inverse needs an invertible constant term, got %s" % r.elem_str(self.coeffs[0])
-            )
+                "series inverse needs an invertible constant term, %s" % got
+            ) from None
         out = [u]
         for k in range(1, self.precision):
             acc = r.zero()

@@ -67,18 +67,6 @@ def is_symmetric(p, block):
     return True
 
 
-def _block_vector(key, index):
-    vec = [0] * len(index)
-    rest = []
-    for v, e in key:
-        pos = index.get(v)
-        if pos is None:
-            rest.append((v, e))
-        else:
-            vec[pos] = e
-    return tuple(vec), tuple(rest)
-
-
 def _eliminate_block(p, block, symbols):
     """Rewrite p (symmetric in block) using the block's elementary polys.
 
@@ -88,15 +76,11 @@ def _eliminate_block(p, block, symbols):
     Variables outside the block ride along as coefficients.
     """
     k = len(block)
-    index = {v: i for i, v in enumerate(block)}
     elems = [None] + [elementary_symmetric(i, block) for i in range(1, k + 1)]
     acc = MultiPoly.const(0)
     while True:
-        best = None
-        for key in p.terms:
-            vec, _ = _block_vector(key, index)
-            if any(vec) and (best is None or vec > best):
-                best = vec
+        groups = p.collect(block)
+        best = max((vec for vec in groups if any(vec)), default=None)
         if best is None:
             break
         if any(best[i] < best[i + 1] for i in range(k - 1)):
@@ -104,13 +88,7 @@ def _eliminate_block(p, block, symbols):
                 "leading exponents %r are not weakly decreasing; polynomial is "
                 "not symmetric in %r" % (list(best), list(block))
             )
-        cof = {}
-        for key, c in p.terms.items():
-            vec, rest = _block_vector(key, index)
-            if vec == best:
-                cof[rest] = cof.get(rest, 0) + c
-        q = MultiPoly.__new__(MultiPoly)
-        q.terms = {key: c for key, c in cof.items() if c}
+        q = groups[best]
         mono = MultiPoly.const(1)
         expansion = MultiPoly.const(1)
         for i in range(k):

@@ -360,3 +360,33 @@ def test_qq_written_in_lowest_terms(tmp_path):
     code, text = run_cli(["hankel", path, "--m-max", "0", "--offset-max", "0"])
     assert code == 0
     assert text.endswith("m=0: [(-3)/(2)]\n")
+
+
+def test_malformed_polynomial_json_is_a_typed_error(tmp_path):
+    path = tmp_path / "z.json"
+    cases = [
+        ({"terms": [{"c": "x", "e": {}}]}, "invalid_input"),
+        ({"terms": [{"c": 1.5, "e": {}}]}, "invalid_input"),
+        ({"terms": [{"e": {}}]}, "invalid_input"),
+        ({"terms": [{"c": "1", "e": {"L": "q"}}]}, "invalid_input"),
+        ({"terms": [{"c": "1", "e": ["L"]}]}, "invalid_input"),
+        ({"terms": ["1"]}, "invalid_input"),
+        ({"terms": "1"}, "invalid_input"),
+        ({"terms": [{"c": "1", "e": {"L": -1}}]}, "invalid_element"),
+        ({"terms": [{"c": "1", "e": {"L": 2**63}}]}, "degree_cutoff"),
+        ({"terms": [{"c": "1", "e": {"L": 10**30}}]}, "degree_cutoff"),
+        ({"terms": [{"c": "1" * 5000, "e": {}}]}, "degree_cutoff"),
+    ]
+    for poly, error in cases:
+        series = {"ring": {"kind": "poly", "vars": ["L"]}, "coeffs": [poly]}
+        path.write_text(json.dumps(series))
+        for fmt in ("json", "text"):
+            argv = ["hankel", str(path), "--m-max", "0", "--offset-max", "0", "--format", fmt]
+            code, text = run_cli(argv)
+            assert code == 1, (poly, fmt)
+            assert json.loads(text)["error"]["error"] == error, (poly, fmt)
+    path.write_text(json.dumps({"ring": {"kind": "poly", "vars": ["L"]},
+                                "coeffs": [{"terms": [{"c": "-12", "e": {"L": 2**63 - 1}}]}]}))
+    code, payload = run_json(["hankel", str(path), "--m-max", "0", "--offset-max", "0"])
+    assert code == 0
+    assert payload["determinants"] == [[{"terms": [{"c": "-12", "e": {"L": 2**63 - 1}}]}]]
