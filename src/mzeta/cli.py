@@ -360,10 +360,6 @@ def build_parser():
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("suite", help="named self-checks from the documentation")
-    p.add_argument(
-        "--paper-checks", action="store_true",
-        help="run the full battery (default action)",
-    )
     p.add_argument("--list", action="store_true", help="list check names")
     p.add_argument("--only", action="append", metavar="NAME", help="run one check")
     p.add_argument("--seed", type=int, default=1729, help="randomized-check seed")

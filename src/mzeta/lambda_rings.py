@@ -118,7 +118,7 @@ def witt_sub(f, g):
 
 def witt_mul(f, g):
     """Witt-ring multiplication (pairwise root products)."""
-    if f.ring.to_json() != g.ring.to_json():
+    if f.ring != g.ring:
         raise RingMismatchError("Witt product needs a common ring")
     return WittElement(witt_product_series(f.series, g.series))
 
@@ -142,10 +142,10 @@ class LambdaElement:
         lambdas = list(lambdas)
         if len(lambdas) < 2:
             raise InvalidElementError("lambda data needs order at least 1")
-        if not ring.eq(lambdas[0], ring.one()):
-            raise InvalidElementError("lambda^0 must be 1")
         for c in lambdas:
             ring.validate(c)
+        if not ring.eq(lambdas[0], ring.one()):
+            raise InvalidElementError("lambda^0 must be 1")
         self.ring = ring
         self.lambdas = lambdas
 

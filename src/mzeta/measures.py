@@ -56,7 +56,10 @@ class SurfaceData:
         self.plurigenera = plurigenera
         self.h1n = {}
         for key, value in (h1n or {}).items():
-            n = int(key)
+            try:
+                n = int(key)
+            except ValueError:
+                raise InvalidInputError("h1n index %r is not an integer" % key) from None
             if n < 2:
                 raise InvalidInputError("h1n indices start at 2")
             if not isinstance(value, int):
@@ -124,6 +127,10 @@ class SurfaceData:
     def from_json(cls, obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict) or not {"q", "pg", "plurigenera"} <= obj.keys():
+            raise InvalidInputError("surface data needs an object with q, pg and plurigenera")
+        if not isinstance(obj["plurigenera"], list) or not isinstance(obj.get("h1n") or {}, dict):
+            raise InvalidInputError("plurigenera must be a list and h1n an object")
         return cls(
             obj["q"],
             obj["pg"],

@@ -247,34 +247,10 @@ def _square_zero_annihilator_exists(ring, coeffs):
         for pos, mono in enumerate(basis):
             prod = ring.mul(mono, c)
             for tkey, tc in prod.terms.items():
-                eq = equations.setdefault((j, tkey), [0] * len(basis))
+                eq = equations.setdefault((j, tkey), [QQ.zero()] * len(basis))
                 eq[pos] += tc
     # nontrivial kernel of the equation matrix <=> annihilator exists
-    rows = [row[:] for row in equations.values()]
-    rank = 0
-    col = 0
-    nvars = len(basis)
-    while col < nvars and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = Fraction(rows[rank][col])
-        rows[rank] = [Fraction(x) / lead for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [
-                    Fraction(a) - factor * b for a, b in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank < nvars
+    return len(_eliminate(QQ, list(equations.values()), len(basis))) < len(basis)
 
 
 class VerifyGlobalReport:
@@ -324,8 +300,6 @@ def verify_global(f, g, h):
         )
     if not g:
         raise InvalidInputError("g must have at least one coefficient")
-    for c in list(g) + list(h):
-        ring.validate(c)
     gf = TruncSeries.from_polynomial(ring, g, n).mul(f)
     hs = TruncSeries.from_polynomial(ring, h, n) if h else TruncSeries.zero(ring, n)
     product_ok = gf.eq(hs)
@@ -349,6 +323,39 @@ def verify_global(f, g, h):
 # linear solving and Pade reconstruction over a field
 
 
+def _eliminate(ring, rows, n_cols):
+    """Gauss-Jordan elimination over a field, in place, on the first n_cols
+    columns of rows: each pivot becomes 1 and the only nonzero entry of its
+    column.  Returns the pivots as (row, column) pairs; their number is the
+    rank of those columns."""
+    n_eq = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = None
+        for i in range(r, n_eq):
+            if not ring.is_zero(rows[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ring.invert(rows[r][c])
+        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        for i in range(n_eq):
+            if i != r and not ring.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [
+                    ring.sub(a, ring.mul(factor, b))
+                    for a, b in zip(rows[i], rows[r])
+                ]
+        pivots.append((r, c))
+        r += 1
+        if r == n_eq:
+            break
+    return pivots
+
+
 def solve_linear(ring, rows, rhs):
     """Exact Gaussian elimination over a field.
 
@@ -357,43 +364,17 @@ def solve_linear(ring, rows, rhs):
     """
     if not ring.is_field:
         raise InvalidInputError("linear solving needs a field")
-    n_eq = len(rows)
     n_var = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n_eq)]
-    pivots = []
-    r = 0
-    for c in range(n_var):
-        pivot = None
-        for i in range(r, n_eq):
-            if not ring.is_zero(aug[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ring.invert(aug[r][c])
-        aug[r] = [ring.mul(inv, x) for x in aug[r]]
-        for i in range(n_eq):
-            if i != r and not ring.is_zero(aug[i][c]):
-                factor = aug[i][c]
-                aug[i] = [
-                    ring.sub(a, ring.mul(factor, b))
-                    for a, b in zip(aug[i], aug[r])
-                ]
-        pivots.append((r, c))
-        r += 1
-        if r == n_eq:
-            break
-    for i in range(r, n_eq):
+    aug = [list(rows[i]) + [rhs[i]] for i in range(len(rows))]
+    pivots = _eliminate(ring, aug, n_var)
+    for i in range(len(pivots), len(aug)):
         if not ring.is_zero(aug[i][n_var]):
             return None
+    # every other pivot column is cleared and free variables are zero, so
+    # each pivot row reads x[c] = its right-hand side
     x = [ring.zero()] * n_var
     for ri, c in pivots:
-        acc = aug[ri][n_var]
-        for j in range(c + 1, n_var):
-            if not ring.is_zero(aug[ri][j]):
-                acc = ring.sub(acc, ring.mul(aug[ri][j], x[j]))
-        x[c] = acc
+        x[c] = aug[ri][n_var]
     return x
 
 
@@ -628,6 +609,8 @@ class GroupSeries:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise InvalidInputError("expected a group series object with a 'coeffs' list")
         return cls(
             [None if c is None else frac_from_json(c) for c in obj["coeffs"]]
         )

@@ -1,23 +1,28 @@
 """Exact coefficient rings.
 
-Four ring kinds, all with decidable equality and arbitrary-precision integer
+Five ring kinds, all with decidable equality and arbitrary-precision integer
 coefficients:
 
   * IntegerRing          -- Z
   * PolynomialRing       -- Z[vars], sparse multivariate
   * SquareZeroRing       -- Z[vars] / (v^2 : v in vars), reduction is eager
-  * FractionField        -- Frac of Z or Z[vars]; Frac(Z) is the RationalField
-                            QQ, whose elements are fractions.Fraction values,
-                            always in lowest terms with a positive denominator;
-                            Frac(Z[vars]) holds FractionElem values with no gcd
+  * RationalField        -- Q, the singleton QQ; elements are fractions.Fraction
+                            values, always in lowest terms with a positive
+                            denominator (FractionField(IntegerRing()) returns QQ)
+  * FractionField        -- Frac(Z[vars]); FractionElem values with no gcd
                             auto-normalization
 
 Elements are plain values (MultiPoly, Fraction, FractionElem) and the ring
 objects own the arithmetic.  Ring holds the MultiPoly arithmetic once;
 subclasses define membership (validate), and the two fraction fields override
-it with fraction rules.  QQ's operations are plain Fraction operations that
-trust their operands; its elements are validated where they enter, in
-TruncSeries construction and JSON loading.
+it with fraction rules.
+
+Every ring checks membership once, where an element enters: in TruncSeries
+construction (which covers every series result), LambdaElement construction,
+each ring's elem_from_json and FractionField.from_base.  The arithmetic
+(add, neg, sub, mul, eq, pow, invert) trusts its operands, so an element of
+a foreign ring is rejected where it enters, not by the operation that meets
+it.
 
 Monomials are packed integers (the layout of Monagan and Pearce's packed
 exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a
@@ -557,25 +562,21 @@ class Ring:
         return MultiPoly.const(n)
 
     def add(self, a, b):
-        self.validate(a), self.validate(b)
         return a.add(b)
 
     def neg(self, a):
-        self.validate(a)
         return a.neg()
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return a.sub(b)
 
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return a.mul(b)
 
     def mul_int(self, a, n):
         return a.mul_int(n)
 
     def eq(self, a, b):
-        self.validate(a), self.validate(b)
         return a == b
 
     def is_zero(self, a):
@@ -584,7 +585,6 @@ class Ring:
     def pow(self, a, n):
         if n < 0:
             raise NotInvertibleError("negative ring power")
-        self.validate(a)
         return power(a, n, self.mul, self.one())
 
     def validate(self, a):
@@ -678,7 +678,6 @@ class PolynomialRing(Ring):
             raise RingMismatchError("variables %s not in ring %s" % (sorted(extra), list(self.variables)))
 
     def invert(self, a):
-        self.validate(a)
         if a == MultiPoly.const(1) or a == MultiPoly.const(-1):
             return a
         raise NotInvertibleError("only +-1 are units in a polynomial ring over Z")
@@ -778,7 +777,6 @@ class SquareZeroRing(Ring):
         return _poly({key: c for key, c in a.terms.items() if not key & squares})
 
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return self.reduce(a.mul(b))
 
     def validate(self, a):
@@ -813,7 +811,6 @@ class SquareZeroRing(Ring):
 
     def invert(self, a):
         """Invert c + n with c = +-1 and n nilpotent, by a finite geometric sum."""
-        self.validate(a)
         c = a.constant_term()
         if c not in (1, -1):
             raise NotInvertibleError("constant term %s is not a unit in Z" % _int_text(c))
@@ -947,22 +944,21 @@ class FractionField(Ring):
         return FractionElem(p, MultiPoly.const(1))
 
     def add(self, a, b):
-        self.validate(a), self.validate(b)
         return FractionElem(a.num.mul(b.den).add(b.num.mul(a.den)), a.den.mul(b.den))
 
     def neg(self, a):
-        self.validate(a)
         return FractionElem(a.num.neg(), a.den)
 
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
     def mul(self, a, b):
-        self.validate(a), self.validate(b)
         return FractionElem(a.num.mul(b.num), a.den.mul(b.den))
 
     def mul_int(self, a, n):
         return FractionElem(a.num.mul_int(n), a.den)
 
     def eq(self, a, b):
-        self.validate(a), self.validate(b)
         return a == b
 
     def is_zero(self, a):
@@ -975,7 +971,6 @@ class FractionField(Ring):
         self.base.validate(a.den)
 
     def invert(self, a):
-        self.validate(a)
         if a.num.is_zero():
             raise NotInvertibleError("division by zero")
         return FractionElem(a.den, a.num)
@@ -1005,6 +1000,13 @@ class FractionField(Ring):
         return isinstance(other, FractionField) and self.base == other.base
 
 
+def _json_vars(obj):
+    names = obj.get("vars", [])
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise InvalidInputError("a ring's 'vars' must be a list of variable names")
+    return names
+
+
 def ring_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError("expected a ring object with 'kind'")
@@ -1012,11 +1014,13 @@ def ring_from_json(obj):
     if kind == "integers":
         return IntegerRing()
     if kind == "poly":
-        return PolynomialRing([str(v) for v in obj.get("vars", [])])
+        return PolynomialRing(_json_vars(obj))
     if kind == "square_zero":
         if "prefix" in obj:
-            return SquareZeroRing(prefix=str(obj["prefix"]))
-        return SquareZeroRing([str(v) for v in obj.get("vars", [])])
+            if not isinstance(obj["prefix"], str):
+                raise InvalidInputError("a ring's 'prefix' must be a string")
+            return SquareZeroRing(prefix=obj["prefix"])
+        return SquareZeroRing(_json_vars(obj))
     if kind == "fraction":
         return FractionField(ring_from_json(obj.get("of", {})))
     raise InvalidInputError("unknown ring kind %r" % kind)

@@ -217,6 +217,8 @@ def series_from_json(obj):
     if not isinstance(obj, dict) or "coeffs" not in obj or "ring" not in obj:
         raise InvalidInputError("expected a series object with 'ring' and 'coeffs'")
     ring = ring_from_json(obj["ring"])
+    if not isinstance(obj["coeffs"], list):
+        raise InvalidInputError("a series' 'coeffs' must be a list")
     coeffs = [ring.elem_from_json(c) for c in obj["coeffs"]]
     precision = obj.get("precision", len(coeffs))
     if precision != len(coeffs):

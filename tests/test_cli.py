@@ -390,3 +390,32 @@ def test_malformed_polynomial_json_is_a_typed_error(tmp_path):
     code, payload = run_json(["hankel", str(path), "--m-max", "0", "--offset-max", "0"])
     assert code == 0
     assert payload["determinants"] == [[{"terms": [{"c": "-12", "e": {"L": 2**63 - 1}}]}]]
+
+
+def test_malformed_input_files_are_typed_errors(tmp_path):
+    path = tmp_path / "in.json"
+    series = ["hankel", str(path), "--m-max", "0", "--offset-max", "0"]
+    witness = ["witness", str(path), "--max-period", "2", "--max-offset", "2"]
+    measure = ["measure", "--surface-file", str(path), "--sym-max", "3"]
+    cases = [
+        (series, {"ring": {"kind": "integers"}, "coeffs": 5}),
+        (series, {"ring": {"kind": "poly", "vars": 5}, "coeffs": []}),
+        (series, {"ring": {"kind": "poly", "vars": "LJ"}, "coeffs": []}),
+        (series, {"ring": {"kind": "square_zero", "vars": "x"}, "coeffs": []}),
+        (series, {"ring": {"kind": "square_zero", "prefix": None}, "coeffs": []}),
+        (series, {"ring": {"kind": "square_zero", "prefix": 5}, "coeffs": []}),
+        (witness, {"coeffs": 5}),
+        (witness, {"foo": 1}),
+        (witness, []),
+        (measure, {"pg": 1}),
+        (measure, [1]),
+        (measure, {"q": 0, "pg": 1, "plurigenera": 5}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": [1]}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {"x": 1}}),
+    ]
+    for argv, obj in cases:
+        path.write_text(json.dumps(obj))
+        for fmt in ("json", "text"):
+            code, text = run_cli(argv + ["--format", fmt])
+            assert code == 1, (obj, fmt)
+            assert json.loads(text)["error"]["error"] == "invalid_input", (obj, fmt)

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from mzeta.errors import InvalidElementError, InvalidInputError, PrecisionError
+from mzeta.errors import (
+    InvalidElementError,
+    InvalidInputError,
+    PrecisionError,
+    RingMismatchError,
+)
 from mzeta.lambda_rings import (
     BigWitt,
     BinomialIntegers,
@@ -24,7 +29,7 @@ from mzeta.lambda_rings import (
     witt_neg,
 )
 from mzeta.oracles import binom, multiset_graded_lambda
-from mzeta.rings import IntegerRing, PolynomialRing
+from mzeta.rings import IntegerRing, MultiPoly, PolynomialRing
 from mzeta.series import TruncSeries
 
 Z = IntegerRing()
@@ -90,6 +95,18 @@ def test_witt_mul_equal_roots():
     f = WittElement(TruncSeries.from_ints(Z, [1, 2, 1, 0, 0, 0]))
     g = WittElement(TruncSeries.from_ints(Z, [1, 1, 0, 0, 0, 0]))
     assert [c.as_int() for c in witt_mul(f, g).series.coeffs] == [1, 2, 1, 0, 0, 0]
+
+
+def test_foreign_elements_rejected_without_ring_arithmetic():
+    # ring operations trust their operands, so these checks are the ones
+    # that catch a mixed ring
+    ZL = PolynomialRing(["L"])
+    f = WittElement(TruncSeries.from_ints(Z, [1, 1, 0]))
+    g = WittElement(TruncSeries.from_ints(ZL, [1, 1, 0]))
+    with pytest.raises(RingMismatchError):
+        witt_mul(f, g)
+    with pytest.raises(RingMismatchError):
+        LambdaElement(Z, [MultiPoly.var("J"), Z.one()])
 
 
 def test_witt_mul_distributes_over_add():

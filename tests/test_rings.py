@@ -29,6 +29,7 @@ from mzeta.rings import (
     power,
     ring_from_json,
 )
+from mzeta.series import TruncSeries, series_from_json
 
 Z = IntegerRing()
 ZL = PolynomialRing(["L"])
@@ -130,10 +131,15 @@ def test_integer_ring_guards():
 
 
 def test_mixed_ring_operands_rejected():
+    # ring arithmetic trusts its operands: a foreign element is rejected
+    # where it enters, by series construction and by JSON load
     with pytest.raises(RingMismatchError):
-        ZL.add(ZL.var("L"), MultiPoly.var("J"))
+        TruncSeries(ZL, [ZL.var("L"), MultiPoly.var("J")])
     with pytest.raises(RingMismatchError):
-        QL.add(QL.one(), MultiPoly.const(1))
+        TruncSeries(QL, [QL.one(), MultiPoly.const(1)])
+    with pytest.raises(RingMismatchError):
+        series_from_json({"ring": ZL.to_json(),
+                          "coeffs": [poly_to_json(ZL.var("L")), poly_to_json(MultiPoly.var("J"))]})
 
 
 def test_fraction_equality_cross_multiplication():
