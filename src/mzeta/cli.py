@@ -14,6 +14,7 @@ Universal polynomial tables are cached under MZETA_CACHE_DIR (default
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import DegreeCutoffError, InvalidInputError, ToolkitError
 from .lambda_rings import (
@@ -45,11 +46,68 @@ _MAX_N = 8
 _MAX_MN = 10
 
 
+def _write(o, append, nl):
+    t = type(o)
+    if t is dict:
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        # a key that is not a str makes sorted() or the string encoder
+        # raise TypeError, as _write does for a value it does not write
+        for k in sorted(o):
+            append(sep + encode_basestring_ascii(k) + ": ")
+            _write(o[k], append, inner)
+            sep = "," + inner
+        append(nl + "}")
+    elif t is str:
+        append(encode_basestring_ascii(o))
+    elif t is list:
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            append(sep)
+            _write(v, append, inner)
+            sep = "," + inner
+        append(nl + "]")
+    elif t is int:
+        append(int.__repr__(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    else:
+        raise TypeError
+
+
+def _dumps(obj):
+    """Return exactly json.dumps(obj, indent=2, sort_keys=True).
+
+    With an indent, json.dumps always runs the pure-Python encoder.  This
+    writer lays out dicts, lists, str, int, bool and None itself, with the C
+    string encoder.  A payload holding any other value (a float, a tuple, an
+    int or str subclass, a key that is not a str) or a circular reference
+    goes whole to json.dumps, so neither the text nor an error can differ.
+    """
+    parts = []
+    try:
+        _write(obj, parts.append, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
 def _emit(args, payload, render):
     """Print payload as JSON, or in text mode what render() returns; the
     text is built only when it is printed."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True), file=args.out)
+        print(_dumps(payload), file=args.out)
     else:
         print(render(), file=args.out)
     return 0
@@ -236,7 +294,7 @@ def _cmd_suite(args):
     if args.list:
         names = suite.check_names()
         if args.format == "json":
-            print(json.dumps(list(names), indent=2), file=args.out)
+            print(_dumps(list(names)), file=args.out)
         else:
             for name in names:
                 print(name, file=args.out)
@@ -251,7 +309,7 @@ def _cmd_suite(args):
             "failed": len(failed),
             "checks": [o.to_json() for o in outcomes],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=args.out)
+        print(_dumps(payload), file=args.out)
     else:
         for o in outcomes:
             print(str(o), file=args.out)
@@ -381,7 +439,7 @@ def run(argv=None, out=None):
     try:
         return args.func(args)
     except ToolkitError as e:
-        print(json.dumps({"error": e.payload()}, indent=2, sort_keys=True), file=out)
+        print(_dumps({"error": e.payload()}), file=out)
         return 1
 
 

@@ -221,6 +221,10 @@ def series_from_json(obj):
         raise InvalidInputError("a series' 'coeffs' must be a list")
     coeffs = [ring.elem_from_json(c) for c in obj["coeffs"]]
     precision = obj.get("precision", len(coeffs))
+    if type(precision) is not int:
+        raise InvalidInputError(
+            "a series' 'precision' must be an integer, got %s" % type(precision).__name__
+        )
     if precision != len(coeffs):
         raise InvalidInputError("precision %s does not match %d coefficients" % (precision, len(coeffs)))
     return TruncSeries(ring, coeffs)

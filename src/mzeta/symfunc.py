@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 
-from .errors import InvalidInputError, NonSymmetricError
+from .errors import InvalidInputError, NonSymmetricError, ToolkitError
 from .rings import MultiPoly, PolynomialRing, poly_from_json, poly_to_json
 from .series import TruncSeries, power_sums, witt_exterior_series, witt_product_series
 
@@ -161,7 +161,9 @@ def _cache_load(key):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return poly_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, ToolkitError):
+        # a missing, unreadable or corrupt file is a miss: the table is
+        # rebuilt and the file rewritten
         return None
 
 

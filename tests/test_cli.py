@@ -5,12 +5,14 @@ import json
 import sys
 from contextlib import redirect_stderr
 
-from mzeta import cli
+import pytest
+
+from mzeta import cli, symfunc
 from mzeta.lambda_rings import LambdaElement
 from mzeta.motivic import Proj, zeta_rational, zeta_series
 from mzeta.oracles import linear_factors
 from mzeta.rationality import QQ, GroupSeries
-from mzeta.rings import IntegerRing, MultiPoly
+from mzeta.rings import IntegerRing, MultiPoly, poly_from_json
 from mzeta.series import TruncSeries, series_from_json
 
 Z = IntegerRing()
@@ -191,6 +193,27 @@ def test_universal_cutoff_and_force():
     code, payload = run_json(["universal", "--which", "Q", "--n", "2"])
     assert code == 1
     assert payload["error"]["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    ['{"terms":[{"c":"x","e":{}}]}', '{"terms":[{"c":"1","e":{"e1":9223372036854775808}}]}'],
+    ids=["bad_coefficient", "huge_exponent"],
+)
+def test_corrupt_cache_file_is_rebuilt(tmp_path, monkeypatch, corrupt):
+    # a cache file that parses but is not a valid table (invalid_input or
+    # degree_cutoff at load) is a miss: same output, file rewritten
+    monkeypatch.setenv("MZETA_CACHE_DIR", str(tmp_path))
+    argv = ["universal", "--which", "newton", "--n", "3", "--format", "json"]
+    symfunc._MEMO.pop("newton_3", None)
+    clean = run_cli(argv)
+    assert clean[0] == 0
+    path = tmp_path / "newton_3.json"
+    path.write_text(corrupt)
+    symfunc._MEMO.pop("newton_3", None)
+    assert run_cli(argv) == clean
+    rebuilt = poly_from_json(json.loads(path.read_text()))
+    assert rebuilt == symfunc.newton_polynomial(3)
 
 
 def test_universal_q_payload():

@@ -1,0 +1,154 @@
+"""The CLI's JSON writer against json.dumps(indent=2, sort_keys=True).
+
+A unittest.TestCase, so it also runs without pytest:
+
+    PYTHONPATH=src python -m unittest tests.test_json_writer
+"""
+
+import enum
+import json
+import random
+import sys
+import unittest
+
+from mzeta.cli import _dumps
+
+# non-ASCII, quotes, backslashes, control characters and the empty string
+_TEXTS = [
+    "",
+    "L",
+    "c1",
+    "é",
+    "日本",
+    "\U0001f600",
+    '"',
+    'say "hi"',
+    "\\",
+    "a\\b",
+    "\x00",
+    "\n\t\r",
+    "\x1f",
+    "\x7f",
+    " ",
+]
+# string values also include lone surrogates
+_VALUES = _TEXTS + ["\ud800", "\udfff", "x\udc00y"]
+
+
+def _reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _random_text(rng, pool):
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(3)))
+
+
+def _random_int(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(-10, 11)
+    if kind == 1:
+        return -rng.randrange(1, 2**70)
+    if kind == 2:
+        return rng.randrange(10**3999, 10**4000)
+    return -rng.randrange(10**3999, 10**4000)
+
+
+def _random_payload(rng, depth):
+    kinds = ["str", "int", "bool", "none", "empty_list", "empty_dict"]
+    if depth < 4:
+        kinds += ["list", "dict", "list", "dict"]
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return _random_text(rng, _VALUES)
+    if kind == "int":
+        return _random_int(rng)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "empty_list":
+        return rng.choice([[], [[]], [{}]])
+    if kind == "empty_dict":
+        return rng.choice([{}, {"": {}}, {"a": []}])
+    if kind == "list":
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {
+        _random_text(rng, _TEXTS): _random_payload(rng, depth + 1)
+        for _ in range(rng.randrange(4))
+    }
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+class WriterMatchesStdlib(unittest.TestCase):
+    def assertSameText(self, obj):
+        self.assertEqual(_dumps(obj), _reference(obj))
+
+    def test_random_nested_payloads(self):
+        rng = random.Random(20260)
+        for _ in range(400):
+            self.assertSameText(_random_payload(rng, 0))
+
+    def test_every_key_and_value_text(self):
+        self.assertSameText({k: _VALUES for k in _TEXTS})
+        for v in _VALUES:
+            self.assertSameText(v)
+
+    def test_scalars_and_empty_containers(self):
+        for obj in [0, -1, 10**3999, True, False, None, "", [], {}, [[]], {"": {}}, [{}, []]]:
+            self.assertSameText(obj)
+
+    def test_fallback_cases(self):
+        cases = [
+            1.5,
+            float("nan"),
+            float("inf"),
+            -float("inf"),
+            {"x": [0.1, float("nan")]},
+            (1, 2),
+            {"t": ("a", [1])},
+            {1: "a", 2: "b"},
+            {True: 1, False: 2},
+            {"k": Colour.RED},
+            [Colour.RED, {"d": {Colour.RED: 0}}],
+            {1.5: 0, 2.5: [1]},
+            Name("a\u00e9"),
+            {Name("b"): Name("c"), "a": 1},
+        ]
+        for obj in cases:
+            with self.subTest(obj=obj):
+                self.assertSameText(obj)
+
+    def assertSameError(self, obj, error):
+        with self.assertRaises(error) as expected:
+            _reference(obj)
+        with self.assertRaises(error) as got:
+            _dumps(obj)
+        self.assertEqual(str(got.exception), str(expected.exception))
+
+    @unittest.skipUnless(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        "this interpreter has no int-to-str digit limit",
+    )
+    def test_int_over_digit_limit_raises_value_error(self):
+        too_long = 10 ** sys.get_int_max_str_digits()
+        self.assertSameError(too_long, ValueError)
+        self.assertSameError({"a": [1, {"b": -too_long}]}, ValueError)
+
+    def test_other_errors_match(self):
+        self.assertSameError({"a": 1, 2: "b"}, TypeError)
+        self.assertSameError({"a": object()}, TypeError)
+        loop = []
+        loop.append(loop)
+        self.assertSameError(loop, ValueError)
+
+
+if __name__ == "__main__":
+    unittest.main()

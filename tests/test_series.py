@@ -7,7 +7,12 @@ import random
 
 import pytest
 
-from mzeta.errors import NotInvertibleError, PrecisionError, RingMismatchError
+from mzeta.errors import (
+    InvalidInputError,
+    NotInvertibleError,
+    PrecisionError,
+    RingMismatchError,
+)
 from mzeta.rings import (
     FractionField,
     IntegerRing,
@@ -123,6 +128,22 @@ def test_series_json_round_trip():
     h = TruncSeries(q, [q.one(), q.divide_exact(q.one(), 2)])
     blob2 = json.dumps(h.to_json(), sort_keys=True)
     assert series_from_json(json.loads(blob2)).eq(h)
+
+
+@pytest.mark.parametrize(
+    "precision, ncoeffs, kind",
+    [(True, 1, "bool"), (2.0, 2, "float"), ("2", 2, "str")],
+    ids=["true", "float", "string"],
+)
+def test_series_json_precision_must_be_an_int(precision, ncoeffs, kind):
+    # each value equals (or prints as) the coefficient count, so only the
+    # type check can reject it
+    obj = TruncSeries.from_ints(Z, [1] * ncoeffs).to_json()
+    obj["precision"] = precision
+    with pytest.raises(InvalidInputError) as info:
+        series_from_json(obj)
+    assert info.value.payload()["error"] == "invalid_input"
+    assert str(info.value) == "a series' 'precision' must be an integer, got %s" % kind
 
 
 def test_power_sums_of_known_roots():
