@@ -33,7 +33,7 @@ from .rationality import (
     pade_reconstruct,
     periodic_ratio_test,
 )
-from .rings import poly_to_json
+from .rings import _VAR_RE, _json_int, poly_to_json
 from .series import series_from_json
 from .symfunc import (
     newton_polynomial,
@@ -134,10 +134,12 @@ def _parse_assignment(text):
             raise InvalidInputError(
                 "assignments look like L=3, got %r" % item
             )
-        try:
-            out[name.strip()] = int(value)
-        except ValueError:
-            raise InvalidInputError("assignment value %r is not an integer" % value)
+        name = name.strip()
+        if name != "*" and not _VAR_RE.match(name):
+            raise InvalidInputError("assignment name %r is not * or a variable name" % name[:40])
+        if name in out:
+            raise InvalidInputError("variable %r is assigned twice" % name)
+        out[name] = _json_int(value, "assignment value")
     if not out:
         raise InvalidInputError("empty assignment")
     return out

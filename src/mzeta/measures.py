@@ -31,6 +31,11 @@ from .rationality import (
 from .rings import FractionElem, MultiPoly
 
 
+def _is_int(x):
+    # JSON true and false are ints to Python, not plurigenera
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class SurfaceData:
     """Numerical invariants of a smooth projective surface.
 
@@ -39,15 +44,15 @@ class SurfaceData:
     """
 
     def __init__(self, q, pg, plurigenera, h1n=None):
-        if not isinstance(q, int) or q < 0:
+        if not _is_int(q) or q < 0:
             raise InvalidInputError("irregularity must be a nonnegative integer")
-        if not isinstance(pg, int) or pg < 0:
+        if not _is_int(pg) or pg < 0:
             raise InvalidInputError("geometric genus must be a nonnegative integer")
         plurigenera = list(plurigenera)
         if not plurigenera:
             raise InvalidInputError("need at least one plurigenus")
         for value in plurigenera:
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise InvalidInputError("plurigenera must be nonnegative integers")
         if plurigenera[0] != pg:
             raise InvalidInputError("P1 must equal the geometric genus")
@@ -62,7 +67,7 @@ class SurfaceData:
                 raise InvalidInputError("h1n index %r is not an integer" % key) from None
             if n < 2:
                 raise InvalidInputError("h1n indices start at 2")
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise InvalidInputError("h1n values must be integers")
             self.h1n[n] = value
 
@@ -92,6 +97,8 @@ class SurfaceData:
             if "=" in token:
                 key, _, value = token.partition("=")
                 key = key.strip()
+                if key in fields:
+                    raise InvalidInputError("surface field %r is given twice" % key)
                 fields[key] = [value.strip()]
                 current = key
             else:

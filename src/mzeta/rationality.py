@@ -498,19 +498,7 @@ def apply_measure(f, assignment):
             raise InvalidMeasureError(
                 "default image in a square-zero ring must be 0"
             )
-
-    def convert(c):
-        if ring.kind == "fraction":
-            num = _eval_poly_at(c.num, assignment)
-            den = _eval_poly_at(c.den, assignment)
-            if den == 0:
-                raise InvalidMeasureError(
-                    "measure sends a denominator to zero"
-                )
-            return num / den
-        return _eval_poly_at(c, assignment)
-
-    return f.map_coefficients(convert, QQ)
+    return f.map_coefficients(lambda c: _eval_poly_at(c, assignment), QQ)
 
 
 class PointwiseVerdict:

@@ -1,28 +1,27 @@
 """Exact coefficient rings.
 
-Five ring kinds, all with decidable equality and arbitrary-precision integer
+Four ring kinds, all with decidable equality and arbitrary-precision integer
 coefficients:
 
   * IntegerRing          -- Z
   * PolynomialRing       -- Z[vars], sparse multivariate
   * SquareZeroRing       -- Z[vars] / (v^2 : v in vars), reduction is eager
-  * RationalField        -- Q, the singleton QQ; elements are fractions.Fraction
+  * FractionField        -- Q, the singleton QQ; elements are fractions.Fraction
                             values, always in lowest terms with a positive
-                            denominator (FractionField(IntegerRing()) returns QQ)
-  * FractionField        -- Frac(Z[vars]); FractionElem values with no gcd
-                            auto-normalization
+                            denominator (FractionField(IntegerRing()) returns QQ,
+                            and no other base is accepted)
 
-Elements are plain values (MultiPoly, Fraction, FractionElem) and the ring
-objects own the arithmetic.  Ring holds the MultiPoly arithmetic once;
-subclasses define membership (validate), and the two fraction fields override
-it with fraction rules.
+Elements are plain values (MultiPoly, Fraction) and the ring objects own the
+arithmetic.  Ring holds the MultiPoly arithmetic once; subclasses define
+membership (validate), and FractionField overrides it with Fraction rules.
+FractionElem, an unreduced quotient of two MultiPolys, is no ring's element:
+it holds the ratios of the periodic-ratio witness and QQ's JSON form.
 
 Every ring checks membership once, where an element enters: in TruncSeries
-construction (which covers every series result), LambdaElement construction,
-each ring's elem_from_json and FractionField.from_base.  The arithmetic
-(add, neg, sub, mul, eq, pow, invert) trusts its operands, so an element of
-a foreign ring is rejected where it enters, not by the operation that meets
-it.
+construction (which covers every series result), LambdaElement construction
+and each ring's elem_from_json.  The arithmetic (add, neg, sub, mul, eq, pow,
+invert) trusts its operands, so an element of a foreign ring is rejected
+where it enters, not by the operation that meets it.
 
 Monomials are packed integers (the layout of Monagan and Pearce's packed
 exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a
@@ -54,7 +53,7 @@ JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
               and the positive denominator as constant polynomials
   ring        {"kind": "integers"} | {"kind": "poly", "vars": [...]}
               | {"kind": "square_zero", "vars": [...] } | {"kind": "square_zero", "prefix": "x"}
-              | {"kind": "fraction", "of": <ring>}
+              | {"kind": "fraction", "of": {"kind": "integers"}}
 """
 
 from __future__ import annotations
@@ -837,13 +836,24 @@ class SquareZeroRing(Ring):
         )
 
 
-class RationalField(Ring):
-    """Q, with fractions.Fraction elements, which are always in lowest terms
-    with a positive denominator.  The operations trust their operands."""
+class FractionField(Ring):
+    """Q, the field of fractions of Z, with fractions.Fraction elements, which
+    are always in lowest terms with a positive denominator.  QQ is the one
+    instance: FractionField(IntegerRing()) returns it, and any other base is
+    an error.  The operations trust their operands."""
 
     kind = "fraction"
     is_domain = True
     is_field = True
+
+    def __new__(cls, base):
+        if not isinstance(base, IntegerRing):
+            raise InvalidInputError("the only fraction field is Q: its base must be the integers")
+        return QQ
+
+    def __reduce__(self):
+        # copies and pickles stay the one instance
+        return "QQ"
 
     def from_int(self, n):
         return Fraction(n)
@@ -909,95 +919,9 @@ class RationalField(Ring):
     def to_json(self):
         return {"kind": "fraction", "of": {"kind": "integers"}}
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
 
 _ZZ = IntegerRing()
-QQ = RationalField()
-
-
-class FractionField(Ring):
-    """Field of fractions of Z or Z[vars].  Over Z[vars] elements are
-    unreduced FractionElems, equal by cross-multiplication; over Z the
-    constructor returns QQ."""
-
-    kind = "fraction"
-    is_domain = True
-    is_field = True
-
-    def __new__(cls, base):
-        if isinstance(base, IntegerRing):
-            return QQ
-        return super().__new__(cls)
-
-    def __init__(self, base):
-        if not isinstance(base, PolynomialRing):
-            raise InvalidInputError("fraction field needs an integral domain base")
-        self.base = base
-
-    def from_int(self, n):
-        return FractionElem(MultiPoly.const(n), MultiPoly.const(1))
-
-    def from_base(self, p):
-        self.base.validate(p)
-        return FractionElem(p, MultiPoly.const(1))
-
-    def add(self, a, b):
-        return FractionElem(a.num.mul(b.den).add(b.num.mul(a.den)), a.den.mul(b.den))
-
-    def neg(self, a):
-        return FractionElem(a.num.neg(), a.den)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return FractionElem(a.num.mul(b.num), a.den.mul(b.den))
-
-    def mul_int(self, a, n):
-        return FractionElem(a.num.mul_int(n), a.den)
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.num.is_zero()
-
-    def validate(self, a):
-        if not isinstance(a, FractionElem):
-            raise RingMismatchError("expected a fraction element")
-        self.base.validate(a.num)
-        self.base.validate(a.den)
-
-    def invert(self, a):
-        if a.num.is_zero():
-            raise NotInvertibleError("division by zero")
-        return FractionElem(a.den, a.num)
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
-    exact_div = div
-
-    def divide_exact(self, a, n):
-        if n == 0:
-            raise ExactDivisionError("division by zero")
-        return FractionElem(a.num, a.den.mul_int(n))
-
-    def elem_to_json(self, a):
-        return frac_to_json(a)
-
-    def elem_from_json(self, obj):
-        a = frac_from_json(obj)
-        self.validate(a)
-        return a
-
-    def to_json(self):
-        return {"kind": "fraction", "of": self.base.to_json()}
-
-    def __eq__(self, other):
-        return isinstance(other, FractionField) and self.base == other.base
+QQ = object.__new__(FractionField)
 
 
 def _json_vars(obj):

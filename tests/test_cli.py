@@ -66,11 +66,20 @@ def test_zeta_curve_increment_choices():
 
 
 def test_zeta_bad_assignment():
-    code, payload = run_json(
-        ["zeta", "P(1)", "--terms", "3", "--specialize", "L:3"]
-    )
-    assert code == 1
-    assert payload["error"]["error"] == "invalid_input"
+    cases = [
+        ("L:3", "invalid_input"),
+        ("L=3,=5", "invalid_input"),
+        ("L=3,2x=5", "invalid_input"),
+        ("L=3,L=4", "invalid_input"),
+        ("L=3, L = 3", "invalid_input"),
+        ("L=x", "invalid_input"),
+        ("L=" + "7" * 5000, "degree_cutoff"),
+    ]
+    for text, error in cases:
+        code, payload = run_json(["zeta", "P(1)", "--terms", "3", "--specialize", text])
+        assert code == 1, text
+        assert payload["error"]["error"] == error, text
+        assert len(payload["error"]["message"]) < 200, text
 
 
 def test_hankel_from_file(tmp_path):
@@ -419,7 +428,10 @@ def test_malformed_input_files_are_typed_errors(tmp_path):
     path = tmp_path / "in.json"
     series = ["hankel", str(path), "--m-max", "0", "--offset-max", "0"]
     witness = ["witness", str(path), "--max-period", "2", "--max-offset", "2"]
+    pade = ["pade", str(path), "--den-deg", "0"]
     measure = ["measure", "--surface-file", str(path), "--sym-max", "3"]
+    frac_of_poly = {"kind": "fraction", "of": {"kind": "poly", "vars": ["L"]}}
+    L_over_1 = {"num": _poly((1, {"L": 1})), "den": _poly((1, {}))}
     cases = [
         (series, {"ring": {"kind": "integers"}, "coeffs": 5}),
         (series, {"ring": {"kind": "poly", "vars": 5}, "coeffs": []}),
@@ -435,6 +447,13 @@ def test_malformed_input_files_are_typed_errors(tmp_path):
         (measure, {"q": 0, "pg": 1, "plurigenera": 5}),
         (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": [1]}),
         (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {"x": 1}}),
+        # Q is the only field of fractions
+        (series, {"ring": frac_of_poly, "coeffs": [L_over_1]}),
+        (pade, {"ring": frac_of_poly, "coeffs": [L_over_1, L_over_1]}),
+        # JSON booleans are not integers
+        (measure, {"q": True, "pg": 0, "plurigenera": [0]}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, True, 1]}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {"2": True}}),
     ]
     for argv, obj in cases:
         path.write_text(json.dumps(obj))

@@ -84,6 +84,13 @@ def test_surface_from_text():
         SurfaceData.from_text("1,2,q=0")
 
 
+def test_surface_text_repeated_key_is_an_error():
+    for text, key in [("q=0,pg=1,P=1,1,1,q=2", "'q'"), ("q=0,pg=1,P=1,P=1,1", "'P'"),
+                      ("q=0,pg=0,P=0,h1=1,h1=2", "'h1'")]:
+        with pytest.raises(InvalidInputError, match=key):
+            SurfaceData.from_text(text)
+
+
 def test_surface_text_round_trip():
     rng = random.Random(606)
     for _ in range(25):
