@@ -6,9 +6,6 @@ polynomial tables, the surface-measure harness, and the self-check suite.
 JSON output is byte-stable for identical invocations (sorted keys, no
 timestamps); text output is rendered from the same report objects.  Domain
 errors exit 1 with a machine-readable JSON body; usage errors exit 2.
-
-Universal polynomial tables are cached under MZETA_CACHE_DIR (default
-~/.cache/mzeta).
 """
 
 import argparse
@@ -139,7 +136,7 @@ def _parse_assignment(text):
             raise InvalidInputError("assignment name %r is not * or a variable name" % name[:40])
         if name in out:
             raise InvalidInputError("variable %r is assigned twice" % name)
-        out[name] = _json_int(value, "assignment value")
+        out[name] = _json_int(value.strip(), "assignment value")
     if not out:
         raise InvalidInputError("empty assignment")
     return out
@@ -328,8 +325,6 @@ def build_parser():
         prog="mzeta",
         description="Zeta series, lambda operations, and rationality tests "
         "over exact coefficient rings.",
-        epilog="Universal polynomial tables are cached in MZETA_CACHE_DIR "
-        "(default ~/.cache/mzeta).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,7 +28,7 @@ from .rationality import (
     PeriodFound,
     periodic_ratio_test,
 )
-from .rings import FractionElem, MultiPoly
+from .rings import FractionElem, MultiPoly, _json_int
 
 
 def _is_int(x):
@@ -61,10 +61,7 @@ class SurfaceData:
         self.plurigenera = plurigenera
         self.h1n = {}
         for key, value in (h1n or {}).items():
-            try:
-                n = int(key)
-            except ValueError:
-                raise InvalidInputError("h1n index %r is not an integer" % key) from None
+            n = _json_int(key, "h1n index")
             if n < 2:
                 raise InvalidInputError("h1n indices start at 2")
             if not _is_int(value):
@@ -116,10 +113,7 @@ class SurfaceData:
             raise InvalidInputError("surface data needs q, pg, and P")
 
         def ints(key):
-            try:
-                return [int(v) for v in fields[key]]
-            except ValueError:
-                raise InvalidInputError("field %s must be integers" % key)
+            return [_json_int(v, "surface field %s" % key) for v in fields[key]]
 
         q = ints("q")
         pg = ints("pg")

@@ -37,7 +37,7 @@ from .errors import (
     VarietySyntaxError,
 )
 from .rationality import _eval_poly_at, verify_global
-from .rings import MultiPoly, PolynomialRing
+from .rings import MultiPoly, PolynomialRing, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
 
@@ -196,11 +196,11 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             self.fail("expected an integer", start)
-        value = int(self.text[start:self.pos])
+        value = _json_int(self.text[start:self.pos], "integer parameter")
         if value < 0:
             self.fail("negative parameter", start)
         return value

@@ -75,6 +75,7 @@ from .errors import (
 )
 
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
 
 _FIELD = 64
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -448,20 +449,25 @@ def poly_to_json(p):
 
 
 def _json_int(x, what):
-    """An int from a JSON integer or decimal string, with typed errors."""
+    """An int from a JSON integer or a decimal string, with typed errors.
+
+    A decimal string is ASCII -?[0-9]+ and nothing else: no sign "+", no
+    spaces, no "_" separators and no other scripts' digits, all of which
+    int() would take.
+    """
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InvalidInputError(
             "%s must be an integer or a decimal string, not %s" % (what, type(x).__name__)
         )
+    if isinstance(x, str) and not _DECIMAL_RE.match(x):
+        raise InvalidInputError("%s %r is not an integer" % (what, x[:40]))
     try:
         return int(x)
     except ValueError:
-        if x.strip().lstrip("+-").isdigit():
-            raise DegreeCutoffError(
-                "%s has more than %d decimal digits, the interpreter's limit "
-                "for str-to-int conversion" % (what, sys.get_int_max_str_digits())
-            ) from None
-        raise InvalidInputError("%s %r is not an integer" % (what, x[:40])) from None
+        raise DegreeCutoffError(
+            "%s has more than %d decimal digits, the interpreter's limit "
+            "for str-to-int conversion" % (what, sys.get_int_max_str_digits())
+        ) from None
 
 
 def poly_from_json(obj):

@@ -16,19 +16,18 @@ explicit root expansions stay available as an independent cross-check: they
 express the same coefficients by expanding the root products literally and
 rewriting the symmetric result in elementary symmetric polynomials.
 
-Computed polynomials are cached in memory and on disk (MZETA_CACHE_DIR, or
-~/.cache/mzeta) since the larger ones are expensive to rebuild.
+The three tables are computed on demand and memoized for the life of the
+process, since the lambda-ring checks ask for the same ones again and again;
+nothing is written to disk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
-import os
-import tempfile
 
-from .errors import InvalidInputError, NonSymmetricError, ToolkitError
-from .rings import MultiPoly, PolynomialRing, poly_from_json, poly_to_json
+from .errors import InvalidInputError, NonSymmetricError
+from .rings import MultiPoly, PolynomialRing
 from .series import TruncSeries, power_sums, witt_exterior_series, witt_product_series
 
 
@@ -149,65 +148,18 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
     return out
 
 
-def _cache_dir():
-    env = os.environ.get("MZETA_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "mzeta")
-
-
-def _cache_load(key):
-    path = os.path.join(_cache_dir(), key + ".json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return poly_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, ToolkitError):
-        # a missing, unreadable or corrupt file is a miss: the table is
-        # rebuilt and the file rewritten
-        return None
-
-
-def _cache_store(key, poly):
-    directory = _cache_dir()
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=key, suffix=".tmp", dir=directory)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(poly_to_json(poly), fh)
-        os.replace(tmp, os.path.join(directory, key + ".json"))
-    except OSError:
-        pass
-
-
-_MEMO = {}
-
-
-def _cached(key, build):
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    hit = _cache_load(key)
-    if hit is None:
-        hit = build()
-        _cache_store(key, hit)
-    _MEMO[key] = hit
-    return hit
-
-
+@functools.cache
 def newton_polynomial(n):
     """Power sum p_n as a polynomial in e_1, ..., e_n (Newton's identity)."""
     if n < 1:
         raise InvalidInputError("power sums are indexed from 1")
-
-    def build():
-        names = ["e%d" % i for i in range(1, n + 1)]
-        ring = PolynomialRing(names)
-        f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
-        return power_sums(f, n)[n - 1]
-
-    return _cached("newton_%d" % n, build)
+    names = ["e%d" % i for i in range(1, n + 1)]
+    ring = PolynomialRing(names)
+    f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
+    return power_sums(f, n)[n - 1]
 
 
+@functools.cache
 def universal_P(n):
     """Witt product coefficient law: t^n coefficient of the product of
     1 + e_1 t + ... + e_n t^n and 1 + f_1 t + ... + f_n t^n in the Witt ring.
@@ -216,18 +168,15 @@ def universal_P(n):
         raise InvalidInputError("negative coefficient index")
     if n == 0:
         return MultiPoly.const(1)
-
-    def build():
-        enames = ["e%d" % i for i in range(1, n + 1)]
-        fnames = ["f%d" % i for i in range(1, n + 1)]
-        ring = PolynomialRing(enames + fnames)
-        f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in enames])
-        g = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in fnames])
-        return witt_product_series(f, g).coeffs[n]
-
-    return _cached("P_%d" % n, build)
+    enames = ["e%d" % i for i in range(1, n + 1)]
+    fnames = ["f%d" % i for i in range(1, n + 1)]
+    ring = PolynomialRing(enames + fnames)
+    f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in enames])
+    g = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in fnames])
+    return witt_product_series(f, g).coeffs[n]
 
 
+@functools.cache
 def universal_Q(m, n):
     """Exterior power coefficient law: t^m coefficient of the n-th exterior
     power of 1 + e_1 t + ... + e_{m*n} t^{m*n}.
@@ -239,15 +188,10 @@ def universal_Q(m, n):
     if n == 0:
         # the exterior powers of the ring unit 1 + t stop after degree one
         return MultiPoly.const(1 if m == 1 else 0)
-
-    def build():
-        size = m * n
-        names = ["e%d" % i for i in range(1, size + 1)]
-        ring = PolynomialRing(names)
-        f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
-        return witt_exterior_series(n, f, m + 1).coeffs[m]
-
-    return _cached("Q_%d_%d" % (m, n), build)
+    names = ["e%d" % i for i in range(1, m * n + 1)]
+    ring = PolynomialRing(names)
+    f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
+    return witt_exterior_series(n, f, m + 1).coeffs[m]
 
 
 def witt_product_coeff(p):

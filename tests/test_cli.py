@@ -7,12 +7,12 @@ from contextlib import redirect_stderr
 
 import pytest
 
-from mzeta import cli, symfunc
+from mzeta import cli
 from mzeta.lambda_rings import LambdaElement
 from mzeta.motivic import Proj, zeta_rational, zeta_series
 from mzeta.oracles import linear_factors
 from mzeta.rationality import QQ, GroupSeries
-from mzeta.rings import IntegerRing, MultiPoly, poly_from_json
+from mzeta.rings import IntegerRing, MultiPoly
 from mzeta.series import TruncSeries, series_from_json
 
 Z = IntegerRing()
@@ -74,6 +74,10 @@ def test_zeta_bad_assignment():
         ("L=3, L = 3", "invalid_input"),
         ("L=x", "invalid_input"),
         ("L=" + "7" * 5000, "degree_cutoff"),
+        # decimal digits only, as int() is laxer: no "_", sign "+" or other scripts
+        ("L=3_0", "invalid_input"),
+        ("L=+3", "invalid_input"),
+        ("L=\u0663", "invalid_input"),
     ]
     for text, error in cases:
         code, payload = run_json(["zeta", "P(1)", "--terms", "3", "--specialize", text])
@@ -204,25 +208,15 @@ def test_universal_cutoff_and_force():
     assert payload["error"]["error"] == "invalid_input"
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    ['{"terms":[{"c":"x","e":{}}]}', '{"terms":[{"c":"1","e":{"e1":9223372036854775808}}]}'],
-    ids=["bad_coefficient", "huge_exponent"],
-)
-def test_corrupt_cache_file_is_rebuilt(tmp_path, monkeypatch, corrupt):
-    # a cache file that parses but is not a valid table (invalid_input or
-    # degree_cutoff at load) is a miss: same output, file rewritten
-    monkeypatch.setenv("MZETA_CACHE_DIR", str(tmp_path))
-    argv = ["universal", "--which", "newton", "--n", "3", "--format", "json"]
-    symfunc._MEMO.pop("newton_3", None)
-    clean = run_cli(argv)
-    assert clean[0] == 0
-    path = tmp_path / "newton_3.json"
-    path.write_text(corrupt)
-    symfunc._MEMO.pop("newton_3", None)
-    assert run_cli(argv) == clean
-    rebuilt = poly_from_json(json.loads(path.read_text()))
-    assert rebuilt == symfunc.newton_polynomial(3)
+def test_universal_writes_no_files(tmp_path, monkeypatch):
+    # tables are computed in the process, never stored under HOME or the cwd
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for args in (["P", "--n", "4"], ["Q", "--m", "3", "--n", "3"], ["newton", "--n", "7"],
+                 ["witt", "--n", "5"]):
+        code, _ = run_cli(["universal", "--which"] + args)
+        assert code == 0, args
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_universal_q_payload():
@@ -454,6 +448,13 @@ def test_malformed_input_files_are_typed_errors(tmp_path):
         (measure, {"q": True, "pg": 0, "plurigenera": [0]}),
         (measure, {"q": 0, "pg": 1, "plurigenera": [1, True, 1]}),
         (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {"2": True}}),
+        # coefficients and indices are ASCII decimal strings, nothing int() also takes
+        (series, {"ring": {"kind": "integers"}, "coeffs": [_poly(("1_000", {}))]}),
+        (series, {"ring": {"kind": "integers"}, "coeffs": [_poly((" 7 ", {}))]}),
+        (series, {"ring": {"kind": "integers"}, "coeffs": [_poly(("+7", {}))]}),
+        (series, {"ring": {"kind": "integers"}, "coeffs": [_poly(("\u0663", {}))]}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {"2_0": 3}}),
+        (measure, {"q": 0, "pg": 1, "plurigenera": [1, 1], "h1n": {" 2": 3}}),
     ]
     for argv, obj in cases:
         path.write_text(json.dumps(obj))

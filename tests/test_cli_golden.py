@@ -3,19 +3,18 @@
 Runs a fixed corpus of fast `cli.run` invocations, each in both output
 formats, and compares every exit code and every output byte against
 tests/data/cli_golden.txt.  Input files are written from the literal JSON
-below, and the temporary directory is replaced by "<tmp>" in the
-transcript.  To record the expected file again after an intended output
-change, run this module as a script: python tests/test_cli_golden.py
+below, and their directory is replaced by "<tmp>" in the transcript.  To
+record the expected file again after an intended output change, run this
+module as a script: python tests/test_cli_golden.py
 It prints the "$ mzeta ..." header of every block that changed, was added
 or was removed.
 """
 
 import io
 import json
-import os
 import pathlib
 import re
-import tempfile
+import shutil
 
 from mzeta import cli
 from mzeta.oracles import linear_factors
@@ -224,11 +223,13 @@ def test_block_changes_names_each_header():
 
 if __name__ == "__main__":
     old = GOLDEN.read_text() if GOLDEN.exists() else ""
-    with tempfile.TemporaryDirectory() as tmp:
-        # keep the universal-polynomial cache out of the home directory
-        os.environ["MZETA_CACHE_DIR"] = os.path.join(tmp, "cache")
-        new = transcript(pathlib.Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
+    # the input files live next to the golden file while it is recorded
+    inputs = GOLDEN.parent / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    try:
+        new = transcript(inputs)
+    finally:
+        shutil.rmtree(inputs)
     GOLDEN.write_text(new)
     changes = block_changes(old, new)
     for status, header in changes:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mzeta.errors import InvalidInputError, MissingDataError
+from mzeta.errors import DegreeCutoffError, InvalidInputError, MissingDataError
 from mzeta.lambda_rings import GradedSpace
 from mzeta.measures import (
     BoundednessReport,
@@ -89,6 +89,20 @@ def test_surface_text_repeated_key_is_an_error():
                       ("q=0,pg=0,P=0,h1=1,h1=2", "'h1'")]:
         with pytest.raises(InvalidInputError, match=key):
             SurfaceData.from_text(text)
+
+
+def test_surface_integers_are_ascii_decimals():
+    # int() would read each of these as a number: 10, +1, 1 (Arabic-Indic), 20
+    for text in ("q=1_0,pg=1,P=1", "q=0,pg=1,P=1,+1", "q=0,pg=\u0661,P=1",
+                 "q=0,pg=1,P=1,1,h1=2_0"):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            SurfaceData.from_text(text)
+    for key in ("2_0", " 2", "+2", "\u0662"):
+        with pytest.raises(InvalidInputError, match="h1n index"):
+            SurfaceData(q=0, pg=1, plurigenera=[1, 1], h1n={key: 3})
+    with pytest.raises(DegreeCutoffError):
+        SurfaceData.from_text("q=0,pg=1,P=1," + "7" * 5000)
+    assert SurfaceData(q=0, pg=1, plurigenera=[1, 1], h1n={"2": 3}).h1n == {2: 3}
 
 
 def test_surface_text_round_trip():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mzeta.errors import (
+    DegreeCutoffError,
     InvalidInputError,
     MissingDataError,
     NoClosedFormError,
@@ -85,6 +86,13 @@ def test_parse_bad_number_and_trailing():
     with pytest.raises(VarietySyntaxError) as info:
         parse_variety("P(2)junk")
     assert info.value.offset == 5
+    # only ASCII digits: int() would read "\u0663" as 3 and fail on "\u00b2"
+    for text in ("A(\u00b2)", "A(\u0663)"):
+        with pytest.raises(VarietySyntaxError) as info:
+            parse_variety(text)
+        assert info.value.offset == 3, text
+    with pytest.raises(DegreeCutoffError):
+        parse_variety("A(%s)" % ("7" * 5000))
 
 
 def test_cell_profiles():

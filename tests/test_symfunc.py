@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from mzeta import symfunc
 from mzeta.errors import NonSymmetricError, InvalidInputError
 from mzeta.oracles import binom
 from mzeta.rings import IntegerRing, MultiPoly
@@ -209,21 +208,13 @@ def test_exterior_power_of_split_element():
     assert [c.as_int() for c in cube.coeffs] == [binom(10, i) for i in range(3)]
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    cache = tmp_path / "alt-cache"
-    monkeypatch.setenv("MZETA_CACHE_DIR", str(cache))
-    symfunc._MEMO.pop("P_2", None)
-    first = universal_P(2)
-    assert (cache / "P_2.json").exists()
-    symfunc._MEMO.pop("P_2", None)
-    again = universal_P(2)
-    assert again == first
-
-
-def test_disk_cache_ignores_corruption(tmp_path, monkeypatch):
-    cache = tmp_path / "alt-cache"
-    cache.mkdir()
-    (cache / "Q_1_1.json").write_text("not json at all")
-    monkeypatch.setenv("MZETA_CACHE_DIR", str(cache))
-    symfunc._MEMO.pop("Q_1_1", None)
-    assert universal_Q(1, 1) == MultiPoly.var("e1")
+def test_tables_are_memoized_and_bad_indices_raise_every_time():
+    assert universal_P(3) is universal_P(3)
+    assert universal_Q(2, 2) is universal_Q(2, 2)
+    assert newton_polynomial(4) is newton_polynomial(4)
+    # errors are not memoized: a bad index raises on every call
+    for fn, args in ((universal_P, (-1,)), (universal_Q, (-1, 2)), (universal_Q, (2, -1)),
+                     (newton_polynomial, (0,))):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                fn(*args)
