@@ -5,9 +5,17 @@ opposite (sigma) structure, specialness checks, and graded vector spaces.
 Conventions used throughout:
 
 * A WittElement is a truncated series with constant term exactly 1.  Ring
-  addition is series multiplication; ring multiplication and the exterior
-  operations come from the ghost-coordinate routines in the series module,
-  whose values agree with the universal symmetric-function polynomials.
+  addition is series multiplication.  Every Witt operation works in ghost
+  coordinates, the power sums p_1..p_{N-1} of the formal roots: sums,
+  negatives and products are componentwise, Adams operations select
+  indices, and exterior powers rebuild local windows with the series
+  module's helpers, whose values agree with the universal
+  symmetric-function polynomials.  An element is immutable and keeps its
+  series, its ghost vector or both, computing the missing one at most once,
+  so a chain of operations converts each input once and builds a result's
+  series only when it is read.  The ghost map is injective here, since
+  every base ring is torsion-free, and the divisions that rebuild a series
+  are exact (Dwork's lemma).
 * A LambdaElement stores the finite prefix lambda^0(x), ..., lambda^N(x).
   Operations state the order they need and raise PrecisionError otherwise.
 * GradedSpace models integer polynomials in s as graded virtual vector
@@ -27,10 +35,12 @@ from .errors import (
 from .rings import IntegerRing, MultiPoly, PolynomialRing, eval_poly
 from .series import (
     TruncSeries,
+    from_power_sums,
+    ghost_adams,
+    ghost_exterior,
+    output_precision,
+    power_sums,
     series_from_json,
-    witt_adams_series,
-    witt_exterior_series,
-    witt_product_series,
 )
 from .symfunc import newton_polynomial, universal_P, universal_Q
 
@@ -52,23 +62,56 @@ def gen_binom(n, k):
 
 
 class WittElement:
-    """Element of the big Witt ring: a series with constant term 1."""
+    """Element of the big Witt ring: a series with constant term 1.
 
-    __slots__ = ("series",)
+    Immutable.  It holds its series, its ghost vector (the power sums
+    p_1..p_{N-1} of its formal roots, N the precision) or both; the missing
+    one is computed on first use, once, and kept.
+    """
+
+    __slots__ = ("_ring", "_precision", "_series", "_ghost")
 
     def __init__(self, series):
         ring = series.ring
         if not ring.eq(series.coeffs[0], ring.one()):
             raise InvalidElementError("Witt elements have constant term 1")
-        self.series = series
+        self._ring = ring
+        self._precision = series.precision
+        self._series = series
+        self._ghost = None
+
+    @classmethod
+    def _from_ghost(cls, ring, ghost):
+        """The element with ghost vector `ghost`.  Only for vectors the Witt
+        operations produce: Dwork's lemma makes their series integral, so
+        the deferred conversion is exact."""
+        self = cls.__new__(cls)
+        self._ring = ring
+        self._precision = len(ghost) + 1
+        self._series = None
+        self._ghost = tuple(ghost)
+        return self
 
     @property
     def ring(self):
-        return self.series.ring
+        return self._ring
 
     @property
     def precision(self):
-        return self.series.precision
+        return self._precision
+
+    @property
+    def series(self):
+        if self._series is None:
+            self._series = from_power_sums(self._ring, self._ghost, self._precision)
+        return self._series
+
+    @property
+    def ghost(self):
+        """The power sums p_1..p_{N-1} of the roots, as a tuple."""
+        if self._ghost is None:
+            self._ghost = tuple(power_sums(self._series, self._precision - 1))
+        return self._ghost
 
     @classmethod
     def one(cls, ring, precision):
@@ -82,7 +125,16 @@ class WittElement:
         return self.series.to_json()
 
     def truncate(self, precision):
-        return WittElement(self.series.truncate(precision))
+        if not 1 <= precision <= self._precision:
+            raise PrecisionError(
+                "cannot truncate precision %d to %d" % (self._precision, precision)
+            )
+        out = WittElement.__new__(WittElement)
+        out._ring = self._ring
+        out._precision = precision
+        out._series = None if self._series is None else self._series.truncate(precision)
+        out._ghost = None if self._ghost is None else self._ghost[: precision - 1]
+        return out
 
     def eq(self, other):
         n = min(self.precision, other.precision)
@@ -102,35 +154,59 @@ class WittElement:
         return "WittElement(%s)" % self.series
 
 
+def _common_ring(f, g):
+    if f.ring != g.ring:
+        raise RingMismatchError("Witt-ring operations need a common ring")
+    return f.ring
+
+
 def witt_add(f, g):
-    """Witt-ring addition: the ordinary product of the two series."""
-    return WittElement(f.series.mul(g.series))
+    """Witt-ring addition (the product of the two series): ghost sums."""
+    r = _common_ring(f, g)
+    return WittElement._from_ghost(r, [r.add(a, b) for a, b in zip(f.ghost, g.ghost)])
 
 
 def witt_neg(f):
-    """Witt-ring additive inverse: the series inverse."""
-    return WittElement(f.series.inverse())
+    """Witt-ring additive inverse (the series inverse): ghost negation."""
+    r = f.ring
+    return WittElement._from_ghost(r, [r.neg(a) for a in f.ghost])
 
 
 def witt_sub(f, g):
-    return witt_add(f, witt_neg(g))
+    r = _common_ring(f, g)
+    return WittElement._from_ghost(r, [r.sub(a, b) for a, b in zip(f.ghost, g.ghost)])
 
 
 def witt_mul(f, g):
-    """Witt-ring multiplication (pairwise root products)."""
-    if f.ring != g.ring:
-        raise RingMismatchError("Witt product needs a common ring")
-    return WittElement(witt_product_series(f.series, g.series))
+    """Witt-ring multiplication (pairwise root products): ghost products."""
+    r = _common_ring(f, g)
+    return WittElement._from_ghost(r, [r.mul(a, b) for a, b in zip(f.ghost, g.ghost)])
 
 
 def witt_lambda(k, f, precision=None):
-    """k-th lambda operation on the Witt ring (root subsets of size k)."""
-    return WittElement(witt_exterior_series(k, f.series, precision))
+    """k-th lambda operation on the Witt ring (root subsets of size k).
+
+    Output precision follows witt_exterior_series: (N-1)//k + 1 at most.
+    """
+    if k < 0:
+        raise InvalidInputError("negative exterior power")
+    r = f.ring
+    if k == 0:
+        # the ring unit 1 + t: one root, equal to 1
+        m = precision or f.precision
+        return WittElement._from_ghost(r, [r.one()] * (m - 1))
+    m = output_precision("exterior power", k, f, precision)
+    if k == 1:
+        return WittElement._from_ghost(r, f.ghost[: m - 1])
+    return WittElement._from_ghost(r, ghost_exterior(r, k, f.ghost, m))
 
 
 def witt_adams(n, f, precision=None):
     """n-th Adams operation on the Witt ring (roots to the n-th power)."""
-    return WittElement(witt_adams_series(n, f.series, precision))
+    if n < 1:
+        raise InvalidInputError("Adams operations are indexed from 1")
+    m = output_precision("Adams operation", n, f, precision)
+    return WittElement._from_ghost(f.ring, ghost_adams(n, f.ghost, m))
 
 
 class LambdaElement:
@@ -345,10 +421,9 @@ class BigWitt(LambdaRule):
         self.precision = precision
 
     def from_int(self, n):
-        one_plus_t = TruncSeries.from_polynomial(
-            self.ring, [self.ring.one(), self.ring.one()], self.precision
-        )
-        return WittElement(one_plus_t.pow(n))
+        # (1 + t)^n: n roots equal to 1
+        c = self.ring.from_int(n)
+        return WittElement._from_ghost(self.ring, [c] * (self.precision - 1))
 
     def add(self, a, b):
         return witt_add(a, b)

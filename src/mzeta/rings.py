@@ -968,10 +968,7 @@ def eval_poly(expr, mapping, ops):
         for v, e in mono:
             if v not in mapping:
                 raise InvalidInputError("no value supplied for %r" % v)
-            val = mapping[v]
-            # one factor at a time, not power(): a Witt-ring product costs
-            # more as its operands grow, and squaring val first grows them
-            for _ in range(e):
-                term = ops.mul(term, val)
+            # e >= 1 in a monomial, so power never needs a unit
+            term = ops.mul(term, power(mapping[v], e, ops.mul, None))
         total = ops.add(total, term)
     return total

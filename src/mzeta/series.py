@@ -275,7 +275,9 @@ def from_power_sums(ring, psums, precision):
 # {a_i b_j}, so its power sums multiply pointwise; the k-th exterior power has
 # roots {prod_{i in S} a_i : |S| = k}, whose r-th power sum is e_k evaluated
 # at the r-th powers of the roots; the n-th Adams operation has roots {a_i^n}.
-# Every reconstruction division is exact (see from_power_sums).
+# Every reconstruction division is exact (see from_power_sums). The ghost
+# helpers below are shared with lambda_rings.WittElement, which keeps its
+# ghost vector; the witt_*_series functions convert a series in and out.
 
 
 def _require_one(f):
@@ -284,17 +286,31 @@ def _require_one(f):
         raise InvalidInputError("Witt-ring operations need constant term 1")
 
 
-def _output_precision(what, k, f, precision):
+def output_precision(what, k, f, precision):
     """Precision of an operation whose t^m coefficient needs input
     coefficients up to t^(k m): the most f supports, or the requested one."""
     limit = (f.precision - 1) // k + 1
     m = limit if precision is None else precision
+    if m < 1:
+        raise PrecisionError("%s %d needs output precision at least 1, got %d" % (what, k, m))
     if m > limit:
         raise PrecisionError(
             "%s %d at precision %d needs input precision %d, have %d"
             % (what, k, m, k * (m - 1) + 1, f.precision)
         )
     return m
+
+
+def ghost_exterior(ring, k, p, m):
+    """Power sums p'_1..p'_{m-1} of the k-th exterior power, given the power
+    sums p (at least k*(m-1) of them) of its argument: p'_r is e_k of the
+    roots' r-th powers, from_power_sums on the window p_r, p_2r, ..., p_kr."""
+    return [from_power_sums(ring, p[r - 1 : k * r : r], k + 1).coeffs[k] for r in range(1, m)]
+
+
+def ghost_adams(n, p, m):
+    """Power sums p_n, p_2n, ..., p_{n(m-1)} of the n-th Adams operation."""
+    return p[n - 1 : n * (m - 1) : n]
 
 
 def witt_product_series(f, g):
@@ -327,17 +343,11 @@ def witt_exterior_series(k, f, precision=None):
         m = precision or f.precision
         coeffs = [r.one()] + ([r.one()] if m > 1 else []) + [r.zero()] * (m - 2)
         return TruncSeries(r, coeffs)
-    m = _output_precision("exterior power", k, f, precision)
+    m = output_precision("exterior power", k, f, precision)
     if k == 1:
         return f.truncate(m)
-    if m == 1:
-        return TruncSeries.one(r, 1)
     p = power_sums(f, k * (m - 1))
-    big = []
-    for rr in range(1, m):
-        local = [p[j * rr - 1] for j in range(1, k + 1)]
-        big.append(from_power_sums(r, local, k + 1).coeffs[k])
-    return from_power_sums(r, big, m)
+    return from_power_sums(r, ghost_exterior(r, k, p, m), m)
 
 
 def witt_adams_series(n, f, precision=None):
@@ -345,15 +355,9 @@ def witt_adams_series(n, f, precision=None):
     _require_one(f)
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
-    r = f.ring
-    m = _output_precision("Adams operation", n, f, precision)
-    if n == 1:
-        return f.truncate(m)
-    if m == 1:
-        return TruncSeries.one(r, 1)
+    m = output_precision("Adams operation", n, f, precision)
     p = power_sums(f, n * (m - 1))
-    big = [p[rr * n - 1] for rr in range(1, m)]
-    return from_power_sums(r, big, m)
+    return from_power_sums(f.ring, ghost_adams(n, p, m), m)
 
 
 # Coefficient-list polynomials in t: [c_0, c_1, ...] over a ring.

@@ -1,0 +1,224 @@
+"""Witt arithmetic in ghost coordinates against the series-level reference.
+
+A WittElement holds its series, its ghost vector (the power sums of its
+roots) or both, and every Witt operation works on ghost vectors.  Each
+operation is compared here with the same operation done on series: the
+product and inverse for the additive group, witt_product_series,
+witt_exterior_series and witt_adams_series, and (1 + t)^n for the integers.
+Operands come in all three forms, over all four ring kinds.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from mzeta import series as series_module
+from mzeta.errors import PrecisionError, RingMismatchError
+from mzeta.lambda_rings import (
+    BigWitt,
+    WittElement,
+    witt_adams,
+    witt_add,
+    witt_lambda,
+    witt_mul,
+    witt_neg,
+    witt_sub,
+)
+from mzeta.rings import QQ, IntegerRing, PolynomialRing, SquareZeroRing
+from mzeta.series import (
+    TruncSeries,
+    series_from_json,
+    witt_adams_series,
+    witt_exterior_series,
+    witt_product_series,
+)
+
+RINGS = {
+    "Z": IntegerRing(),
+    "Z[L,a]": PolynomialRing(["L", "a"]),
+    "Z[a,b]/sq": SquareZeroRing(["a", "b"]),
+    "Q": QQ,
+}
+FORMS = ("series", "ghost", "both")
+
+
+def _random_coeff(rng, ring):
+    if ring is QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    c = ring.from_int(rng.randint(-3, 3))
+    for v in getattr(ring, "variables", None) or ():
+        c = ring.add(c, ring.mul(ring.from_int(rng.randint(-2, 2)), ring.var(v)))
+    if isinstance(ring, SquareZeroRing):
+        ab = ring.mul(ring.var("a"), ring.var("b"))
+        c = ring.add(c, ring.mul(ring.from_int(rng.randint(-2, 2)), ab))
+    return c
+
+
+def _random_series(rng, ring, precision):
+    return TruncSeries(ring, [ring.one()] + [_random_coeff(rng, ring) for _ in range(precision - 1)])
+
+
+def _element(f, form):
+    """The Witt element of series f, holding its series, its ghost vector
+    or both."""
+    w = WittElement(f)
+    if form == "series":
+        assert w._ghost is None
+        return w
+    if form == "ghost":
+        w = witt_lambda(1, w)  # lambda^1 is a ghost slice: no series yet
+        assert w._series is None
+        return w
+    w.ghost
+    assert w._series is not None and w._ghost is not None
+    return w
+
+
+def _assert_series(w, want):
+    assert w.precision == want.precision
+    assert w.series.eq(want), "%s != %s" % (w.series, want)
+
+
+@pytest.mark.parametrize("form_g", FORMS)
+@pytest.mark.parametrize("form_f", FORMS)
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_ring_operations_match_series_reference(ring_name, form_f, form_g):
+    ring = RINGS[ring_name]
+    rng = random.Random("%s/%s/%s" % (ring_name, form_f, form_g))
+    for nf, ng in ((7, 7), (7, 5), (4, 8), (1, 1), (1, 4)):
+        f = _random_series(rng, ring, nf)
+        g = _random_series(rng, ring, ng)
+        F, G = _element(f, form_f), _element(g, form_g)
+        _assert_series(witt_add(F, G), f.mul(g))
+        _assert_series(witt_sub(F, G), f.mul(g.inverse()))
+        _assert_series(witt_mul(F, G), witt_product_series(f, g))
+        _assert_series(witt_neg(F), f.inverse())
+        # the operands are unchanged by use
+        assert F.series.eq(f) and G.series.eq(g)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_lambda_and_adams_match_series_reference(ring_name, form):
+    ring = RINGS[ring_name]
+    rng = random.Random("%s/%s" % (ring_name, form))
+    for n in (10, 7, 2, 1):
+        f = _random_series(rng, ring, n)
+        for k in range(4):
+            _assert_series(witt_lambda(k, _element(f, form)), witt_exterior_series(k, f))
+            limit = witt_exterior_series(k, f).precision
+            for m in range(1, limit + 1):
+                F = _element(f, form)
+                _assert_series(witt_lambda(k, F, m), witt_exterior_series(k, f, m))
+            if k:
+                with pytest.raises(PrecisionError):
+                    witt_lambda(k, _element(f, form), limit + 1)
+        for k in range(1, 5):
+            _assert_series(witt_adams(k, _element(f, form)), witt_adams_series(k, f))
+            limit = witt_adams_series(k, f).precision
+            for m in range(1, limit + 1):
+                _assert_series(witt_adams(k, _element(f, form), m), witt_adams_series(k, f, m))
+            with pytest.raises(PrecisionError):
+                witt_adams(k, _element(f, form), limit + 1)
+        for bad in (0, -1):
+            with pytest.raises(PrecisionError):
+                witt_lambda(2, _element(f, form), bad)
+            with pytest.raises(PrecisionError):
+                witt_adams(2, _element(f, form), bad)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_big_witt_from_int_is_a_power_of_one_plus_t(ring_name):
+    ring = RINGS[ring_name]
+    for precision in (2, 6):
+        rule = BigWitt(ring, precision)
+        one_t = TruncSeries.from_polynomial(ring, [ring.one(), ring.one()], precision)
+        for n in range(-4, 5):
+            _assert_series(rule.from_int(n), one_t.pow(n))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_truncate_keeps_what_the_element_holds(form):
+    ring = RINGS["Z[L,a]"]
+    f = _random_series(random.Random(form), ring, 9)
+    F = _element(f, form)
+    for m in (1, 4, 9):
+        short = F.truncate(m)
+        assert (short._series is None) == (F._series is None)
+        assert (short._ghost is None) == (F._ghost is None)
+        _assert_series(short, f.truncate(m))
+    for bad in (0, 10):
+        with pytest.raises(PrecisionError):
+            F.truncate(bad)
+
+
+def test_ghost_is_read_only():
+    F = WittElement(TruncSeries.from_ints(IntegerRing(), [1, 3, 3, 1]))
+    assert F.ghost == tuple(series_module.power_sums(F.series, 3))
+    with pytest.raises(AttributeError):
+        F.ghost = ()
+    with pytest.raises(AttributeError):
+        F.series = F.series
+
+
+@pytest.mark.parametrize("op", [witt_add, witt_sub, witt_mul])
+@pytest.mark.parametrize("form", FORMS)
+def test_ring_mismatch_raises(op, form):
+    f = _element(TruncSeries.from_ints(IntegerRing(), [1, 1, 0]), form)
+    g = _element(TruncSeries.from_ints(RINGS["Z[L,a]"], [1, 1, 0]), form)
+    with pytest.raises(RingMismatchError):
+        op(f, g)
+    with pytest.raises(RingMismatchError):
+        op(g, f)
+
+
+def _l_series_json(rng, precision):
+    """A random precision-N series over Z[L] with quadratic coefficients,
+    shaped like the benchmark's additivity inputs."""
+    coeffs = [{"terms": [{"c": "1", "e": {}}]}]
+    for _ in range(precision - 1):
+        terms = [{"c": str(rng.choice((-3, -2, -1, 1, 2, 3))), "e": {"L": d} if d else {}}
+                 for d in range(3)]
+        coeffs.append({"terms": terms})
+    return {"ring": {"kind": "poly", "vars": ["L"]}, "precision": precision, "coeffs": coeffs}
+
+
+def test_additivity_converts_each_input_once(monkeypatch):
+    """lambda^n(f+g) against sum_i lambda^i(f) lambda^{n-i}(g), n = 2, 3.
+
+    power_sums runs exactly twice: f and g arrive as series, and the first
+    use of each (in f + g) computes its ghost vector, which the element
+    then keeps.  Every other operand is either f, g, or the result of a
+    Witt operation, and those are born in ghost coordinates.  Going back,
+    to_json reconstructs each series with from_power_sums, never with
+    power_sums.  The series-in, series-out operations called power_sums
+    22 times for the same sequence.
+    """
+    calls = []
+    original = series_module.power_sums
+
+    def counting(f, upto):
+        calls.append(upto)
+        return original(f, upto)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mzeta") and \
+                getattr(module, "power_sums", None) is original:
+            monkeypatch.setattr(module, "power_sums", counting)
+
+    rng = random.Random(16)
+    f = WittElement(series_from_json(_l_series_json(rng, 16)))
+    g = WittElement(series_from_json(_l_series_json(rng, 16)))
+    total = witt_add(f, g)
+    lhs, rhs = [], []
+    for n in (2, 3):
+        lhs.append(witt_lambda(n, total).to_json())
+        acc = None
+        for i in range(n + 1):
+            term = witt_mul(witt_lambda(i, f), witt_lambda(n - i, g))
+            acc = term if acc is None else witt_add(acc, term)
+        rhs.append(acc.to_json())
+    assert calls == [15, 15]
+    assert lhs == rhs
