@@ -9,6 +9,7 @@ errors exit 1 with a machine-readable JSON body; usage errors exit 2.
 """
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -424,12 +425,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: parse_args reads the parser and never changes
+    # it, and each call gets a fresh Namespace
+    return build_parser()
+
+
 def run(argv=None, out=None):
     """Parse argv, execute, and return the exit code (0 ok, 1 domain, 2 usage)."""
     out = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     args.out = out

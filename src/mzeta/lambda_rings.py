@@ -191,11 +191,10 @@ def witt_lambda(k, f, precision=None):
     if k < 0:
         raise InvalidInputError("negative exterior power")
     r = f.ring
+    m = output_precision("exterior power", k, f, precision)
     if k == 0:
         # the ring unit 1 + t: one root, equal to 1
-        m = precision or f.precision
         return WittElement._from_ghost(r, [r.one()] * (m - 1))
-    m = output_precision("exterior power", k, f, precision)
     if k == 1:
         return WittElement._from_ghost(r, f.ghost[: m - 1])
     return WittElement._from_ghost(r, ghost_exterior(r, k, f.ghost, m))

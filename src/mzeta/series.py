@@ -82,6 +82,8 @@ class TruncSeries:
         return self.coeffs[i]
 
     def truncate(self, precision):
+        if precision < 1:
+            raise PrecisionError("cannot truncate to precision %d" % precision)
         if precision > self.precision:
             raise PrecisionError("cannot extend precision %d to %d" % (self.precision, precision))
         return TruncSeries(self.ring, self.coeffs[:precision])
@@ -288,12 +290,14 @@ def _require_one(f):
 
 def output_precision(what, k, f, precision):
     """Precision of an operation whose t^m coefficient needs input
-    coefficients up to t^(k m): the most f supports, or the requested one."""
-    limit = (f.precision - 1) // k + 1
+    coefficients up to t^(k m): the most f supports, or the requested one.
+    For k = 0 no input coefficient is needed: f's precision is the default
+    and any larger one may be requested."""
+    limit = (f.precision - 1) // k + 1 if k else f.precision
     m = limit if precision is None else precision
     if m < 1:
         raise PrecisionError("%s %d needs output precision at least 1, got %d" % (what, k, m))
-    if m > limit:
+    if k and m > limit:
         raise PrecisionError(
             "%s %d at precision %d needs input precision %d, have %d"
             % (what, k, m, k * (m - 1) + 1, f.precision)
@@ -337,13 +341,12 @@ def witt_exterior_series(k, f, precision=None):
     if k < 0:
         raise InvalidInputError("negative exterior power")
     r = f.ring
+    m = output_precision("exterior power", k, f, precision)
     if k == 0:
         # one subset of size 0 with empty root product 1: the result is
         # 1 + t, the multiplicative unit of the Witt ring
-        m = precision or f.precision
         coeffs = [r.one()] + ([r.one()] if m > 1 else []) + [r.zero()] * (m - 2)
         return TruncSeries(r, coeffs)
-    m = output_precision("exterior power", k, f, precision)
     if k == 1:
         return f.truncate(m)
     p = power_sums(f, k * (m - 1))

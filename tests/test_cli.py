@@ -308,6 +308,58 @@ def test_usage_errors_exit_two():
     assert "usage" in stderr.getvalue()
 
 
+def test_run_builds_one_parser_per_process(monkeypatch, capsys):
+    calls = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["zeta", "P(1)", "--terms", "3"],
+            ["zeta", "Curve(1)", "--terms", "2", "--format", "json"],
+            ["suite", "--list"],
+            ["universal", "--which", "newton", "--n", "2"],
+            ["zeta", "P(1)"],
+            ["--help"],
+        ):
+            run_cli(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    # build_parser itself still returns a fresh parser
+    assert build_parser() is not build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    cli._parser.cache_clear()
+    plain = ["zeta", "Curve(1)", "--terms", "3", "--format", "json"]
+    first = run_cli(plain)
+    assert first[0] == 0
+    # an append option starts empty on every call
+    for name in ("ring_square_zero_product", "series_inverse_cancels"):
+        code, payload = run_json(["suite", "--only", name])
+        assert code == 0
+        assert [c["name"] for c in payload["checks"]] == [name]
+    # options given once do not become the next call's defaults
+    code, _ = run_cli(plain[:4] + ["--rational", "--specialize", "L=2,*=1",
+                                   "--curve-increment", "X"])
+    assert code == 0
+    assert run_cli(plain) == first
+    # nor do a usage error or --help
+    assert run_cli(["zeta", "Curve(1)", "--terms", "x"])[0] == 2
+    assert run_cli(["--help"])[0] == 0
+    assert run_cli(["zeta", "--help"])[0] == 0
+    assert run_cli(plain) == first
+    captured = capsys.readouterr()
+    assert "usage: mzeta zeta" in captured.err
+    assert "suite" in captured.out and "--curve-increment" in captured.out
+
+
 def _specialized_file(tmp_path, expr, terms, q):
     """Write the zeta series of expr at L=q as a series file over QQ."""
     code, payload = run_json(

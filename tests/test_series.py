@@ -33,6 +33,14 @@ def test_geometric_times_inverse_is_one():
     assert [str(c) for c in g.coeffs[:3]] == ["1", "-L", "0"]
 
 
+def test_truncate_below_one_is_a_precision_error():
+    f = TruncSeries.from_ints(Z, [1, 2, 3, 4])
+    for bad in (-1, 0):
+        with pytest.raises(PrecisionError, match=str(bad)):
+            f.truncate(bad)
+    assert f.truncate(1).eq(TruncSeries.from_ints(Z, [1]))
+
+
 def test_mul_truncates_to_min_precision():
     a = TruncSeries.from_ints(Z, [1, 1, 1, 1, 1])
     b = TruncSeries.from_ints(Z, [1, 2, 3])

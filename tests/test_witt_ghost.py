@@ -122,11 +122,17 @@ def test_lambda_and_adams_match_series_reference(ring_name, form):
                 _assert_series(witt_adams(k, _element(f, form), m), witt_adams_series(k, f, m))
             with pytest.raises(PrecisionError):
                 witt_adams(k, _element(f, form), limit + 1)
-        for bad in (0, -1):
-            with pytest.raises(PrecisionError):
-                witt_lambda(2, _element(f, form), bad)
+        for bad in (0, -1, -2):
+            for k in (0, 2):
+                with pytest.raises(PrecisionError):
+                    witt_lambda(k, _element(f, form), bad)
+                with pytest.raises(PrecisionError):
+                    witt_exterior_series(k, f, bad)
             with pytest.raises(PrecisionError):
                 witt_adams(2, _element(f, form), bad)
+        # lambda^0 reads no coefficient of f: f's precision by default
+        assert witt_exterior_series(0, f).precision == n
+        assert witt_lambda(0, _element(f, form)).precision == n
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
