@@ -15,20 +15,23 @@ where the step class ``S`` is the Jacobian symbol by default
 (``increment="J"``) or the curve class ``c1`` itself (``increment="X"``).
 Genus 0 is the projective line and needs no symbols at all.
 
-``zeta_series`` expands the sum-of-symmetric-powers series term by term.
-``zeta_rational`` assembles a numerator/denominator pair out of factors
-``1 - L^k t`` plus curve numerators of degree at most ``2g``, and certifies
-the pair against the series before returning it.  ``cell_profile``
-decomposes cell-built expressions into a virtual sum of affine cells, which
-is what lets products against such expressions keep a closed form.  A
-product of two positive-genus curves has no closed form here: the ring
-carries no symbols for symmetric powers of the product and they are not
-determined by the factors, so those raise NoClosedFormError beyond the
-linear term.
+``zeta_series`` and ``zeta_rational`` walk an expression by four rules.
+Cells: a curve-free expression is a virtual sum of affine cells,
+sum_k a_k [A^k] (``cell_profile``), and its zeta series is the product of
+the factors (1 - L^k t)^(-a_k).  Twist: VB(X, r), PB(X, r) and a product
+with a curve-free side are X twisted by a cell profile, and Z_{X x A^k}(t)
+is Z_X(L^k t).  Curve: symmetric-power classes, or a numerator of degree at
+most ``2g`` over (1 - t)(1 - Lt).  Disjoint: zeta series multiply.
+``zeta_rational`` certifies its closed form against the series before
+returning it.  A product of two positive-genus curves has no closed form
+here: the ring carries no symbols for symmetric powers of the product and
+they are not determined by the factors, so those raise NoClosedFormError
+beyond the linear term.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     InvalidInputError,
@@ -41,9 +44,13 @@ from .rings import MultiPoly, PolynomialRing, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
 
-def _check_param(value, what):
+def _check_int(value, what):
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError("%s must be an integer" % what)
+
+
+def _check_param(value, what):
+    _check_int(value, what)
     if value < 0:
         raise InvalidInputError("%s must be nonnegative" % what)
 
@@ -153,14 +160,19 @@ _NODE_TYPES = (
 )
 
 
+def _children(e):
+    if isinstance(e, (Prod, Disjoint)):
+        return (e.left, e.right)
+    if isinstance(e, (VectorBundle, ProjBundle)):
+        return (e.base,)
+    return ()
+
+
 def _check_expr(e):
     if not isinstance(e, _NODE_TYPES):
         raise InvalidInputError("not a variety expression: %r" % (e,))
-    if isinstance(e, (Prod, Disjoint)):
-        _check_expr(e.left)
-        _check_expr(e.right)
-    elif isinstance(e, (VectorBundle, ProjBundle)):
-        _check_expr(e.base)
+    for child in _children(e):
+        _check_expr(child)
 
 
 class _Parser:
@@ -258,6 +270,8 @@ def cell_profile(e):
     copies of A(k), or None when the expression involves a positive-genus
     curve.  A torus Gm(d) is the alternating sum sum_k (-1)^(d-k) C(d,k) A(k).
     """
+    if not _curve_free(e):
+        return None
     if isinstance(e, Point):
         return {0: 1}
     if isinstance(e, Affine):
@@ -269,35 +283,61 @@ def cell_profile(e):
             k: (-1) ** (e.d - k) * math.comb(e.d, k) for k in range(e.d + 1)
         }
     if isinstance(e, Curve):
-        if e.genus == 0:
-            return {0: 1, 1: 1}
-        return None
+        return {0: 1, 1: 1}
     if isinstance(e, Disjoint):
-        a = cell_profile(e.left)
-        b = cell_profile(e.right)
-        if a is None or b is None:
-            return None
-        out = dict(a)
-        for k, v in b.items():
+        out = cell_profile(e.left)
+        for k, v in cell_profile(e.right).items():
             out[k] = out.get(k, 0) + v
         return {k: v for k, v in out.items() if v}
-    if isinstance(e, Prod):
-        a = cell_profile(e.left)
-        b = cell_profile(e.right)
-        if a is None or b is None:
-            return None
-        return _convolve(a, b)
+    twist = _twist(e)
+    if twist is None:
+        raise InvalidInputError("not a variety expression: %r" % (e,))
+    profile, other = twist
+    return _convolve(profile, cell_profile(other))
+
+
+def _curve_free(e):
+    """Whether no positive-genus curve occurs in e, so it has a cell profile."""
+    if isinstance(e, Curve):
+        return e.genus == 0
+    return all(map(_curve_free, _children(e)))
+
+
+def _twist(e):
+    """(profile, other) when e is `other` twisted by a cell profile, else None.
+
+    Then Z_e(t) is the product over k of Z_other(L^k t)^(a_k).  VB(b, r) is b
+    twisted by A(r), PB(b, r) is b twisted by P(r), and a product is its
+    other side twisted by a curve-free side, the left one first.
+    """
     if isinstance(e, VectorBundle):
-        base = cell_profile(e.base)
-        if base is None:
-            return None
-        return {k + e.rank: v for k, v in base.items()}
+        return {e.rank: 1}, e.base
     if isinstance(e, ProjBundle):
-        base = cell_profile(e.base)
-        if base is None:
-            return None
-        return _convolve(base, {k: 1 for k in range(e.rank + 1)})
-    raise InvalidInputError("not a variety expression: %r" % (e,))
+        return dict.fromkeys(range(e.rank + 1), 1), e.base
+    if isinstance(e, Prod):
+        for side, other in ((e.left, e.right), (e.right, e.left)):
+            if _curve_free(side):
+                return cell_profile(side), other
+    return None
+
+
+def _cell_series(ring, profile, n):
+    """prod_k (1 - L^k t)^(-a_k) to n terms, one O(n) pass per unit of |a_k|.
+
+    Dividing by (1 - x t) is c[i] += x c[i-1] going upward; multiplying by
+    it is c[i] -= x c[i-1] going downward.
+    """
+    c = [ring.one()] + [ring.zero()] * (n - 1)
+    for k, a in sorted(profile.items()):
+        x = MultiPoly.var("L", k)
+        for _ in range(abs(a)):
+            if a > 0:
+                for i in range(1, n):
+                    c[i] = ring.add(c[i], ring.mul(x, c[i - 1]))
+            else:
+                for i in range(n - 1, 0, -1):
+                    c[i] = ring.sub(c[i], ring.mul(x, c[i - 1]))
+    return TruncSeries(ring, c)
 
 
 def _convolve(a, b):
@@ -376,11 +416,8 @@ class MotivicModel:
                 if id(node) not in seen:
                     seen.add(id(node))
                     curves.append(node)
-            elif isinstance(node, (Prod, Disjoint)):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (VectorBundle, ProjBundle)):
-                walk(node.base)
+            for child in _children(node):
+                walk(child)
 
         walk(expr)
         names = ["L"]
@@ -394,13 +431,8 @@ class MotivicModel:
             )
         self.L = self.ring.var("L")
 
-    def _L_power(self, k):
-        return MultiPoly.var("L", k)
-
     def zeta_series(self, terms):
-        if terms < 1:
-            raise InvalidInputError("need at least one coefficient")
-        return self._zeta(self.expr, terms)
+        return self.series_of(self.expr, terms)
 
     def series_of(self, subexpr, terms):
         """Zeta series of a subexpression of this model's expression.
@@ -408,74 +440,47 @@ class MotivicModel:
         Curve nodes are matched by object identity, so pass nodes taken from
         the expression the model was built with.
         """
+        _check_int(terms, "number of terms")
         if terms < 1:
             raise InvalidInputError("need at least one coefficient")
         return self._zeta(subexpr, terms)
 
     def _zeta(self, e, n):
         ring = self.ring
-        if isinstance(e, Point):
-            return TruncSeries.geometric(ring, ring.one(), n)
-        if isinstance(e, Affine):
-            return TruncSeries.geometric(ring, self._L_power(e.n), n)
-        if isinstance(e, Proj):
-            out = TruncSeries.geometric(ring, ring.one(), n)
-            for k in range(1, e.n + 1):
-                out = out.mul(TruncSeries.geometric(ring, self._L_power(k), n))
-            return out
-        if isinstance(e, Torus):
-            # Gm^(d+1) is (Gm^d x A^1) minus a copy of Gm^d
-            z = TruncSeries.geometric(ring, ring.one(), n)
-            for _ in range(e.d):
-                z = z.scale_arg(self.L).mul(z.inverse())
-            return z
+        profile = cell_profile(e)
+        if profile is not None:
+            return _cell_series(ring, profile, n)
         if isinstance(e, Curve):
-            if e.genus == 0:
-                return self._zeta(Proj(1), n)
             model = self._models[id(e)]
             return TruncSeries(ring, [model.sym_class(i) for i in range(n)])
         if isinstance(e, Disjoint):
             return self._zeta(e.left, n).mul(self._zeta(e.right, n))
-        if isinstance(e, VectorBundle):
-            return self._zeta(e.base, n).scale_arg(self._L_power(e.rank))
-        if isinstance(e, ProjBundle):
-            out = self._zeta(e.base, n)
-            for k in range(1, e.rank + 1):
-                out = out.mul(self._zeta(e.base, n).scale_arg(self._L_power(k)))
-            return out
-        if isinstance(e, Prod):
-            profile = cell_profile(e.left)
-            other = e.right
-            if profile is None:
-                profile = cell_profile(e.right)
-                other = e.left
-            if profile is not None:
-                out = TruncSeries.from_polynomial(ring, [ring.one()], n)
-                base = self._zeta(other, n)
-                for k, a in sorted(profile.items()):
-                    out = out.mul(base.scale_arg(self._L_power(k)).pow(a))
-                return out
-            if n <= 2:
-                coeffs = [ring.one()]
-                if n == 2:
-                    ca = self._zeta(e.left, 2).coefficient(1)
-                    cb = self._zeta(e.right, 2).coefficient(1)
-                    coeffs.append(ring.mul(ca, cb))
-                return TruncSeries(ring, coeffs)
-            raise NoClosedFormError(
-                "the zeta series of a product of two positive-genus curves "
-                "is not determined beyond the linear coefficient"
-            )
-        raise InvalidInputError("not a variety expression: %r" % (e,))
+        twist = _twist(e)
+        if twist is not None:
+            profile, other = twist
+            base = self._zeta(other, n)
+            pieces = [
+                base.scale_arg(MultiPoly.var("L", k)).pow(a)
+                for k, a in sorted(profile.items())
+            ]
+            return reduce(TruncSeries.mul, pieces)
+        if n <= 2:
+            coeffs = [ring.one()]
+            if n == 2:
+                ca = self._zeta(e.left, 2).coefficient(1)
+                cb = self._zeta(e.right, 2).coefficient(1)
+                coeffs.append(ring.mul(ca, cb))
+            return TruncSeries(ring, coeffs)
+        raise NoClosedFormError(
+            "the zeta series of a product of two positive-genus curves "
+            "is not determined beyond the linear coefficient"
+        )
 
     def rational_form(self):
         factors, num, den = self._form(self.expr)
         ring = self.ring
-        for k in sorted(factors):
-            eps = factors[k]
-            if eps == 0:
-                continue
-            binom = [ring.one(), ring.neg(self._L_power(k))]
+        for k, eps in sorted(factors.items()):
+            binom = [ring.one(), ring.neg(MultiPoly.var("L", k))]
             piece = poly_pow(ring, binom, abs(eps))
             if eps > 0:
                 num = poly_mul(ring, num, piece)
@@ -511,45 +516,24 @@ class MotivicModel:
         if isinstance(e, Curve):
             g = e.genus
             series = self._zeta(e, 2 * g + 1)
-            shear = TruncSeries.from_polynomial(
-                ring, [ring.one(), ring.neg(ring.one())], 2 * g + 1
-            ).mul(
-                TruncSeries.from_polynomial(
-                    ring, [ring.one(), ring.neg(self.L)], 2 * g + 1
-                )
-            )
+            shear = _cell_series(ring, {0: -1, 1: -1}, 2 * g + 1)
             num = poly_trim(ring, shear.mul(series).coeffs)
             return ({0: -1, 1: -1}, num, [ring.one()])
         if isinstance(e, Disjoint):
-            fa = self._form(e.left)
-            fb = self._form(e.right)
-            return _form_mul(ring, fa, fb)
-        if isinstance(e, VectorBundle):
-            return self._form_shift(self._form(e.base), e.rank)
-        if isinstance(e, ProjBundle):
-            base = self._form(e.base)
-            out = base
-            for k in range(1, e.rank + 1):
-                out = _form_mul(ring, out, self._form_shift(base, k))
-            return out
-        if isinstance(e, Prod):
-            profile = cell_profile(e.left)
-            other = e.right
-            if profile is None:
-                profile = cell_profile(e.right)
-                other = e.left
-            if profile is None:
-                raise NoClosedFormError(
-                    "no closed rational form for a product of two "
-                    "positive-genus curves"
-                )
-            base = self._form(other)
-            out = ({}, [ring.one()], [ring.one()])
-            for k, a in sorted(profile.items()):
-                piece = _form_pow(ring, self._form_shift(base, k), a)
-                out = _form_mul(ring, out, piece)
-            return out
-        raise InvalidInputError("not a variety expression: %r" % (e,))
+            return _form_mul(ring, self._form(e.left), self._form(e.right))
+        twist = _twist(e)
+        if twist is None:
+            raise NoClosedFormError(
+                "no closed rational form for a product of two "
+                "positive-genus curves"
+            )
+        profile, other = twist
+        base = self._form(other)
+        out = ({}, [ring.one()], [ring.one()])
+        for k, a in sorted(profile.items()):
+            piece = _form_pow(ring, self._form_shift(base, k), a)
+            out = _form_mul(ring, out, piece)
+        return out
 
     def _form_shift(self, form, r):
         """Substitute t -> L^r t throughout a closed form."""
@@ -557,7 +541,7 @@ class MotivicModel:
             return form
         factors, num, den = form
         ring = self.ring
-        scale = self._L_power(r)
+        scale = MultiPoly.var("L", r)
         return (
             {k + r: v for k, v in factors.items()},
             poly_scale_t(ring, num, scale),
@@ -678,6 +662,7 @@ def virtual_finiteness_check(expr, precision, increment="J"):
             "virtual finiteness check supports point, P(1), and Curve(g)"
         )
     genus = expr.genus if isinstance(expr, Curve) else 0
+    _check_int(precision, "precision")
     if precision < max(2 * genus + 2, 4):
         raise PrecisionError(
             "need precision at least %d" % max(2 * genus + 2, 4)

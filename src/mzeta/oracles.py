@@ -95,3 +95,56 @@ def tuple_poly_substitute(p, images):
                 term = tuple_poly_mul(term, images[v])
         out = tuple_poly_add(out, term)
     return out
+
+
+def reciprocal_root_power_sums(p, upto):
+    """[s_1, ..., s_upto] with s_m = sum_i alpha_i^m, for an integer
+    polynomial p(t) = prod_i (1 - alpha_i t) given as [1, p_1, p_2, ...].
+
+    From t p'(t) = p(t) * sum_m (-s_m) t^m, coefficient by coefficient.
+    """
+    p = list(p) + [0] * upto
+    s = []
+    for m in range(1, upto + 1):
+        s.append(-m * p[m] - sum(p[j] * s[m - j - 1] for j in range(1, m)))
+    return s
+
+
+def point_counts(expr, q, n, curves):
+    """#X(F_{q^n}) for a variety expression X, one counting rule per node.
+
+    Nodes are told apart by class name, so nothing is imported.  curves
+    maps id() of each positive-genus Curve node to the coefficients
+    [1, a_1, ..., q^g] of its Weil polynomial P(t) = prod_i (1 - alpha_i t);
+    such a curve has q^n + 1 - sum_i alpha_i^n points.
+    """
+    qn = q ** n
+
+    def projective(k):
+        return sum(qn ** j for j in range(k + 1))
+
+    def count(e):
+        kind = type(e).__name__
+        if kind == "Point":
+            return 1
+        if kind == "Affine":
+            return qn ** e.n
+        if kind == "Proj":
+            return projective(e.n)
+        if kind == "Torus":
+            return (qn - 1) ** e.d
+        if kind == "Curve":
+            if e.genus == 0:
+                return qn + 1
+            return qn + 1 - reciprocal_root_power_sums(curves[id(e)], n)[-1]
+        if kind == "Disjoint":
+            return count(e.left) + count(e.right)
+        if kind == "Prod":
+            return count(e.left) * count(e.right)
+        if kind == "VectorBundle":
+            return count(e.base) * qn ** e.rank
+        if kind == "ProjBundle":
+            return count(e.base) * projective(e.rank)
+        raise ValueError("not a variety expression: %r" % (e,))
+
+    return count(expr)

@@ -42,10 +42,13 @@ from .measures import (
 from .motivic import (
     Affine,
     Curve,
+    Disjoint,
     Point,
+    Prod,
     Proj,
     ProjBundle,
     Torus,
+    VectorBundle,
     cell_profile,
     parse_variety,
     specialize,
@@ -53,7 +56,7 @@ from .motivic import (
     zeta_rational,
     zeta_series,
 )
-from .oracles import multiset_graded_lambda
+from .oracles import multiset_graded_lambda, point_counts
 from .rationality import (
     QQ,
     GroupSeries,
@@ -75,7 +78,7 @@ from .rings import (
     SquareZeroRing,
     eval_poly,
 )
-from .series import TruncSeries, series_from_json
+from .series import TruncSeries, power_sums, series_from_json
 from .symfunc import (
     elementary_symmetric,
     newton_polynomial,
@@ -1094,6 +1097,93 @@ def _specialize_affine_at_zero(rng):
     )
 
 
+CELL_CORPUS = (
+    "point",
+    "A(1)",
+    "A(3)",
+    "P(1)",
+    "P(2)",
+    "Gm(1)",
+    "Gm(2)",
+    "Gm(3)",
+    "VB(P(1),2)",
+    "PB(A(2),1)",
+    "PB(P(1),2)",
+    "Disj(P(1),A(2))",
+    "Disj(Gm(1),point)",
+    "Prod(P(1),P(1))",
+    "Prod(Gm(1),A(1))",
+)
+
+
+def _variety_tree(rng, depth, curves=True):
+    """Random grammar text of depth at most depth, with curves of genus at
+    most 2 and never a positive-genus curve on both sides of a product."""
+    if depth > 0 and rng.random() < 0.7:
+        op = rng.choice(["Prod", "Disj", "VB", "PB"])
+        left = _variety_tree(rng, depth - 1, curves)
+        if op in ("VB", "PB"):
+            return "%s(%s,%d)" % (op, left, rng.randint(1, 2))
+        if op == "Prod" and cell_profile(parse_variety(left)) is None:
+            curves = False
+        return "%s(%s,%s)" % (op, left, _variety_tree(rng, depth - 1, curves))
+    leaf = rng.choice(["point", "A", "P", "Gm"] + ["Curve"] * 2 * curves)
+    if leaf == "Curve":
+        return "Curve(%d)" % rng.randint(0, 2)
+    return leaf if leaf == "point" else "%s(%d)" % (leaf, rng.randint(1, 3))
+
+
+def _weil_polynomial(rng, genus, q):
+    """Random integer 1 + a_1 t + ... + q^g t^(2g) with the functional
+    equation P(t) = q^g t^(2g) P(1/(qt)); it need not come from a curve."""
+    low = [1] + [rng.randint(-2 * i - 1, 2 * i + 1) for i in range(1, genus + 1)]
+    return low + [q ** (genus - i) * low[i] for i in reversed(range(genus))]
+
+
+def _curve_nodes(e):
+    """The positive-genus Curve nodes of e in reading order."""
+    if isinstance(e, Curve):
+        return [e] if e.genus else []
+    if isinstance(e, (ProjBundle, VectorBundle)):
+        return _curve_nodes(e.base)
+    if isinstance(e, (Disjoint, Prod)):
+        return _curve_nodes(e.left) + _curve_nodes(e.right)
+    return []
+
+
+@check("zeta_point_counts")
+def _zeta_point_counts(rng):
+    """Under L -> q (and each curve's symbols read off a Weil polynomial)
+    the ghost coordinates of a zeta series are signed point counts, which
+    oracles.point_counts derives without any series code."""
+    texts = list(CELL_CORPUS) + [_variety_tree(rng, 2) for _ in range(30)]
+    terms = 6
+    for text in texts:
+        expr = parse_variety(text)
+        f = zeta_series(expr, terms)
+        curves = _curve_nodes(expr)
+        for q in (2, 3, 5):
+            weil = {id(c): _weil_polynomial(rng, c.genus, q) for c in curves}
+            names = iter(f.ring.variables[1:])
+            assignment = {"L": q}
+            for c in curves:
+                P = weil[id(c)]
+                assignment[next(names)] = sum(P)
+                for i in range(1, 2 * c.genus):
+                    # t^i coefficient of P(t) / ((1 - t)(1 - q t))
+                    assignment[next(names)] = sum(
+                        P[j] * q ** m for j in range(i + 1) for m in range(i - j + 1)
+                    )
+            ghosts = power_sums(apply_measure(f, assignment), terms - 1)
+            for n in range(1, terms):
+                want = (-1) ** (n - 1) * point_counts(expr, q, n, weil)
+                _require(
+                    ghosts[n - 1] == want,
+                    "%s at q=%d: ghost %d is %s, want %d"
+                    % (text, q, n, ghosts[n - 1], want),
+                )
+
+
 # ----------------------------------------------------------------- measures
 
 
@@ -1498,24 +1588,7 @@ def _predicted_pade_degree(profile, q):
 
 @check("acceptance_9_cross_module")
 def _acceptance_9(rng):
-    corpus = [
-        "point",
-        "A(1)",
-        "A(3)",
-        "P(1)",
-        "P(2)",
-        "Gm(1)",
-        "Gm(2)",
-        "Gm(3)",
-        "VB(P(1),2)",
-        "PB(A(2),1)",
-        "PB(P(1),2)",
-        "Disj(P(1),A(2))",
-        "Disj(Gm(1),point)",
-        "Prod(P(1),P(1))",
-        "Prod(Gm(1),A(1))",
-    ]
-    for text in corpus:
+    for text in CELL_CORPUS:
         expr = parse_variety(text)
         form = zeta_rational(expr)
         den_deg = len(form.den) - 1

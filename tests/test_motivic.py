@@ -31,6 +31,7 @@ from mzeta.motivic import (
 from mzeta.rationality import hankel_test, verify_global
 from mzeta.rings import MultiPoly, PolynomialRing
 from mzeta.series import TruncSeries
+from mzeta.suite import CELL_CORPUS
 
 L = MultiPoly.var("L")
 
@@ -147,17 +148,37 @@ def test_zeta_genus_zero_is_projective_line():
     assert f.coeffs == g.coeffs
 
 
+def dense_cell_series(ring, profile, n):
+    """prod_k (1 - L^k t)^(-a_k) from dense geometric series, products and
+    inverses: the reference for the in-place recurrence of zeta_series."""
+    out = TruncSeries.one(ring, n)
+    for k, a in profile.items():
+        out = out.mul(TruncSeries.geometric(ring, MultiPoly.var("L", k), n).pow(a))
+    return out
+
+
 def test_torus_recursion_matches_closed_form():
-    for d in (1, 2, 3):
-        f = zeta_series(Torus(d), 9)
-        ring = f.ring
-        closed = TruncSeries.from_polynomial(ring, [ring.one()], 9)
-        for k, a in cell_profile(Torus(d)).items():
-            factor = TruncSeries.from_polynomial(
-                ring, [ring.one(), ring.neg(ring.var("L") if k == 1 else MultiPoly.var("L", k) if k else ring.one())], 9
-            )
-            closed = closed.mul(factor.pow(-a))
-        assert f.eq(closed)
+    rng = random.Random(1105)
+    exprs = [Torus(d) for d in (1, 2, 3)]
+    exprs += [parse_variety(text) for text in CELL_CORPUS]
+    exprs += [random_expr(rng, 2, False) for _ in range(30)]
+    for expr in exprs:
+        f = zeta_series(expr, 12)
+        want = dense_cell_series(f.ring, cell_profile(expr), 12)
+        assert f.coeffs == want.coeffs, str(expr)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_bundles_over_a_curve_are_products_with_cells(g, r):
+    curve = Curve(g)
+    for bundle, cells in ((VectorBundle, Affine), (ProjBundle, Proj)):
+        assert (
+            zeta_series(bundle(curve, r), 10).coeffs
+            == zeta_series(Prod(cells(r), curve), 10).coeffs
+        )
+        a, b = zeta_rational(bundle(curve, r)), zeta_rational(Prod(cells(r), curve))
+        assert (a.num, a.den) == (b.num, b.den)
 
 
 def test_bundle_combinators_over_a_curve():
@@ -339,6 +360,23 @@ def test_virtual_finiteness_curve():
     ]
     assert rep.witness_z == want
     assert len(rep.witness_z) <= 5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta_series(Point(), 2.5),
+        lambda: zeta_series(Point(), "3"),
+        lambda: zeta_series(Point(), True),
+        lambda: MotivicModel(Proj(1)).series_of(Proj(1), 4.0),
+        lambda: virtual_finiteness_check(Proj(1), 6.5),
+        lambda: virtual_finiteness_check(Proj(1), True),
+    ],
+    ids=["float", "str", "bool", "series_of", "finiteness-float", "finiteness-bool"],
+)
+def test_non_integer_precisions_are_typed_errors(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
 
 
 def test_virtual_finiteness_guards():
