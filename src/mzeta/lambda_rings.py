@@ -8,9 +8,10 @@ Conventions used throughout:
   addition is series multiplication.  Every Witt operation works in ghost
   coordinates, the power sums p_1..p_{N-1} of the formal roots: sums,
   negatives and products are componentwise, Adams operations select
-  indices, and exterior powers rebuild local windows with the series
-  module's helpers, whose values agree with the universal
-  symmetric-function polynomials.  An element is immutable and keeps its
+  indices, and exterior powers rebuild local windows with
+  series.ghost_exterior, whose values agree with the universal
+  symmetric-function polynomials.  This is the only implementation of
+  Witt arithmetic in the package.  An element is immutable and keeps its
   series, its ghost vector or both, computing the missing one at most once,
   so a chain of operations converts each input once and builds a result's
   series only when it is read.  The ghost map is injective here, since
@@ -18,6 +19,8 @@ Conventions used throughout:
   are exact (Dwork's lemma).
 * A LambdaElement stores the finite prefix lambda^0(x), ..., lambda^N(x).
   Operations state the order they need and raise PrecisionError otherwise.
+  The Adams operation psi^n(x) reads the n-th ghost coordinate of
+  lambda_t(x).
 * GradedSpace models integer polynomials in s as graded virtual vector
   spaces: lambda acts on an even-degree piece through symmetric powers and
   on an odd-degree piece through exterior powers, with negative dimensions
@@ -33,16 +36,8 @@ from .errors import (
     RingMismatchError,
 )
 from .rings import IntegerRing, MultiPoly, PolynomialRing, eval_poly
-from .series import (
-    TruncSeries,
-    from_power_sums,
-    ghost_adams,
-    ghost_exterior,
-    output_precision,
-    power_sums,
-    series_from_json,
-)
-from .symfunc import newton_polynomial, universal_P, universal_Q
+from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
+from .symfunc import universal_P, universal_Q
 
 
 def gen_binom(n, k):
@@ -183,10 +178,28 @@ def witt_mul(f, g):
     return WittElement._from_ghost(r, [r.mul(a, b) for a, b in zip(f.ghost, g.ghost)])
 
 
+def output_precision(what, k, f, precision):
+    """Precision of an operation whose t^m coefficient needs input
+    coefficients up to t^(k m): the most f supports, or the requested one.
+    For k = 0 no input coefficient is needed: f's precision is the default
+    and any larger one may be requested."""
+    limit = (f.precision - 1) // k + 1 if k else f.precision
+    m = limit if precision is None else precision
+    if m < 1:
+        raise PrecisionError("%s %d needs output precision at least 1, got %d" % (what, k, m))
+    if k and m > limit:
+        raise PrecisionError(
+            "%s %d at precision %d needs input precision %d, have %d"
+            % (what, k, m, k * (m - 1) + 1, f.precision)
+        )
+    return m
+
+
 def witt_lambda(k, f, precision=None):
     """k-th lambda operation on the Witt ring (root subsets of size k).
 
-    Output precision follows witt_exterior_series: (N-1)//k + 1 at most.
+    The t^m coefficient needs f's coefficients up to t^(k m), so precision
+    N supports output precision (N-1)//k + 1 at most.
     """
     if k < 0:
         raise InvalidInputError("negative exterior power")
@@ -205,7 +218,8 @@ def witt_adams(n, f, precision=None):
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
     m = output_precision("Adams operation", n, f, precision)
-    return WittElement._from_ghost(f.ring, ghost_adams(n, f.ghost, m))
+    # the roots' n-th powers have power sums p_n, p_2n, ..., p_{n(m-1)}
+    return WittElement._from_ghost(f.ring, f.ghost[n - 1 : n * (m - 1) : n])
 
 
 class LambdaElement:
@@ -251,8 +265,9 @@ class LambdaElement:
     @classmethod
     def line(cls, ring, a, order):
         """Element whose lambda series is 1 + a t."""
-        data = [ring.one(), a] + [ring.zero()] * (order - 1)
-        return cls(ring, data)
+        if order < 1:
+            raise InvalidElementError("lambda data needs order at least 1")
+        return cls(ring, [ring.one(), a] + [ring.zero()] * (order - 1))
 
     @classmethod
     def integer_binomial(cls, r, order):
@@ -279,11 +294,12 @@ class LambdaElement:
 
 
 def adams(n, x):
-    """Adams operation: newton_polynomial(n) evaluated at e_i = lambda^i(x)."""
+    """Adams operation psi^n(x): the n-th ghost coordinate (power sum) of
+    lambda_t(x), which is newton_polynomial(n) at e_i = lambda^i(x)."""
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
-    values = {"e%d" % i: x.lam(i) for i in range(1, n + 1)}
-    return eval_poly(newton_polynomial(n), values, x.ring)
+    x.lam(n)  # data short of order n raises PrecisionError here
+    return power_sums(x.lambda_series(), n)[n - 1]
 
 
 def opposite_sigma(x, order=None):

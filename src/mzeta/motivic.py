@@ -451,7 +451,12 @@ class MotivicModel:
         if profile is not None:
             return _cell_series(ring, profile, n)
         if isinstance(e, Curve):
-            model = self._models[id(e)]
+            model = self._models.get(id(e))
+            if model is None:
+                raise InvalidInputError(
+                    "%s is not a node of this model's expression "
+                    "(curves are matched by identity)" % e
+                )
             return TruncSeries(ring, [model.sym_class(i) for i in range(n)])
         if isinstance(e, Disjoint):
             return self._zeta(e.left, n).mul(self._zeta(e.right, n))

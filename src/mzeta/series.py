@@ -16,6 +16,11 @@ in every ring here because each coefficient produced is the image of a
 universal polynomial with integer coefficients (the rings are torsion-free
 Z-algebras, so exactness is also uniqueness).
 
+Power sums are the ghost coordinates of the big Witt ring.  Its arithmetic
+lives in lambda_rings, on WittElement only; the one piece kept here is
+ghost_exterior, the exterior power on ghost vectors, which symfunc also
+needs for universal_Q.
+
 Untruncated polynomials in t (closed forms, Pade results) are coefficient
 lists [c_0, c_1, ...]; the poly_* helpers at the end are their arithmetic.
 """
@@ -54,7 +59,7 @@ class TruncSeries:
 
     @classmethod
     def one(cls, ring, precision):
-        return cls.from_ints(ring, [1] + [0] * (precision - 1))
+        return cls.from_ints(ring, [int(i == 0) for i in range(precision)])
 
     @classmethod
     def zero(cls, ring, precision):
@@ -63,7 +68,7 @@ class TruncSeries:
     @classmethod
     def geometric(cls, ring, c, precision):
         """1 + c t + c^2 t^2 + ..."""
-        out = [ring.one()]
+        out = [ring.one()] if precision >= 1 else []
         for _ in range(precision - 1):
             out.append(ring.mul(out[-1], c))
         return cls(ring, out)
@@ -272,95 +277,12 @@ def from_power_sums(ring, psums, precision):
     return TruncSeries(ring, e)
 
 
-# Big-Witt-ring operations in ghost (power-sum) coordinates. For series with
-# constant term 1 and formal roots a_i: the product of f and g has root set
-# {a_i b_j}, so its power sums multiply pointwise; the k-th exterior power has
-# roots {prod_{i in S} a_i : |S| = k}, whose r-th power sum is e_k evaluated
-# at the r-th powers of the roots; the n-th Adams operation has roots {a_i^n}.
-# Every reconstruction division is exact (see from_power_sums). The ghost
-# helpers below are shared with lambda_rings.WittElement, which keeps its
-# ghost vector; the witt_*_series functions convert a series in and out.
-
-
-def _require_one(f):
-    r = f.ring
-    if not r.eq(f.coeffs[0], r.one()):
-        raise InvalidInputError("Witt-ring operations need constant term 1")
-
-
-def output_precision(what, k, f, precision):
-    """Precision of an operation whose t^m coefficient needs input
-    coefficients up to t^(k m): the most f supports, or the requested one.
-    For k = 0 no input coefficient is needed: f's precision is the default
-    and any larger one may be requested."""
-    limit = (f.precision - 1) // k + 1 if k else f.precision
-    m = limit if precision is None else precision
-    if m < 1:
-        raise PrecisionError("%s %d needs output precision at least 1, got %d" % (what, k, m))
-    if k and m > limit:
-        raise PrecisionError(
-            "%s %d at precision %d needs input precision %d, have %d"
-            % (what, k, m, k * (m - 1) + 1, f.precision)
-        )
-    return m
-
-
 def ghost_exterior(ring, k, p, m):
     """Power sums p'_1..p'_{m-1} of the k-th exterior power, given the power
     sums p (at least k*(m-1) of them) of its argument: p'_r is e_k of the
-    roots' r-th powers, from_power_sums on the window p_r, p_2r, ..., p_kr."""
+    roots' r-th powers, from_power_sums on the window p_r, p_2r, ..., p_kr.
+    Every reconstruction division is exact (see from_power_sums)."""
     return [from_power_sums(ring, p[r - 1 : k * r : r], k + 1).coeffs[k] for r in range(1, m)]
-
-
-def ghost_adams(n, p, m):
-    """Power sums p_n, p_2n, ..., p_{n(m-1)} of the n-th Adams operation."""
-    return p[n - 1 : n * (m - 1) : n]
-
-
-def witt_product_series(f, g):
-    """Coefficients of the Witt product; same precision as the inputs."""
-    _require_one(f)
-    _require_one(g)
-    n = min(f.precision, g.precision)
-    f, g = f.truncate(n), g.truncate(n)
-    r = f.ring
-    pf = power_sums(f, n - 1)
-    pg = power_sums(g, n - 1)
-    q = [r.mul(pf[i], pg[i]) for i in range(n - 1)]
-    return from_power_sums(r, q, n)
-
-
-def witt_exterior_series(k, f, precision=None):
-    """k-th exterior power of a series with constant term 1.
-
-    The t^m coefficient is a universal polynomial in the first k*m input
-    coefficients, so input precision N supports output precision
-    (N-1)//k + 1; asking for more raises PrecisionError.
-    """
-    _require_one(f)
-    if k < 0:
-        raise InvalidInputError("negative exterior power")
-    r = f.ring
-    m = output_precision("exterior power", k, f, precision)
-    if k == 0:
-        # one subset of size 0 with empty root product 1: the result is
-        # 1 + t, the multiplicative unit of the Witt ring
-        coeffs = [r.one()] + ([r.one()] if m > 1 else []) + [r.zero()] * (m - 2)
-        return TruncSeries(r, coeffs)
-    if k == 1:
-        return f.truncate(m)
-    p = power_sums(f, k * (m - 1))
-    return from_power_sums(r, ghost_exterior(r, k, p, m), m)
-
-
-def witt_adams_series(n, f, precision=None):
-    """n-th Adams operation: roots raised to the n-th power."""
-    _require_one(f)
-    if n < 1:
-        raise InvalidInputError("Adams operations are indexed from 1")
-    m = output_precision("Adams operation", n, f, precision)
-    p = power_sums(f, n * (m - 1))
-    return from_power_sums(f.ring, ghost_adams(n, p, m), m)
 
 
 # Coefficient-list polynomials in t: [c_0, c_1, ...] over a ring.

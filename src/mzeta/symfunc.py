@@ -9,12 +9,14 @@ Two families of universal integer polynomials drive everything here:
   series, written in its coefficients e_1, ..., e_{m*n}.  Over roots: the
   exterior power runs over n-element root subsets.
 
-Both are computed through power sums (ghost coordinates), where the two
-operations become pointwise multiplication and evaluation of elementary
-symmetric polynomials at powered roots.  ``rewrite_in_elementaries`` plus the
-explicit root expansions stay available as an independent cross-check: they
-express the same coefficients by expanding the root products literally and
-rewriting the symmetric result in elementary symmetric polynomials.
+Both are computed on the generic series in ghost coordinates (power sums),
+with the same steps as the Witt operations in lambda_rings: the product
+multiplies the two power-sum vectors pointwise, the exterior power is
+series.ghost_exterior, and from_power_sums reads the coefficients back.
+``rewrite_in_elementaries`` plus the explicit root expansions stay
+available as an independent cross-check: they express the same
+coefficients by expanding the root products literally and rewriting the
+symmetric result in elementary symmetric polynomials.
 
 The three tables are computed on demand and memoized for the life of the
 process, since the lambda-ring checks ask for the same ones again and again;
@@ -28,7 +30,7 @@ import itertools
 
 from .errors import InvalidInputError, NonSymmetricError
 from .rings import MultiPoly, PolynomialRing
-from .series import TruncSeries, power_sums, witt_exterior_series, witt_product_series
+from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums
 
 
 def esym_of_elements(k, elems):
@@ -171,9 +173,9 @@ def universal_P(n):
     enames = ["e%d" % i for i in range(1, n + 1)]
     fnames = ["f%d" % i for i in range(1, n + 1)]
     ring = PolynomialRing(enames + fnames)
-    f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in enames])
-    g = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in fnames])
-    return witt_product_series(f, g).coeffs[n]
+    pf = power_sums(TruncSeries(ring, [ring.one()] + [ring.var(v) for v in enames]), n)
+    pg = power_sums(TruncSeries(ring, [ring.one()] + [ring.var(v) for v in fnames]), n)
+    return from_power_sums(ring, [ring.mul(a, b) for a, b in zip(pf, pg)], n + 1).coeffs[n]
 
 
 @functools.cache
@@ -191,7 +193,8 @@ def universal_Q(m, n):
     names = ["e%d" % i for i in range(1, m * n + 1)]
     ring = PolynomialRing(names)
     f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
-    return witt_exterior_series(n, f, m + 1).coeffs[m]
+    p = ghost_exterior(ring, n, power_sums(f, m * n), m + 1)
+    return from_power_sums(ring, p, m + 1).coeffs[m]
 
 
 def witt_product_coeff(p):

@@ -183,6 +183,26 @@ def test_adams_needs_order():
         adams(3, x)
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: TruncSeries.one(Z, 0), PrecisionError),
+        (lambda: TruncSeries.one(Z, -3), PrecisionError),
+        (lambda: TruncSeries.zero(Z, 0), PrecisionError),
+        (lambda: TruncSeries.geometric(Z, Z.from_int(2), 0), PrecisionError),
+        (lambda: WittElement.one(Z, 0), PrecisionError),
+        (lambda: LambdaElement.line(Z, Z.from_int(2), 0), InvalidElementError),
+        (lambda: LambdaElement.line(Z, Z.from_int(2), -1), InvalidElementError),
+        (lambda: LambdaElement.integer_binomial(3, 0), InvalidElementError),
+    ],
+    ids=["one-0", "one-neg", "zero-0", "geometric-0", "witt-one-0", "line-0",
+         "line-neg", "binomial-0"],
+)
+def test_constructors_reject_sizes_below_one(make, error):
+    with pytest.raises(error):
+        make()
+
+
 def test_adams_additive_on_witt_sums():
     rng = random.Random(60902)
     for _ in range(5):

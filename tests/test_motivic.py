@@ -379,6 +379,16 @@ def test_non_integer_precisions_are_typed_errors(call):
         call()
 
 
+def test_series_of_a_foreign_curve_is_a_typed_error():
+    # curves are matched by identity: an equal node built separately is not
+    # part of the model's expression
+    model = MotivicModel(Prod(Proj(1), Curve(1)))
+    for node in (Curve(1), Prod(Proj(1), Curve(1))):
+        with pytest.raises(InvalidInputError, match=r"Curve\(1\) is not a node"):
+            model.series_of(node, 3)
+    assert model.series_of(model.expr.right, 3).precision == 3
+
+
 def test_virtual_finiteness_guards():
     with pytest.raises(InvalidInputError):
         virtual_finiteness_check(Proj(2), 10)

@@ -6,7 +6,8 @@ import pytest
 from mzeta.errors import NonSymmetricError, InvalidInputError
 from mzeta.oracles import binom
 from mzeta.rings import IntegerRing, MultiPoly
-from mzeta.series import TruncSeries, witt_exterior_series, witt_product_series
+from mzeta.lambda_rings import WittElement, witt_lambda, witt_mul
+from mzeta.series import TruncSeries
 from mzeta.symfunc import (
     elementary_symmetric,
     esym_of_elements,
@@ -154,7 +155,7 @@ def test_universal_P_numeric_product():
     Z = IntegerRing()
     f = TruncSeries.from_polynomial(Z, [Z.one(), Z.from_int(3), Z.from_int(2)], 9)
     g = TruncSeries.from_polynomial(Z, [Z.one(), Z.from_int(4), Z.from_int(3)], 9)
-    h = witt_product_series(f, g)
+    h = witt_mul(WittElement(f), WittElement(g)).series
     want = [1, 12, 47, 72, 36, 0, 0, 0, 0]
     assert [c.as_int() for c in h.coeffs] == want
     # same numbers through the universal polynomials
@@ -204,7 +205,7 @@ def test_exterior_power_of_split_element():
     # the 3rd exterior power of (1+t)^5 is (1+t)^binom(5,3)
     Z = IntegerRing()
     five = TruncSeries.from_ints(Z, [binom(5, i) for i in range(7)])
-    cube = witt_exterior_series(3, five)
+    cube = witt_lambda(3, WittElement(five)).series
     assert [c.as_int() for c in cube.coeffs] == [binom(10, i) for i in range(3)]
 
 

@@ -1,13 +1,21 @@
-"""Witt arithmetic in ghost coordinates against the series-level reference.
+"""Witt arithmetic in ghost coordinates against a root oracle.
 
 A WittElement holds its series, its ghost vector (the power sums of its
-roots) or both, and every Witt operation works on ghost vectors.  Each
-operation is compared here with the same operation done on series: the
-product and inverse for the additive group, witt_product_series,
-witt_exterior_series and witt_adams_series, and (1 + t)^n for the integers.
-Operands come in all three forms, over all four ring kinds.
+roots) or both, and every Witt operation works on ghost vectors.  The
+oracle here uses no power sums: an element is a product of linear factors
+f = prod(1 + r_i t), built by series multiplication, and each operation's
+answer is the product of the linear factors of its roots.  The product of
+f and g has roots r_i s_j, the k-th exterior power has roots prod_{i in S}
+r_i over the k-subsets S (k = 0: the one root 1), and the n-th Adams
+operation has roots r_i^n; the additive group is the series product and
+inverse.  Roots are drawn from each of the four ring kinds, and the
+generic case takes four root variables per factor at precision 5, where
+e_1..e_4 are independent and the check is the universal identity.
+Operands come in all three forms.  The Adams operation on lambda data
+reads a ghost coordinate too, and is checked against Newton's identity.
 """
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +26,9 @@ from mzeta import series as series_module
 from mzeta.errors import PrecisionError, RingMismatchError
 from mzeta.lambda_rings import (
     BigWitt,
+    LambdaElement,
     WittElement,
+    adams,
     witt_adams,
     witt_add,
     witt_lambda,
@@ -26,14 +36,9 @@ from mzeta.lambda_rings import (
     witt_neg,
     witt_sub,
 )
-from mzeta.rings import QQ, IntegerRing, PolynomialRing, SquareZeroRing
-from mzeta.series import (
-    TruncSeries,
-    series_from_json,
-    witt_adams_series,
-    witt_exterior_series,
-    witt_product_series,
-)
+from mzeta.rings import QQ, IntegerRing, PolynomialRing, SquareZeroRing, eval_poly
+from mzeta.series import TruncSeries, series_from_json
+from mzeta.symfunc import newton_polynomial
 
 RINGS = {
     "Z": IntegerRing(),
@@ -41,6 +46,8 @@ RINGS = {
     "Z[a,b]/sq": SquareZeroRing(["a", "b"]),
     "Q": QQ,
 }
+GENERIC = PolynomialRing(["r1", "r2", "r3", "r4", "s1", "s2", "s3", "s4"])
+CASES = sorted(RINGS) + ["generic"]
 FORMS = ("series", "ghost", "both")
 
 
@@ -56,8 +63,39 @@ def _random_coeff(rng, ring):
     return c
 
 
-def _random_series(rng, ring, precision):
-    return TruncSeries(ring, [ring.one()] + [_random_coeff(rng, ring) for _ in range(precision - 1)])
+def _cases(name):
+    """(ring, roots of f, roots of g, precision of f, precision of g)."""
+    if name == "generic":
+        rs = [GENERIC.var("r%d" % i) for i in range(1, 5)]
+        ss = [GENERIC.var("s%d" % i) for i in range(1, 5)]
+        return [(GENERIC, rs, ss, 5, 5), (GENERIC, rs, ss, 5, 3)]
+    ring = RINGS[name]
+    rng = random.Random(name)
+    out = []
+    for nf, ng in ((7, 7), (7, 5), (4, 8), (1, 1), (1, 4)):
+        rs = [_random_coeff(rng, ring) for _ in range(rng.randint(0, 6))]
+        ss = [_random_coeff(rng, ring) for _ in range(rng.randint(0, 6))]
+        out.append((ring, rs, ss, nf, ng))
+    return out
+
+
+def _product(ring, xs):
+    out = ring.one()
+    for x in xs:
+        out = ring.mul(out, x)
+    return out
+
+
+def _from_roots(ring, roots, precision):
+    """prod (1 + r t) over the roots, by series multiplication."""
+    out = TruncSeries.one(ring, precision)
+    for r in roots:
+        out = out.mul(TruncSeries.from_polynomial(ring, [ring.one(), r][:precision], precision))
+    return out
+
+
+def _exterior_roots(ring, roots, k):
+    return [_product(ring, S) for S in itertools.combinations(roots, k)]
 
 
 def _element(f, form):
@@ -83,56 +121,68 @@ def _assert_series(w, want):
 
 @pytest.mark.parametrize("form_g", FORMS)
 @pytest.mark.parametrize("form_f", FORMS)
-@pytest.mark.parametrize("ring_name", sorted(RINGS))
-def test_ring_operations_match_series_reference(ring_name, form_f, form_g):
-    ring = RINGS[ring_name]
-    rng = random.Random("%s/%s/%s" % (ring_name, form_f, form_g))
-    for nf, ng in ((7, 7), (7, 5), (4, 8), (1, 1), (1, 4)):
-        f = _random_series(rng, ring, nf)
-        g = _random_series(rng, ring, ng)
+@pytest.mark.parametrize("case", CASES)
+def test_ring_operations_match_series_reference(case, form_f, form_g):
+    for ring, rs, ss, nf, ng in _cases(case):
+        f, g = _from_roots(ring, rs, nf), _from_roots(ring, ss, ng)
         F, G = _element(f, form_f), _element(g, form_g)
         _assert_series(witt_add(F, G), f.mul(g))
         _assert_series(witt_sub(F, G), f.mul(g.inverse()))
-        _assert_series(witt_mul(F, G), witt_product_series(f, g))
         _assert_series(witt_neg(F), f.inverse())
+        pairs = [ring.mul(r, s) for r in rs for s in ss]
+        _assert_series(witt_mul(F, G), _from_roots(ring, pairs, min(nf, ng)))
         # the operands are unchanged by use
         assert F.series.eq(f) and G.series.eq(g)
 
 
 @pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case", CASES)
+def test_lambda_and_adams_match_series_reference(case, form):
+    for ring, rs, ss, nf, ng in _cases(case):
+        for roots, n in ((rs, nf), (ss, ng)):
+            f = _from_roots(ring, roots, n)
+            for k in range(5):
+                # t^m needs f's coefficients up to t^(k m); lambda^0 needs none
+                limit = (n - 1) // k + 1 if k else n + 2
+                subsets = _exterior_roots(ring, roots, k)
+                for m in range(1, limit + 1):
+                    _assert_series(witt_lambda(k, _element(f, form), m),
+                                   _from_roots(ring, subsets, m))
+                if k:
+                    _assert_series(witt_lambda(k, _element(f, form)),
+                                   _from_roots(ring, subsets, limit))
+                    with pytest.raises(PrecisionError):
+                        witt_lambda(k, _element(f, form), limit + 1)
+            for k in range(1, 5):
+                limit = (n - 1) // k + 1
+                powers = [_product(ring, [r] * k) for r in roots]
+                for m in range(1, limit + 1):
+                    _assert_series(witt_adams(k, _element(f, form), m),
+                                   _from_roots(ring, powers, m))
+                _assert_series(witt_adams(k, _element(f, form)), _from_roots(ring, powers, limit))
+                with pytest.raises(PrecisionError):
+                    witt_adams(k, _element(f, form), limit + 1)
+            for bad in (0, -1, -2):
+                for k in (0, 2):
+                    with pytest.raises(PrecisionError):
+                        witt_lambda(k, _element(f, form), bad)
+                with pytest.raises(PrecisionError):
+                    witt_adams(2, _element(f, form), bad)
+            # lambda^0 reads no coefficient of f: f's precision by default
+            _assert_series(witt_lambda(0, _element(f, form)), _from_roots(ring, [ring.one()], n))
+
+
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
-def test_lambda_and_adams_match_series_reference(ring_name, form):
+def test_adams_matches_newton_table(ring_name):
+    # psi^n(x) is the n-th ghost coordinate of lambda_t(x); the reference
+    # evaluates Newton's p_n(e_1..e_n) at e_i = lambda^i(x)
     ring = RINGS[ring_name]
-    rng = random.Random("%s/%s" % (ring_name, form))
-    for n in (10, 7, 2, 1):
-        f = _random_series(rng, ring, n)
-        for k in range(4):
-            _assert_series(witt_lambda(k, _element(f, form)), witt_exterior_series(k, f))
-            limit = witt_exterior_series(k, f).precision
-            for m in range(1, limit + 1):
-                F = _element(f, form)
-                _assert_series(witt_lambda(k, F, m), witt_exterior_series(k, f, m))
-            if k:
-                with pytest.raises(PrecisionError):
-                    witt_lambda(k, _element(f, form), limit + 1)
-        for k in range(1, 5):
-            _assert_series(witt_adams(k, _element(f, form)), witt_adams_series(k, f))
-            limit = witt_adams_series(k, f).precision
-            for m in range(1, limit + 1):
-                _assert_series(witt_adams(k, _element(f, form), m), witt_adams_series(k, f, m))
-            with pytest.raises(PrecisionError):
-                witt_adams(k, _element(f, form), limit + 1)
-        for bad in (0, -1, -2):
-            for k in (0, 2):
-                with pytest.raises(PrecisionError):
-                    witt_lambda(k, _element(f, form), bad)
-                with pytest.raises(PrecisionError):
-                    witt_exterior_series(k, f, bad)
-            with pytest.raises(PrecisionError):
-                witt_adams(2, _element(f, form), bad)
-        # lambda^0 reads no coefficient of f: f's precision by default
-        assert witt_exterior_series(0, f).precision == n
-        assert witt_lambda(0, _element(f, form)).precision == n
+    rng = random.Random(ring_name)
+    for order in (6, 8):
+        x = LambdaElement(ring, [ring.one()] + [_random_coeff(rng, ring) for _ in range(order)])
+        for n in range(1, 7):
+            values = {"e%d" % i: x.lam(i) for i in range(1, n + 1)}
+            assert ring.eq(adams(n, x), eval_poly(newton_polynomial(n), values, ring))
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
@@ -148,7 +198,8 @@ def test_big_witt_from_int_is_a_power_of_one_plus_t(ring_name):
 @pytest.mark.parametrize("form", FORMS)
 def test_truncate_keeps_what_the_element_holds(form):
     ring = RINGS["Z[L,a]"]
-    f = _random_series(random.Random(form), ring, 9)
+    rng = random.Random(form)
+    f = _from_roots(ring, [_random_coeff(rng, ring) for _ in range(8)], 9)
     F = _element(f, form)
     for m in (1, 4, 9):
         short = F.truncate(m)
