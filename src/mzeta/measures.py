@@ -127,7 +127,10 @@ class SurfaceData:
     @classmethod
     def from_json(cls, obj):
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except ValueError as e:
+                raise InvalidInputError("surface data is not valid JSON: %s" % e) from None
         if not isinstance(obj, dict) or not {"q", "pg", "plurigenera"} <= obj.keys():
             raise InvalidInputError("surface data needs an object with q, pg and plurigenera")
         if not isinstance(obj["plurigenera"], list) or not isinstance(obj.get("h1n") or {}, dict):

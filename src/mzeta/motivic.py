@@ -15,23 +15,26 @@ where the step class ``S`` is the Jacobian symbol by default
 (``increment="J"``) or the curve class ``c1`` itself (``increment="X"``).
 Genus 0 is the projective line and needs no symbols at all.
 
-``zeta_series`` and ``zeta_rational`` walk an expression by four rules.
-Cells: a curve-free expression is a virtual sum of affine cells,
-sum_k a_k [A^k] (``cell_profile``), and its zeta series is the product of
-the factors (1 - L^k t)^(-a_k).  Twist: VB(X, r), PB(X, r) and a product
-with a curve-free side are X twisted by a cell profile, and Z_{X x A^k}(t)
-is Z_X(L^k t).  Curve: symmetric-power classes, or a numerator of degree at
-most ``2g`` over (1 - t)(1 - Lt).  Disjoint: zeta series multiply.
-``zeta_rational`` certifies its closed form against the series before
-returning it.  A product of two positive-genus curves has no closed form
-here: the ring carries no symbols for symmetric powers of the product and
-they are not determined by the factors, so those raise NoClosedFormError
-beyond the linear term.
+Every expression the grammar accepts has a zeta function that is a
+product of factors 1/(1 - L^k t) and Z_C(L^k t), because
+Z_{X u Y} = Z_X Z_Y and Z_{X x A^k}(t) = Z_X(L^k t).  One bottom-up walk
+(``_factors``) returns that product as a map from factor to exponent: an
+int key k is 1/(1 - L^k t), so the int part is a virtual cell
+decomposition sum_k a_k [A^k]; a key (C, k) is Z_C(L^k t) for an atom C, a
+positive-genus curve or a product of two curve-bearing sides.  Three
+readers share the map.  ``cell_profile`` is the map when it has only int
+keys.  ``zeta_series`` multiplies the atom series (symmetric-power
+classes for a curve) and then applies the cell factors in place.
+``zeta_rational`` writes Z_C(t) as a numerator N_C of degree at most 2g
+over (1 - t)(1 - Lt), and certifies the closed form against the series
+before returning it.  A product of two positive-genus curves has no closed
+form here: the ring carries no symbols for symmetric powers of the product
+and they are not determined by the factors, so those raise
+NoClosedFormError beyond the linear term.
 """
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (
     InvalidInputError,
@@ -270,8 +273,32 @@ def cell_profile(e):
     copies of A(k), or None when the expression involves a positive-genus
     curve.  A torus Gm(d) is the alternating sum sum_k (-1)^(d-k) C(d,k) A(k).
     """
-    if not _curve_free(e):
-        return None
+    factors = _factors(e)
+    return factors if _cells_only(factors) else None
+
+
+class _Atom:
+    """A curve-bearing node as half of a factor key, compared by identity:
+    the frozen dataclasses make two separate Curve(1) nodes equal."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node):
+        self.node = node
+
+    def __eq__(self, other):
+        return self.node is other.node
+
+    def __hash__(self):
+        return id(self.node)
+
+
+def _factors(e):
+    """Z_e(t) as a map from factor to exponent (see the module docstring):
+    an int key k is 1/(1 - L^k t) and a key (atom, k) is Z_atom(L^k t).
+    VB(b, r) twists b by A(r), PB(b, r) twists it by P(r), and a product
+    with a curve-free side twists the other side by that side's profile.
+    """
     if isinstance(e, Point):
         return {0: 1}
     if isinstance(e, Affine):
@@ -283,51 +310,46 @@ def cell_profile(e):
             k: (-1) ** (e.d - k) * math.comb(e.d, k) for k in range(e.d + 1)
         }
     if isinstance(e, Curve):
-        return {0: 1, 1: 1}
+        return {(_Atom(e), 0): 1} if e.genus else {0: 1, 1: 1}
     if isinstance(e, Disjoint):
-        out = cell_profile(e.left)
-        for k, v in cell_profile(e.right).items():
-            out[k] = out.get(k, 0) + v
-        return {k: v for k, v in out.items() if v}
-    twist = _twist(e)
-    if twist is None:
-        raise InvalidInputError("not a variety expression: %r" % (e,))
-    profile, other = twist
-    return _convolve(profile, cell_profile(other))
-
-
-def _curve_free(e):
-    """Whether no positive-genus curve occurs in e, so it has a cell profile."""
-    if isinstance(e, Curve):
-        return e.genus == 0
-    return all(map(_curve_free, _children(e)))
-
-
-def _twist(e):
-    """(profile, other) when e is `other` twisted by a cell profile, else None.
-
-    Then Z_e(t) is the product over k of Z_other(L^k t)^(a_k).  VB(b, r) is b
-    twisted by A(r), PB(b, r) is b twisted by P(r), and a product is its
-    other side twisted by a curve-free side, the left one first.
-    """
+        return _shifted({0: 1}, _factors(e.right), _factors(e.left))
     if isinstance(e, VectorBundle):
-        return {e.rank: 1}, e.base
+        return _shifted({e.rank: 1}, _factors(e.base))
     if isinstance(e, ProjBundle):
-        return dict.fromkeys(range(e.rank + 1), 1), e.base
+        return _shifted(dict.fromkeys(range(e.rank + 1), 1), _factors(e.base))
     if isinstance(e, Prod):
-        for side, other in ((e.left, e.right), (e.right, e.left)):
-            if _curve_free(side):
-                return cell_profile(side), other
-    return None
+        left, right = _factors(e.left), _factors(e.right)
+        if _cells_only(left):
+            return _shifted(left, right)
+        if _cells_only(right):
+            return _shifted(right, left)
+        return {(_Atom(e), 0): 1}
+    raise InvalidInputError("not a variety expression: %r" % (e,))
 
 
-def _cell_series(ring, profile, n):
-    """prod_k (1 - L^k t)^(-a_k) to n terms, one O(n) pass per unit of |a_k|.
+def _cells_only(factors):
+    return all(isinstance(key, int) for key in factors)
+
+
+def _shifted(profile, factors, out=None):
+    """out times the product over k of (factors at t -> L^k t)^(a_k): every
+    key shifts by k and every exponent is scaled by a_k."""
+    out = {} if out is None else out
+    for k, a in profile.items():
+        for key, v in factors.items():
+            key = key + k if isinstance(key, int) else (key[0], key[1] + k)
+            out[key] = out.get(key, 0) + a * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _cell_series(ring, profile, c):
+    """The series c times prod_k (1 - L^k t)^(-a_k), computed in place in
+    the list c, one O(n) pass per unit of |a_k|.
 
     Dividing by (1 - x t) is c[i] += x c[i-1] going upward; multiplying by
     it is c[i] -= x c[i-1] going downward.
     """
-    c = [ring.one()] + [ring.zero()] * (n - 1)
+    n = len(c)
     for k, a in sorted(profile.items()):
         x = MultiPoly.var("L", k)
         for _ in range(abs(a)):
@@ -338,14 +360,6 @@ def _cell_series(ring, profile, n):
                 for i in range(n - 1, 0, -1):
                     c[i] = ring.sub(c[i], ring.mul(x, c[i - 1]))
     return TruncSeries(ring, c)
-
-
-def _convolve(a, b):
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return {k: v for k, v in out.items() if v}
 
 
 def _jacobian_name(index):
@@ -399,7 +413,8 @@ class MotivicModel:
 
     Positive-genus curve occurrences are numbered in reading order; each
     gets its own symbol family.  The same Curve object appearing twice (by
-    reference) denotes the same curve.
+    reference) denotes the same curve.  ``curves`` lists those Curve nodes
+    in that order, once each.
     """
 
     def __init__(self, expr, increment="J"):
@@ -420,6 +435,7 @@ class MotivicModel:
                 walk(child)
 
         walk(expr)
+        self.curves = tuple(curves)
         names = ["L"]
         for idx, node in enumerate(curves, start=1):
             names.extend(_family_names(idx, node.genus))
@@ -446,29 +462,34 @@ class MotivicModel:
         return self._zeta(subexpr, terms)
 
     def _zeta(self, e, n):
+        """The atom series of _factors(e), each at its shift and exponent,
+        multiplied, then the cell factors applied in place."""
         ring = self.ring
-        profile = cell_profile(e)
-        if profile is not None:
-            return _cell_series(ring, profile, n)
+        factors = _factors(e)
+        atoms = {}
+        out = None
+        for key, v in factors.items():
+            if isinstance(key, int):
+                continue
+            atom, k = key
+            if atom not in atoms:
+                atoms[atom] = self._atom_series(atom.node, n)
+            piece = atoms[atom]
+            if k:
+                piece = piece.scale_arg(MultiPoly.var("L", k))
+            piece = piece.pow(v)
+            out = piece if out is None else out.mul(piece)
+        if out is None:
+            coeffs = [ring.one()] + [ring.zero()] * (n - 1)
+        else:
+            coeffs = list(out.coeffs)
+        cells = {k: a for k, a in factors.items() if isinstance(k, int)}
+        return _cell_series(ring, cells, coeffs)
+
+    def _atom_series(self, e, n):
+        ring = self.ring
         if isinstance(e, Curve):
-            model = self._models.get(id(e))
-            if model is None:
-                raise InvalidInputError(
-                    "%s is not a node of this model's expression "
-                    "(curves are matched by identity)" % e
-                )
-            return TruncSeries(ring, [model.sym_class(i) for i in range(n)])
-        if isinstance(e, Disjoint):
-            return self._zeta(e.left, n).mul(self._zeta(e.right, n))
-        twist = _twist(e)
-        if twist is not None:
-            profile, other = twist
-            base = self._zeta(other, n)
-            pieces = [
-                base.scale_arg(MultiPoly.var("L", k)).pow(a)
-                for k, a in sorted(profile.items())
-            ]
-            return reduce(TruncSeries.mul, pieces)
+            return TruncSeries(ring, self._sym_classes(e, n))
         if n <= 2:
             coeffs = [ring.one()]
             if n == 2:
@@ -481,13 +502,54 @@ class MotivicModel:
             "is not determined beyond the linear coefficient"
         )
 
+    def _sym_classes(self, curve, n):
+        model = self._models.get(id(curve))
+        if model is None:
+            raise InvalidInputError(
+                "%s is not a node of this model's expression "
+                "(curves are matched by identity)" % curve
+            )
+        return [model.sym_class(i) for i in range(n)]
+
     def rational_form(self):
-        factors, num, den = self._form(self.expr)
+        """Each curve key (C, k) with exponent v becomes N_C(L^k t)^v over
+        ((1 - L^k t)(1 - L^(k+1) t))^v, where N_C, of degree at most 2g, is
+        Z_C(t)(1 - t)(1 - Lt); the cell factors become binomials."""
         ring = self.ring
-        for k, eps in sorted(factors.items()):
+        num, den = [ring.one()], [ring.one()]
+        cells = {}
+        numerators = {}
+        for key, v in _factors(self.expr).items():
+            if isinstance(key, int):
+                cells[key] = cells.get(key, 0) + v
+                continue
+            atom, k = key
+            curve = atom.node
+            if not isinstance(curve, Curve):
+                raise NoClosedFormError(
+                    "no closed rational form for a product of two "
+                    "positive-genus curves"
+                )
+            if atom not in numerators:
+                classes = self._sym_classes(curve, 2 * curve.genus + 1)
+                shear = _cell_series(ring, {0: -1, 1: -1}, classes)
+                numerators[atom] = poly_trim(ring, shear.coeffs)
+            piece = numerators[atom]
+            if k:
+                piece = poly_scale_t(ring, piece, MultiPoly.var("L", k))
+            piece = poly_pow(ring, piece, abs(v))
+            if v > 0:
+                num = poly_mul(ring, num, piece)
+            else:
+                den = poly_mul(ring, den, piece)
+            for j in (k, k + 1):
+                cells[j] = cells.get(j, 0) + v
+        for k, a in sorted(cells.items()):
+            if not a:
+                continue
             binom = [ring.one(), ring.neg(MultiPoly.var("L", k))]
-            piece = poly_pow(ring, binom, abs(eps))
-            if eps > 0:
+            piece = poly_pow(ring, binom, abs(a))
+            if a < 0:
                 num = poly_mul(ring, num, piece)
             else:
                 den = poly_mul(ring, den, piece)
@@ -502,77 +564,6 @@ class MotivicModel:
                 "this is a bug"
             )
         return ZetaRationalForm(ring, num, den, verified)
-
-    def _form(self, e):
-        """Closed form as (factor exponents, extra numerator, extra denominator).
-
-        The factor map sends k to the net exponent of (1 - L^k t); the extra
-        polynomials carry curve numerators (and, through products against
-        virtual cells, possibly curve denominators).
-        """
-        ring = self.ring
-        profile = cell_profile(e)
-        if profile is not None:
-            return (
-                {k: -a for k, a in profile.items()},
-                [ring.one()],
-                [ring.one()],
-            )
-        if isinstance(e, Curve):
-            g = e.genus
-            series = self._zeta(e, 2 * g + 1)
-            shear = _cell_series(ring, {0: -1, 1: -1}, 2 * g + 1)
-            num = poly_trim(ring, shear.mul(series).coeffs)
-            return ({0: -1, 1: -1}, num, [ring.one()])
-        if isinstance(e, Disjoint):
-            return _form_mul(ring, self._form(e.left), self._form(e.right))
-        twist = _twist(e)
-        if twist is None:
-            raise NoClosedFormError(
-                "no closed rational form for a product of two "
-                "positive-genus curves"
-            )
-        profile, other = twist
-        base = self._form(other)
-        out = ({}, [ring.one()], [ring.one()])
-        for k, a in sorted(profile.items()):
-            piece = _form_pow(ring, self._form_shift(base, k), a)
-            out = _form_mul(ring, out, piece)
-        return out
-
-    def _form_shift(self, form, r):
-        """Substitute t -> L^r t throughout a closed form."""
-        if r == 0:
-            return form
-        factors, num, den = form
-        ring = self.ring
-        scale = MultiPoly.var("L", r)
-        return (
-            {k + r: v for k, v in factors.items()},
-            poly_scale_t(ring, num, scale),
-            poly_scale_t(ring, den, scale),
-        )
-
-
-def _form_mul(ring, fa, fb):
-    factors = dict(fa[0])
-    for k, v in fb[0].items():
-        factors[k] = factors.get(k, 0) + v
-    factors = {k: v for k, v in factors.items() if v}
-    return (
-        factors,
-        poly_mul(ring, fa[1], fb[1]),
-        poly_mul(ring, fa[2], fb[2]),
-    )
-
-
-def _form_pow(ring, form, a):
-    factors = {k: v * a for k, v in form[0].items() if v * a}
-    num = poly_pow(ring, form[1], abs(a))
-    den = poly_pow(ring, form[2], abs(a))
-    if a >= 0:
-        return (factors, num, den)
-    return (factors, den, num)
 
 
 class ZetaRationalForm:

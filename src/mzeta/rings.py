@@ -946,11 +946,13 @@ def ring_from_json(obj):
     if kind == "poly":
         return PolynomialRing(_json_vars(obj))
     if kind == "square_zero":
-        if "prefix" in obj:
-            if not isinstance(obj["prefix"], str):
-                raise InvalidInputError("a ring's 'prefix' must be a string")
-            return SquareZeroRing(prefix=obj["prefix"])
-        return SquareZeroRing(_json_vars(obj))
+        if "prefix" not in obj:
+            return SquareZeroRing(_json_vars(obj))
+        if not isinstance(obj["prefix"], str):
+            raise InvalidInputError("a ring's 'prefix' must be a string")
+        # with "vars" as well, the constructor raises its typed error
+        variables = _json_vars(obj) if "vars" in obj else None
+        return SquareZeroRing(variables, obj["prefix"])
     if kind == "fraction":
         return FractionField(ring_from_json(obj.get("of", {})))
     raise InvalidInputError("unknown ring kind %r" % kind)

@@ -42,13 +42,11 @@ from .measures import (
 from .motivic import (
     Affine,
     Curve,
-    Disjoint,
+    MotivicModel,
     Point,
-    Prod,
     Proj,
     ProjBundle,
     Torus,
-    VectorBundle,
     cell_profile,
     parse_variety,
     specialize,
@@ -1140,17 +1138,6 @@ def _weil_polynomial(rng, genus, q):
     return low + [q ** (genus - i) * low[i] for i in reversed(range(genus))]
 
 
-def _curve_nodes(e):
-    """The positive-genus Curve nodes of e in reading order."""
-    if isinstance(e, Curve):
-        return [e] if e.genus else []
-    if isinstance(e, (ProjBundle, VectorBundle)):
-        return _curve_nodes(e.base)
-    if isinstance(e, (Disjoint, Prod)):
-        return _curve_nodes(e.left) + _curve_nodes(e.right)
-    return []
-
-
 @check("zeta_point_counts")
 def _zeta_point_counts(rng):
     """Under L -> q (and each curve's symbols read off a Weil polynomial)
@@ -1160,8 +1147,9 @@ def _zeta_point_counts(rng):
     terms = 6
     for text in texts:
         expr = parse_variety(text)
-        f = zeta_series(expr, terms)
-        curves = _curve_nodes(expr)
+        model = MotivicModel(expr)
+        f = model.zeta_series(terms)
+        curves = model.curves
         for q in (2, 3, 5):
             weil = {id(c): _weil_polynomial(rng, c.genus, q) for c in curves}
             names = iter(f.ring.variables[1:])

@@ -98,6 +98,22 @@ def test_hankel_from_file(tmp_path):
     assert payload["per_m"][0]["n"] is None
 
 
+def test_hankel_rejects_a_square_zero_ring_with_vars_and_prefix(tmp_path):
+    # the file's coefficients use "y"; reading only the prefix used to end
+    # in a misleading ring_mismatch about "y"
+    blob = {
+        "ring": {"kind": "square_zero", "vars": ["y"], "prefix": "x"},
+        "precision": 2,
+        "coeffs": [{"terms": [{"c": "1", "e": {}}]}, {"terms": [{"c": "1", "e": {"y": 1}}]}],
+    }
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(blob))
+    code, payload = run_json(["hankel", str(path), "--m-max", "1", "--offset-max", "1"])
+    assert code == 1
+    assert payload["error"]["error"] == "invalid_input"
+    assert "either a variable list or a prefix" in payload["error"]["message"]
+
+
 def test_pade_from_file(tmp_path):
     fib = [1, 1]
     while len(fib) < 12:

@@ -135,6 +135,12 @@ def test_surface_json_round_trip():
     assert plain.h1n == {}
 
 
+@pytest.mark.parametrize("text", ["{", "", "q=1", '{"q": 1,}'])
+def test_surface_json_that_does_not_parse_is_a_typed_error(text):
+    with pytest.raises(InvalidInputError, match="not valid JSON"):
+        SurfaceData.from_json(text)
+
+
 # ------------------------------------------------------------------ measures
 
 

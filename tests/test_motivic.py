@@ -30,7 +30,7 @@ from mzeta.motivic import (
 )
 from mzeta.rationality import hankel_test, verify_global
 from mzeta.rings import MultiPoly, PolynomialRing
-from mzeta.series import TruncSeries
+from mzeta.series import TruncSeries, poly_mul, poly_scale_t
 from mzeta.suite import CELL_CORPUS
 
 L = MultiPoly.var("L")
@@ -326,6 +326,60 @@ def test_rational_form_curve_times_torus():
     assert verify_global(f, form.den, form.num)
     # denominator picks up the curve numerator evaluated at t
     assert any(c.variables() for c in form.den)
+
+
+def test_closed_forms_hold_past_their_verification_window():
+    # rational_form certifies itself to verified_to terms; check the same
+    # num/den against twice as many terms plus four
+    rng = random.Random(1313)
+    exprs = [parse_variety(text) for text in CELL_CORPUS]
+    curved = []
+    while len(curved) < 16:
+        expr = random_expr(rng, 1, True)
+        if cell_profile(expr) is None:
+            curved.append(expr)
+    nested = (
+        "Prod(Gm(1),PB(Curve(1),1))",
+        "PB(Prod(Gm(1),Curve(1)),1)",
+        "Prod(Prod(P(1),Gm(1)),VB(Curve(1),2))",
+    )
+    exprs += curved + [parse_variety(text) for text in nested]
+    for expr in exprs:
+        form = zeta_rational(expr)
+        f = zeta_series(expr, 2 * form.verified_to + 4)
+        assert verify_global(f, form.den, form.num).product_ok, str(expr)
+
+
+def test_one_curve_at_opposite_exponents_cancels():
+    # C + (L - 1) C = L C, so Z = Z_C(Lt) = N_C(Lt) / ((1 - Lt)(1 - L^2 t));
+    # only a library caller can share one Curve node between two places
+    curve = Curve(1)
+    form = zeta_rational(Disjoint(curve, Prod(Torus(1), curve)))
+    ring = form.ring
+    assert ring.variables == ("L", "J", "c1")
+    n_c = zeta_rational(Curve(1)).num
+    assert form.num == poly_scale_t(ring, n_c, L)
+    one = MultiPoly.const(1)
+    assert form.den == [one, L.add(MultiPoly.var("L", 2)).neg(), MultiPoly.var("L", 3)]
+    assert form.verified_to == 6
+
+
+def test_nested_twists_over_a_curve_cancel():
+    # Gm(1) x PB(C, 1) = (L - 1)(1 + L) C, so Z = Z_C(L^2 t) / Z_C(t): the
+    # two Z_C(Lt) factors cancel
+    form = zeta_rational(parse_variety("Prod(Gm(1),PB(Curve(1),1))"))
+    ring = form.ring
+    n_c = zeta_rational(Curve(1)).num
+    one = MultiPoly.const(1)
+
+    def binom(k):
+        return [one, MultiPoly.var("L", k).neg()] if k else [one, one.neg()]
+
+    num = poly_mul(ring, poly_scale_t(ring, n_c, MultiPoly.var("L", 2)), binom(0))
+    num = poly_mul(ring, num, binom(1))
+    den = poly_mul(ring, n_c, poly_mul(ring, binom(2), binom(3)))
+    assert (form.num, form.den) == (num, den)
+    assert form.verified_to == 10
 
 
 def test_rational_forms_pass_hankel():

@@ -254,6 +254,14 @@ def test_ring_json_round_trip():
         assert json.dumps(back.to_json(), sort_keys=True) == blob
 
 
+def test_square_zero_json_with_vars_and_prefix_is_rejected():
+    # one field must not silently win over the other
+    with pytest.raises(InvalidInputError, match="either a variable list or a prefix"):
+        ring_from_json({"kind": "square_zero", "vars": ["y"], "prefix": "x"})
+    assert ring_from_json({"kind": "square_zero", "vars": ["y"]}).variables == ("y",)
+    assert ring_from_json({"kind": "square_zero", "prefix": "x"}).prefix == "x"
+
+
 def test_coefficients_exceed_machine_ints():
     big = 10**40
     a = MultiPoly.const(big)
