@@ -43,13 +43,8 @@ from .errors import (
     VarietySyntaxError,
 )
 from .rationality import _eval_poly_at, verify_global
-from .rings import MultiPoly, PolynomialRing, _json_int
+from .rings import MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
-
-
-def _check_int(value, what):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError("%s must be an integer" % what)
 
 
 def _check_param(value, what):

@@ -30,6 +30,7 @@ from .rings import (
     QQ,
     FractionElem,
     MultiPoly,
+    _check_int,
     frac_from_json,
     frac_to_json,
 )
@@ -42,8 +43,9 @@ from .series import TruncSeries, poly_str, poly_trim
 
 def _cofactor_det(rows, ring):
     """Minor expansion along the first remaining row, memoized on the set of
-    remaining columns; skips zero entries, which keeps square-zero examples
-    cheap."""
+    remaining columns: at most n 2^(n-1) ring products and no division, so
+    it serves Z[vars] and the square-zero quotients.  Zero entries are
+    skipped, which keeps sparse and square-zero matrices cheap."""
     n = len(rows)
     memo = {}
 
@@ -73,7 +75,10 @@ def _cofactor_det(rows, ring):
 
 
 def _bareiss_det(rows, ring):
-    """Fraction-free elimination; every division is exact in a domain."""
+    """Fraction-free elimination (Bareiss 1968) for Z and Q, where exact
+    division is integer or rational division.  Each step's entries are
+    minors of the input, so every division by the previous pivot is
+    exact."""
     m = [row[:] for row in rows]
     n = len(m)
     sign = 1
@@ -102,13 +107,21 @@ def _bareiss_det(rows, ring):
 
 
 def determinant(rows, ring):
-    """Exact determinant of a square matrix of ring elements."""
+    """Exact determinant of a square matrix of ring elements.
+
+    The algorithm follows the ring kind alone.  On Z and Q, Bareiss
+    elimination takes O(n^3) products and exact divisions, each one int or
+    Fraction operation.  On Z[vars] an exact division is a
+    multivariate long division, which costs far more than the products it
+    saves, and a square-zero quotient is no domain, so there the memoized
+    minor expansion is used at every size.
+    """
     n = len(rows)
     if n == 0:
         return ring.one()
     if any(len(r) != n for r in rows):
         raise InvalidInputError("determinant of a non-square matrix")
-    if ring.is_domain and n > 5:
+    if ring.kind in ("integers", "fraction"):
         return _bareiss_det(rows, ring)
     return _cofactor_det(rows, ring)
 
@@ -196,6 +209,8 @@ class HankelReport:
 def hankel_test(f, m_max, offset_max):
     """Shifted Hankel determinants of the series coefficients on a bounded
     grid of orders m <= m_max and offsets i <= offset_max."""
+    _check_int(m_max, "m_max")
+    _check_int(offset_max, "offset_max")
     if m_max < 0 or offset_max < 0:
         raise InvalidInputError("bounds must be nonnegative")
     need = offset_max + 2 * m_max + 1
@@ -306,16 +321,14 @@ def verify_global(f, g, h):
     nonzero = [c for c in g if not ring.is_zero(c)]
     if not nonzero:
         uniqueness = "fails"  # g = 0 annihilates everything
-    elif ring.is_domain:
-        uniqueness = "certified"
-    elif ring.kind == "square_zero":
+    elif ring.kind != "square_zero":
+        uniqueness = "certified"  # Z, Z[vars] and Q are domains
+    else:
         found = _square_zero_annihilator_exists(ring, g)
         if found is None:
             uniqueness = "not_certified"
         else:
             uniqueness = "fails" if found else "certified"
-    else:
-        uniqueness = "not_certified"
     return VerifyGlobalReport(product_ok, uniqueness, n)
 
 
@@ -422,6 +435,7 @@ def pade_reconstruct(f, den_deg):
     Needs precision >= 2 den_deg + 2 so that the defining window is
     overdetermined and the tail check is meaningful.
     """
+    _check_int(den_deg, "denominator degree")
     ring = f.ring
     if not ring.is_field:
         raise InvalidInputError("Pade reconstruction needs a field")
@@ -532,6 +546,7 @@ class PointwiseVerdict:
 def pointwise_test(f, measures, d_max):
     """Apply each measure and search for a rational form of denominator
     degree at most d_max; one verdict per measure."""
+    _check_int(d_max, "d_max")
     verdicts = []
     for assignment in measures:
         image = apply_measure(f, assignment)
@@ -685,6 +700,8 @@ def periodic_ratio_test(gs, n_max, i0_max):
     edge of the data that pass vacuously are skipped, so a positive answer
     is always backed by an observed repetition of each ratio.
     """
+    _check_int(n_max, "n_max")
+    _check_int(i0_max, "i0_max")
     if n_max < 1 or i0_max < 0:
         raise InvalidInputError("period bound >= 1 and offset bound >= 0")
     total = len(gs)

@@ -448,6 +448,12 @@ def poly_to_json(p):
     return {"terms": [{"c": int_str(c), "e": dict(mono)} for mono, c in sorted(p.items())]}
 
 
+def _check_int(value, what):
+    """Reject a bool or a non-int where an API takes an integer count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError("%s must be an integer" % what)
+
+
 def _json_int(x, what):
     """An int from a JSON integer or a decimal string, with typed errors.
 
@@ -554,7 +560,6 @@ class Ring:
     """Common interface, with the MultiPoly arithmetic; subclasses validate."""
 
     kind = None
-    is_domain = False
     is_field = False
 
     def zero(self):
@@ -631,7 +636,6 @@ def _check_var_names(variables):
 
 class IntegerRing(Ring):
     kind = "integers"
-    is_domain = True
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
@@ -660,7 +664,6 @@ class IntegerRing(Ring):
 
 class PolynomialRing(Ring):
     kind = "poly"
-    is_domain = True
 
     def __init__(self, variables):
         self.variables = _check_var_names(variables)
@@ -687,47 +690,11 @@ class PolynomialRing(Ring):
             return a
         raise NotInvertibleError("only +-1 are units in a polynomial ring over Z")
 
-    def exact_div(self, a, b):
-        return poly_exact_div(a, b)
-
     def to_json(self):
         return {"kind": "poly", "vars": list(self.variables)}
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and self.variables == other.variables
-
-
-def poly_exact_div(a, b):
-    """Exact multivariate division a / b over Z[vars]; raises if inexact.
-
-    Leading-term elimination in lex order on exponent vectors; valid because
-    Z[vars] is an integral domain, so when b divides a the lex-leading terms
-    divide stepwise and the leading monomial of the remainder strictly drops.
-    """
-    if b.is_zero():
-        raise ExactDivisionError("division by zero polynomial")
-    shifts = [_FIELD * _fields[v] for v in sorted(a.variables() | b.variables())]
-
-    def vec(key):
-        return tuple((key >> s) & _FIELD_MASK for s in shifts)
-
-    bkey = max(b.terms, key=vec)
-    bvec = vec(bkey)
-    blead = b.terms[bkey]
-    quot = {}
-    rem = a
-    while not rem.is_zero():
-        rkey = max(rem.terms, key=vec)
-        rc = rem.terms[rkey]
-        if any(x < y for x, y in zip(vec(rkey), bvec)):
-            raise ExactDivisionError("polynomial division is not exact")
-        q, r = divmod(rc, blead)
-        if r:
-            raise ExactDivisionError("polynomial division is not exact")
-        # the leading monomial strictly drops, so no key comes twice
-        quot[rkey - bkey] = q
-        rem = rem.sub(_poly({rkey - bkey: q}).mul(b))
-    return _poly(quot)
 
 
 class SquareZeroRing(Ring):
@@ -738,7 +705,6 @@ class SquareZeroRing(Ring):
     """
 
     kind = "square_zero"
-    is_domain = False
 
     def __init__(self, variables=None, prefix=None):
         if (variables is None) == (prefix is None):
@@ -849,7 +815,6 @@ class FractionField(Ring):
     an error.  The operations trust their operands."""
 
     kind = "fraction"
-    is_domain = True
     is_field = True
 
     def __new__(cls, base):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,13 @@ from mzeta.errors import (
     InvalidMeasureError,
     PrecisionError,
 )
-from mzeta.motivic import Proj, specialize, zeta_rational, zeta_series
+from mzeta.motivic import (
+    Proj,
+    parse_variety,
+    specialize,
+    zeta_rational,
+    zeta_series,
+)
 from mzeta.oracles import linear_factors
 from mzeta.rationality import (
     GroupSeries,
@@ -24,6 +32,8 @@ from mzeta.rationality import (
     reconstruct_from_witness,
     solve_linear,
     verify_global,
+    _bareiss_det,
+    _cofactor_det,
 )
 from mzeta.rings import (
     FractionElem,
@@ -67,8 +77,6 @@ def test_determinant_rejects_non_square():
 
 
 def test_determinant_bareiss_matches_cofactor():
-    from mzeta.rationality import _bareiss_det, _cofactor_det
-
     rng = random.Random(1234)
     for _ in range(6):
         n = rng.randint(2, 6)
@@ -76,19 +84,106 @@ def test_determinant_bareiss_matches_cofactor():
             [Z.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)
         ]
         assert Z.eq(_bareiss_det(rows, Z), _cofactor_det(rows, Z))
-    R = PolynomialRing(["x"])
     for _ in range(4):
-        n = rng.randint(2, 4)
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                c = R.from_int(rng.randint(-2, 2))
-                if rng.random() < 0.5:
-                    c = R.add(c, R.var("x"))
-                row.append(c)
-            rows.append(row)
-        assert R.eq(_bareiss_det(rows, R), _cofactor_det(rows, R))
+        n = rng.randint(2, 6)
+        rows = [
+            [q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert _bareiss_det(rows, QQ) == _cofactor_det(rows, QQ)
+
+
+# Bareiss's pivot branches: a zero (0,0) entry, a zero pivot that appears
+# only after the first step, and a column that is zero below the diagonal
+PIVOT_CASES = {
+    "zero_corner": ([[0, 2, 1], [3, 1, 0], [1, 0, 2]], -13),
+    "late_swap": ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
+    "zero_first_column": ([[0, 1], [0, 2]], 0),
+    "zero_column_later": ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_bareiss_pivot_branches(name):
+    ints, want = PIVOT_CASES[name]
+    rows = [[Z.from_int(a) for a in r] for r in ints]
+    assert _bareiss_det(rows, Z).as_int() == want
+    assert _cofactor_det(rows, Z).as_int() == want
+    # over Q, with the rows scaled by distinct fractions
+    scales = [q(1, k + 2) for k in range(len(ints))]
+    rows = [[q(a) * s for a in r] for r, s in zip(ints, scales)]
+    scaled = want * math.prod(scales)
+    assert _bareiss_det(rows, QQ) == scaled
+    assert _cofactor_det(rows, QQ) == scaled
+
+
+def leibniz(rows, ring):
+    """The permutation sum, an independent reference for small n."""
+    n = len(rows)
+    total = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = ring.one()
+        for r, c in enumerate(perm):
+            term = ring.mul(term, rows[r][c])
+        total = ring.add(total, ring.neg(term) if inversions % 2 else term)
+    return total
+
+
+def _random_entry(ring, rng):
+    if ring == QQ:
+        return q(rng.randint(-3, 3), rng.randint(1, 4))
+    c = ring.from_int(rng.randint(-3, 3))
+    for v in getattr(ring, "variables", ()):
+        if rng.random() < 0.4:
+            c = ring.add(c, ring.mul_int(ring.var(v), rng.randint(-2, 2)))
+    return c
+
+
+@pytest.mark.parametrize("name", ["Z", "Q", "poly", "square_zero"])
+def test_determinant_matches_leibniz(name):
+    ring = {
+        "Z": Z,
+        "Q": QQ,
+        "poly": PolynomialRing(["a", "b"]),
+        "square_zero": SquareZeroRing(["x%d" % i for i in range(1, 7)]),
+    }[name]
+    rng = random.Random(name)
+    for n in range(1, 6):
+        for _ in range(3):
+            rows = [
+                [_random_entry(ring, rng) for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert ring.eq(determinant(rows, ring), leibniz(rows, ring)), n
+
+
+@pytest.mark.parametrize(
+    "text, terms", [("Curve(2)", 16), ("Disj(Curve(1),Curve(1))", 14)]
+)
+def test_hankel_grid_commutes_with_specialization(text, terms):
+    # minors over Z[L, J, c...] against Bareiss over Q at two integer points
+    f = zeta_series(parse_variety(text), terms)
+    symbolic = hankel_test(f, 6, 1)
+    rng = random.Random(text)
+    for _ in range(2):
+        point = {v: rng.randint(-3, 3) for v in f.ring.variables}
+        numeric = hankel_test(apply_measure(f, point), 6, 1)
+        for m in range(7):
+            for i in range(2):
+                assert specialize(symbolic.det(m, i), point) == numeric.det(m, i)
+
+
+def test_hankel_over_qq_with_zero_coefficients():
+    # 1 / (1 - t^2): odd offsets put a zero in the (0,0) corner
+    f = qq_series([1, 0] * 7)
+    report = hankel_test(f, 3, 4)
+    assert report.grid[0] == [1, 0, 1, 0, 1]
+    assert report.grid[1] == [1, -1, 1, -1, 1]
+    assert report.grid[2] == report.grid[3] == [0] * 5
+    assert report.summary == (2, 0)
 
 
 def test_hankel_geometric_series():
@@ -423,3 +518,24 @@ def test_reconstruction_matches_original():
     rebuilt = reconstruct_from_witness(gs, res, 30)
     for a, b in zip(rebuilt.coeffs, gs.coeffs):
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hankel_test(TruncSeries.from_ints(Z, [1] * 8), 2.5, 1),
+        lambda: hankel_test(TruncSeries.from_ints(Z, [1] * 8), True, True),
+        lambda: pade_reconstruct(qq_series([1] * 8), 1.5),
+        lambda: pointwise_test(qq_series([1] * 8), [{}], 1.5),
+        lambda: periodic_ratio_test(
+            GroupSeries.from_polynomials([MultiPoly.const(1)] * 8), 1.5, 2
+        ),
+        lambda: periodic_ratio_test(
+            GroupSeries.from_polynomials([MultiPoly.const(1)] * 8), 1, False
+        ),
+    ],
+    ids=["hankel_float", "hankel_bool", "pade", "pointwise", "period", "offset"],
+)
+def test_rationality_bounds_must_be_integers(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()

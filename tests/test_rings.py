@@ -26,7 +26,6 @@ from mzeta.rings import (
     PolynomialRing,
     SquareZeroRing,
     eval_poly,
-    poly_exact_div,
     poly_from_json,
     poly_to_json,
     power,
@@ -214,18 +213,6 @@ def test_rational_json_in_lowest_terms():
     for n, d in [(0, 5), (6, -4), (-7, 3), (12, 4), (5, 1)]:
         want = str(FractionElem(MultiPoly.const(n), MultiPoly.const(d)))
         assert QQ.elem_str(Fraction(n, d)) == want
-
-
-def test_poly_exact_div():
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    a = x.add(y)
-    b = x.sub(y)
-    prod = a.mul(b)
-    assert poly_exact_div(prod, a) == b
-    with pytest.raises(ExactDivisionError):
-        poly_exact_div(x, a)
-    with pytest.raises(ExactDivisionError):
-        poly_exact_div(MultiPoly.const(3), MultiPoly.const(2))
 
 
 def test_divide_exact_by_int():
