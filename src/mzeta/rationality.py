@@ -18,6 +18,7 @@ All verdicts are bounded-window statements, never absolute claims.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -41,89 +42,52 @@ from .series import TruncSeries, poly_str, poly_trim
 # determinants
 
 
-def _cofactor_det(rows, ring):
-    """Minor expansion along the first remaining row, memoized on the set of
-    remaining columns: at most n 2^(n-1) ring products and no division, so
-    it serves Z[vars] and the square-zero quotients.  Zero entries are
-    skipped, which keeps sparse and square-zero matrices cheap."""
-    n = len(rows)
-    memo = {}
-
-    def rec(mask):
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        r = n - bin(mask).count("1")
-        if r == n:
-            return ring.one()
-        total = ring.zero()
-        sign = 1
-        for c in range(n):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            entry = rows[r][c]
-            if not ring.is_zero(entry):
-                sub = rec(mask & ~bit)
-                term = ring.mul(entry, sub)
-                total = ring.add(total, term if sign > 0 else ring.neg(term))
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return rec((1 << n) - 1)
-
-
-def _bareiss_det(rows, ring):
-    """Fraction-free elimination (Bareiss 1968) for Z and Q, where exact
-    division is integer or rational division.  Each step's entries are
-    minors of the input, so every division by the previous pivot is
-    exact."""
-    m = [row[:] for row in rows]
+def _int_det(m):
+    """Fraction-free elimination (Bareiss 1968) on a square matrix of
+    Python ints, in place.  Each step's entries are minors of the input,
+    so every division by the previous pivot is exact."""
     n = len(m)
     sign = 1
-    prev = ring.one()
+    prev = 1
     for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
-            pivot = None
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not ring.is_zero(m[i][k]):
-                    pivot = i
+                if m[i][k]:
                     break
-            if pivot is None:
-                return ring.zero()
-            m[k], m[pivot] = m[pivot], m[k]
+            else:
+                return 0
+            m[k], m[i] = m[i], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(m[k][k], m[i][j]), ring.mul(m[i][k], m[k][j])
-                )
-                m[i][j] = ring.exact_div(num, prev)
-            m[i][k] = ring.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else ring.neg(det)
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def determinant(rows, ring):
-    """Exact determinant of a square matrix of ring elements.
+    """Exact determinant of a square matrix over Z or Q.
 
-    The algorithm follows the ring kind alone.  On Z and Q, Bareiss
-    elimination takes O(n^3) products and exact divisions, each one int or
-    Fraction operation.  On Z[vars] an exact division is a
-    multivariate long division, which costs far more than the products it
-    saves, and a square-zero quotient is no domain, so there the memoized
-    minor expansion is used at every size.
+    Bareiss elimination runs on plain ints: a Q matrix is first scaled by
+    the lcm of its denominators.  Other rings raise InvalidInputError; a
+    Hankel grid over Z[vars] or a square-zero quotient is filled from its
+    own table of minors (_hankel_minors), which needs no division.
     """
+    if ring.kind not in ("integers", "fraction"):
+        raise InvalidInputError("determinant needs entries in Z or Q")
     n = len(rows)
-    if n == 0:
-        return ring.one()
     if any(len(r) != n for r in rows):
         raise InvalidInputError("determinant of a non-square matrix")
-    if ring.kind in ("integers", "fraction"):
-        return _bareiss_det(rows, ring)
-    return _cofactor_det(rows, ring)
+    if n == 0:
+        return ring.one()
+    if ring.kind == "integers":
+        return ring.from_int(_int_det([[a.as_int() for a in r] for r in rows]))
+    den = math.lcm(*(a.denominator for r in rows for a in r))
+    ints = [[a.numerator * (den // a.denominator) for a in r] for r in rows]
+    return Fraction(_int_det(ints), den**n)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +170,45 @@ class HankelReport:
         return "\n".join(lines)
 
 
+def _hankel_minors(coeffs, ring):
+    """One table of Hankel minors for a whole grid over Z[vars] or a
+    square-zero quotient, where no division is cheap or even defined.
+
+    minor(S) is the determinant of rows 0..k-1 and the k absolute columns in
+    the bit set S, with entries a_{r+c}.  Rows 1..k-1 over columns T are rows
+    0..k-2 over T shifted by one, so expansion along row 0 reads
+    minor(S) = sum over c in S of +-a_c minor((S - c) << 1), skipping zero
+    entries.  Cell (m, i) is minor(((1 << (m+1)) - 1) << i), and cells share
+    every minor they have in common.
+    """
+    nonzero = [not ring.is_zero(a) for a in coeffs]
+    memo = {0: ring.one()}
+
+    def minor(cols):
+        hit = memo.get(cols)
+        if hit is not None:
+            return hit
+        total = ring.zero()
+        sign = 1
+        rest = cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            c = bit.bit_length() - 1
+            if nonzero[c]:
+                term = ring.mul(coeffs[c], minor((cols ^ bit) << 1))
+                total = ring.add(total, term if sign > 0 else ring.neg(term))
+            sign = -sign
+        memo[cols] = total
+        return total
+
+    return minor
+
+
 def hankel_test(f, m_max, offset_max):
     """Shifted Hankel determinants of the series coefficients on a bounded
-    grid of orders m <= m_max and offsets i <= offset_max."""
+    grid of orders m <= m_max and offsets i <= offset_max: by Bareiss per
+    cell over Z and Q, from one shared table of minors otherwise."""
     _check_int(m_max, "m_max")
     _check_int(offset_max, "offset_max")
     if m_max < 0 or offset_max < 0:
@@ -219,16 +219,19 @@ def hankel_test(f, m_max, offset_max):
             "hankel grid needs precision %d, series has %d" % (need, f.precision)
         )
     ring = f.ring
-    grid = []
-    for m in range(m_max + 1):
-        row = []
-        for i in range(offset_max + 1):
-            mat = [
-                [f.coefficient(i + r + c) for c in range(m + 1)]
-                for r in range(m + 1)
-            ]
-            row.append(determinant(mat, ring))
-        grid.append(row)
+    a = [f.coefficient(k) for k in range(need)]
+    if ring.kind in ("integers", "fraction"):
+
+        def cell(m, i):
+            return determinant([a[i + r : i + r + m + 1] for r in range(m + 1)], ring)
+
+    else:
+        minor = _hankel_minors(a, ring)
+
+        def cell(m, i):
+            return minor(((1 << (m + 1)) - 1) << i)
+
+    grid = [[cell(m, i) for i in range(offset_max + 1)] for m in range(m_max + 1)]
     return HankelReport(ring, m_max, offset_max, grid)
 
 
@@ -303,9 +306,10 @@ def verify_global(f, g, h):
 
     g and h are coefficient lists over the ring of f.  Uniqueness holds when
     the annihilator of the ideal generated by the coefficients of g is zero;
-    this is certified for integral domains (some coefficient nonzero) and
-    for square-zero quotients (finite linear search); other rings report
-    "not_certified" rather than guessing.
+    this is certified for the domains Z, Z[vars] and Q (some coefficient
+    nonzero) and for square-zero quotients by a finite linear search.  The
+    search is skipped, and uniqueness reported "not_certified", only for a
+    square-zero g whose coefficients have more than 12 variables.
     """
     ring = f.ring
     n = f.precision
@@ -375,7 +379,7 @@ def solve_linear(ring, rows, rhs):
     Returns one solution with free variables set to zero, or None when the
     system is inconsistent.
     """
-    if not ring.is_field:
+    if ring is not QQ:
         raise InvalidInputError("linear solving needs a field")
     n_var = len(rows[0]) if rows else 0
     aug = [list(rows[i]) + [rhs[i]] for i in range(len(rows))]
@@ -437,7 +441,7 @@ def pade_reconstruct(f, den_deg):
     """
     _check_int(den_deg, "denominator degree")
     ring = f.ring
-    if not ring.is_field:
+    if ring is not QQ:
         raise InvalidInputError("Pade reconstruction needs a field")
     d = den_deg
     if d < 0:
@@ -547,6 +551,8 @@ def pointwise_test(f, measures, d_max):
     """Apply each measure and search for a rational form of denominator
     degree at most d_max; one verdict per measure."""
     _check_int(d_max, "d_max")
+    if d_max < 0:
+        raise InvalidInputError("negative denominator degree")
     verdicts = []
     for assignment in measures:
         image = apply_measure(f, assignment)

@@ -560,7 +560,6 @@ class Ring:
     """Common interface, with the MultiPoly arithmetic; subclasses validate."""
 
     kind = None
-    is_field = False
 
     def zero(self):
         return self.from_int(0)
@@ -648,12 +647,6 @@ class IntegerRing(Ring):
         if c in (1, -1):
             return a
         raise NotInvertibleError("%s is not a unit in Z" % _int_text(c))
-
-    def exact_div(self, a, b):
-        q, r = divmod(a.as_int(), b.as_int())
-        if r:
-            raise ExactDivisionError("inexact integer division")
-        return MultiPoly.const(q)
 
     def to_json(self):
         return {"kind": "integers"}
@@ -815,7 +808,6 @@ class FractionField(Ring):
     an error.  The operations trust their operands."""
 
     kind = "fraction"
-    is_field = True
 
     def __new__(cls, base):
         if not isinstance(base, IntegerRing):
@@ -858,13 +850,6 @@ class FractionField(Ring):
         if not a:
             raise NotInvertibleError("division by zero")
         return 1 / a
-
-    def div(self, a, b):
-        if not b:
-            raise NotInvertibleError("division by zero")
-        return a / b
-
-    exact_div = div
 
     def divide_exact(self, a, n):
         if n == 0:

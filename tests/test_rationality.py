@@ -32,8 +32,6 @@ from mzeta.rationality import (
     reconstruct_from_witness,
     solve_linear,
     verify_global,
-    _bareiss_det,
-    _cofactor_det,
 )
 from mzeta.rings import (
     FractionElem,
@@ -76,23 +74,6 @@ def test_determinant_rejects_non_square():
         determinant([[Z.one()], [Z.one()]], Z)
 
 
-def test_determinant_bareiss_matches_cofactor():
-    rng = random.Random(1234)
-    for _ in range(6):
-        n = rng.randint(2, 6)
-        rows = [
-            [Z.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)
-        ]
-        assert Z.eq(_bareiss_det(rows, Z), _cofactor_det(rows, Z))
-    for _ in range(4):
-        n = rng.randint(2, 6)
-        rows = [
-            [q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert _bareiss_det(rows, QQ) == _cofactor_det(rows, QQ)
-
-
 # Bareiss's pivot branches: a zero (0,0) entry, a zero pivot that appears
 # only after the first step, and a column that is zero below the diagonal
 PIVOT_CASES = {
@@ -101,20 +82,6 @@ PIVOT_CASES = {
     "zero_first_column": ([[0, 1], [0, 2]], 0),
     "zero_column_later": ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
 }
-
-
-@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
-def test_bareiss_pivot_branches(name):
-    ints, want = PIVOT_CASES[name]
-    rows = [[Z.from_int(a) for a in r] for r in ints]
-    assert _bareiss_det(rows, Z).as_int() == want
-    assert _cofactor_det(rows, Z).as_int() == want
-    # over Q, with the rows scaled by distinct fractions
-    scales = [q(1, k + 2) for k in range(len(ints))]
-    rows = [[q(a) * s for a in r] for r, s in zip(ints, scales)]
-    scaled = want * math.prod(scales)
-    assert _bareiss_det(rows, QQ) == scaled
-    assert _cofactor_det(rows, QQ) == scaled
 
 
 def leibniz(rows, ring):
@@ -132,32 +99,106 @@ def leibniz(rows, ring):
     return total
 
 
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_bareiss_pivot_branches(name):
+    ints, want = PIVOT_CASES[name]
+    rows = [[Z.from_int(a) for a in r] for r in ints]
+    assert determinant(rows, Z).as_int() == want
+    assert leibniz(rows, Z).as_int() == want
+    # over Q, with the rows scaled by distinct fractions
+    scales = [q(1, k + 2) for k in range(len(ints))]
+    rows = [[q(a) * s for a in r] for r, s in zip(ints, scales)]
+    scaled = want * math.prod(scales)
+    assert determinant(rows, QQ) == scaled
+    assert leibniz(rows, QQ) == scaled
+
+
+def _variables(ring):
+    if getattr(ring, "prefix", None):
+        return ["%s%d" % (ring.prefix, i) for i in range(1, 7)]
+    return getattr(ring, "variables", ())
+
+
 def _random_entry(ring, rng):
     if ring == QQ:
         return q(rng.randint(-3, 3), rng.randint(1, 4))
     c = ring.from_int(rng.randint(-3, 3))
-    for v in getattr(ring, "variables", ()):
+    for v in _variables(ring):
         if rng.random() < 0.4:
             c = ring.add(c, ring.mul_int(ring.var(v), rng.randint(-2, 2)))
     return c
 
 
-@pytest.mark.parametrize("name", ["Z", "Q", "poly", "square_zero"])
+RINGS = {
+    "Z": Z,
+    "Q": QQ,
+    "poly": PolynomialRing(["a", "b"]),
+    "square_zero": SquareZeroRing(["x%d" % i for i in range(1, 7)]),
+    "square_zero_prefix": SquareZeroRing(prefix="y"),
+}
+
+
+@pytest.mark.parametrize("name", ["Z", "Q"])
 def test_determinant_matches_leibniz(name):
-    ring = {
-        "Z": Z,
-        "Q": QQ,
-        "poly": PolynomialRing(["a", "b"]),
-        "square_zero": SquareZeroRing(["x%d" % i for i in range(1, 7)]),
-    }[name]
+    ring = RINGS[name]
     rng = random.Random(name)
-    for n in range(1, 6):
+    for n in range(1, 7):
         for _ in range(3):
             rows = [
                 [_random_entry(ring, rng) for _ in range(n)]
                 for _ in range(n)
             ]
             assert ring.eq(determinant(rows, ring), leibniz(rows, ring)), n
+
+
+@pytest.mark.parametrize("name", ["poly", "square_zero"])
+def test_determinant_rejects_polynomial_rings(name):
+    ring = RINGS[name]
+    with pytest.raises(InvalidInputError):
+        determinant([[ring.one()]], ring)
+
+
+def _assert_cells_match_leibniz(f, m_max, offset_max):
+    ring = f.ring
+    report = hankel_test(f, m_max, offset_max)
+    a = f.coeffs
+    for m in range(m_max + 1):
+        for i in range(offset_max + 1):
+            rows = [[a[i + r + c] for c in range(m + 1)] for r in range(m + 1)]
+            assert ring.eq(report.det(m, i), leibniz(rows, ring)), (m, i)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_hankel_cells_match_leibniz(name):
+    # Bareiss per cell over Z and Q, the shared minor table otherwise; about
+    # a third of the coefficients are zero, so skipped entries and zero
+    # pivots both occur
+    ring = RINGS[name]
+    rng = random.Random(name)
+    for _ in range(3):
+        coeffs = [
+            ring.zero() if rng.random() < 0.3 else _random_entry(ring, rng)
+            for _ in range(13)
+        ]
+        _assert_cells_match_leibniz(TruncSeries(ring, coeffs), 4, 4)
+
+
+def test_hankel_q_grid_with_mixed_denominators():
+    rng = random.Random(77)
+    coeffs = [
+        q(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 12, 35, 2**40 + 15]))
+        for _ in range(14)
+    ]
+    assert len({c.denominator for c in coeffs}) > 3
+    _assert_cells_match_leibniz(TruncSeries(QQ, coeffs), 5, 3)
+
+
+def test_hankel_z_grid_with_big_entries_and_negative_pivots():
+    rng = random.Random(78)
+    coeffs = [rng.choice([-1, 1]) * (2**64 + rng.randint(0, 2**70)) for _ in range(14)]
+    coeffs[0] = -(2**65 + 3)  # the first pivot of every offset-0 cell
+    f = TruncSeries.from_ints(Z, coeffs)
+    _assert_cells_match_leibniz(f, 5, 3)
 
 
 @pytest.mark.parametrize(
@@ -371,6 +412,12 @@ def test_pointwise_projective_line():
     assert all(v.rational for v in verdicts)
     assert verdicts[0].result.den == [q(1), q(-5), q(4)]  # (1-t)(1-4t)
     assert verdicts[1].result.den == [q(1), q(-2), q(1)]  # (1-t)^2
+
+
+def test_pointwise_rejects_negative_degree_bound():
+    f = qq_series([1] * 6)
+    with pytest.raises(InvalidInputError, match="negative denominator degree"):
+        pointwise_test(f, [{}], -1)
 
 
 def test_apply_measure_keeps_rational_series():
