@@ -22,7 +22,6 @@ from .errors import (
     VarietySyntaxError,
 )
 from .lambda_rings import (
-    LambdaElement,
     WittElement,
     adams,
     check_special,
@@ -72,7 +71,6 @@ __all__ = [
     "GroupSeries",
     "IntegerRing",
     "InvalidInputError",
-    "LambdaElement",
     "MissingDataError",
     "MotivicModel",
     "MultiPoly",

@@ -15,14 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import DegreeCutoffError, InvalidInputError, ToolkitError
-from .lambda_rings import (
-    LambdaElement,
-    WittElement,
-    adams,
-    opposite_sigma,
-    witt_lambda,
-    witt_mul,
-)
+from .lambda_rings import WittElement, adams, opposite_sigma, witt_lambda, witt_mul
 from .measures import SurfaceData, boundedness_check, irrationality_harness
 from .motivic import MotivicModel, parse_variety, specialize
 from .rationality import (
@@ -121,6 +114,17 @@ def _load_json(path):
         raise InvalidInputError("%s is not valid JSON: %s" % (path, e))
 
 
+def _load_series(path):
+    """The series in a JSON file.  A `zeta --format json` payload gives its
+    specialized series when it has one, else its series; any other object
+    is read as a series."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and "expr" in obj and "series" in obj:
+        spec = obj.get("specialized", obj)
+        obj = spec.get("series") if isinstance(spec, dict) else None
+    return series_from_json(obj)
+
+
 def _parse_assignment(text):
     out = {}
     for item in text.split(","):
@@ -178,13 +182,13 @@ def _cmd_zeta(args):
 
 
 def _cmd_hankel(args):
-    f = series_from_json(_load_json(args.series))
+    f = _load_series(args.series)
     report = hankel_test(f, args.m_max, args.offset_max)
     return _emit(args, report.to_json(), report.__str__)
 
 
 def _cmd_pade(args):
-    f = series_from_json(_load_json(args.series))
+    f = _load_series(args.series)
     result = pade_reconstruct(f, args.den_deg)
     return _emit(args, result.to_json(), result.__str__)
 
@@ -202,24 +206,23 @@ def _cmd_lambda_op(args):
     if op == "witt-mul":
         if len(args.inputs) != 2:
             raise InvalidInputError("witt-mul takes exactly two series files")
-        f = WittElement(series_from_json(_load_json(args.inputs[0])))
-        g = WittElement(series_from_json(_load_json(args.inputs[1])))
-        result = witt_mul(f, g)
-        return _emit(args, result.to_json(), result.__str__)
-    if len(args.inputs) != 1:
+    elif len(args.inputs) != 1:
         raise InvalidInputError("--op %s takes one input file" % op)
-    f = series_from_json(_load_json(args.inputs[0]))
-    if op in ("lambda", "witt-lambda"):
-        result = witt_lambda(args.k, WittElement(f))
-        return _emit(args, result.to_json(), result.__str__)
-    # sigma and psi read the file as lambda data: coeffs[i] = lambda^i(x)
-    x = LambdaElement.from_series(f)
-    if op == "sigma":
-        sigma = opposite_sigma(x, args.k)
-        return _emit(args, sigma.to_json(), sigma.__str__)
-    value = adams(args.k, x)
-    payload = {"psi": args.k, "value": x.ring.elem_to_json(value)}
-    return _emit(args, payload, lambda: x.ring.elem_str(value))
+    # every file is a Witt element; sigma and psi read it as lambda_t(x),
+    # coefficient i holding lambda^i(x)
+    xs = [WittElement(_load_series(path)) for path in args.inputs]
+    if op == "psi":
+        ring = xs[0].ring
+        value = adams(args.k, xs[0])
+        payload = {"psi": args.k, "value": ring.elem_to_json(value)}
+        return _emit(args, payload, lambda: ring.elem_str(value))
+    if op == "witt-mul":
+        result = witt_mul(*xs)
+    elif op == "sigma":
+        result = opposite_sigma(xs[0], args.k)
+    else:
+        result = witt_lambda(args.k, xs[0])
+    return _emit(args, result.to_json(), result.__str__)
 
 
 def _cmd_universal(args):
@@ -356,14 +359,16 @@ def build_parser():
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("hankel", help="shifted Hankel determinant grid of a series")
-    p.add_argument("series", help="series JSON file")
+    p.add_argument("series", help="series JSON file, or zeta --format json output")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--offset-max", type=int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("pade", help="rational reconstruction over a field")
-    p.add_argument("series", help="series JSON file over the rationals")
+    p.add_argument(
+        "series", help="series JSON file over the rationals, or zeta --format json output"
+    )
     p.add_argument("--den-deg", type=int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_pade)
@@ -378,8 +383,9 @@ def build_parser():
     p = sub.add_parser(
         "lambda-op",
         help="Witt-ring and lambda operations on series files",
-        description="lambda/witt-lambda treat the file as a Witt element; "
-        "sigma and psi treat coefficient i as lambda^i of an element.",
+        description="Every op reads each file as a Witt element (a series with "
+        "constant term 1); sigma and psi read it as lambda_t(x), coefficient i "
+        "holding lambda^i(x).",
     )
     p.add_argument(
         "--op", required=True,

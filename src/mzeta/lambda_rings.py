@@ -1,6 +1,6 @@
 """Lambda structures: the big Witt ring on series with constant term 1,
-truncated lambda data on arbitrary ring elements, Adams operations, the
-opposite (sigma) structure, specialness checks, and graded vector spaces.
+Adams operations and the opposite (sigma) structure on lambda data,
+specialness checks, and graded vector spaces.
 
 Conventions used throughout:
 
@@ -17,10 +17,11 @@ Conventions used throughout:
   series only when it is read.  The ghost map is injective here, since
   every base ring is torsion-free, and the divisions that rebuild a series
   are exact (Dwork's lemma).
-* A LambdaElement stores the finite prefix lambda^0(x), ..., lambda^N(x).
-  Operations state the order they need and raise PrecisionError otherwise.
-  The Adams operation psi^n(x) reads the n-th ghost coordinate of
-  lambda_t(x).
+* The lambda data lambda^0(x), ..., lambda^N(x) of a ring element x is
+  the WittElement lambda_t(x) of precision N+1: coefficient i is
+  lambda^i(x), and x itself is coefficient 1.  adams and opposite_sigma
+  state the order they need and raise PrecisionError otherwise.  The Adams
+  operation psi^n(x) reads the n-th ghost coordinate of lambda_t(x).
 * GradedSpace models integer polynomials in s as graded virtual vector
   spaces: lambda acts on an even-degree piece through symmetric powers and
   on an odd-degree piece through exterior powers, with negative dimensions
@@ -35,7 +36,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import IntegerRing, MultiPoly, PolynomialRing, eval_poly
+from .rings import MultiPoly, PolynomialRing, _check_int, eval_poly
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
 from .symfunc import universal_P, universal_Q
 
@@ -184,6 +185,8 @@ def output_precision(what, k, f, precision):
     For k = 0 no input coefficient is needed: f's precision is the default
     and any larger one may be requested."""
     limit = (f.precision - 1) // k + 1 if k else f.precision
+    if precision is not None:
+        _check_int(precision, "output precision")
     m = limit if precision is None else precision
     if m < 1:
         raise PrecisionError("%s %d needs output precision at least 1, got %d" % (what, k, m))
@@ -201,6 +204,7 @@ def witt_lambda(k, f, precision=None):
     The t^m coefficient needs f's coefficients up to t^(k m), so precision
     N supports output precision (N-1)//k + 1 at most.
     """
+    _check_int(k, "exterior power index")
     if k < 0:
         raise InvalidInputError("negative exterior power")
     r = f.ring
@@ -215,6 +219,7 @@ def witt_lambda(k, f, precision=None):
 
 def witt_adams(n, f, precision=None):
     """n-th Adams operation on the Witt ring (roots to the n-th power)."""
+    _check_int(n, "Adams index")
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
     m = output_precision("Adams operation", n, f, precision)
@@ -222,100 +227,40 @@ def witt_adams(n, f, precision=None):
     return WittElement._from_ghost(f.ring, f.ghost[n - 1 : n * (m - 1) : n])
 
 
-class LambdaElement:
-    """A ring element together with lambda values up to a stated order."""
-
-    __slots__ = ("ring", "lambdas")
-
-    def __init__(self, ring, lambdas):
-        lambdas = list(lambdas)
-        if len(lambdas) < 2:
-            raise InvalidElementError("lambda data needs order at least 1")
-        for c in lambdas:
-            ring.validate(c)
-        if not ring.eq(lambdas[0], ring.one()):
-            raise InvalidElementError("lambda^0 must be 1")
-        self.ring = ring
-        self.lambdas = lambdas
-
-    @property
-    def order(self):
-        return len(self.lambdas) - 1
-
-    @property
-    def value(self):
-        """The underlying element x = lambda^1(x)."""
-        return self.lambdas[1]
-
-    def lam(self, i):
-        if i < 0 or i > self.order:
-            raise PrecisionError(
-                "lambda^%d requested but data stops at order %d" % (i, self.order)
-            )
-        return self.lambdas[i]
-
-    def lambda_series(self):
-        """The series 1 + x t + lambda^2(x) t^2 + ... (precision order+1)."""
-        return TruncSeries(self.ring, self.lambdas)
-
-    @classmethod
-    def from_series(cls, series):
-        return cls(series.ring, series.coeffs)
-
-    @classmethod
-    def line(cls, ring, a, order):
-        """Element whose lambda series is 1 + a t."""
-        if order < 1:
-            raise InvalidElementError("lambda data needs order at least 1")
-        return cls(ring, [ring.one(), a] + [ring.zero()] * (order - 1))
-
-    @classmethod
-    def integer_binomial(cls, r, order):
-        """The integer r with its binomial lambda data over the integers."""
-        ring = IntegerRing()
-        return cls(ring, [ring.from_int(gen_binom(r, i)) for i in range(order + 1)])
-
-    def to_json(self):
-        return self.lambda_series().to_json()
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_series(series_from_json(obj))
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return self.lambda_series().eq(other.lambda_series())
-
-    __hash__ = None
-
-    def __str__(self):
-        return str(self.lambda_series())
-
-
 def adams(n, x):
-    """Adams operation psi^n(x): the n-th ghost coordinate (power sum) of
-    lambda_t(x), which is newton_polynomial(n) at e_i = lambda^i(x)."""
+    """Adams operation psi^n(x) on the element x whose lambda series
+    lambda_t(x) = 1 + x t + lambda^2(x) t^2 + ... is the WittElement x: the
+    n-th ghost coordinate (power sum) of that series, which is
+    newton_polynomial(n) at e_i = lambda^i(x)."""
+    _check_int(n, "Adams index")
     if n < 1:
         raise InvalidInputError("Adams operations are indexed from 1")
-    x.lam(n)  # data short of order n raises PrecisionError here
-    return power_sums(x.lambda_series(), n)[n - 1]
+    if n >= x.precision:
+        raise PrecisionError(
+            "lambda^%d requested but data stops at order %d" % (n, x.precision - 1)
+        )
+    return power_sums(x.series, n)[n - 1]
 
 
 def opposite_sigma(x, order=None):
     """Opposite structure: sigma_t(x) is the inverse of lambda_{-t}(x).
 
-    Takes lambda data to the requested order and returns sigma data to the
-    same order; applying the operation twice returns the original data.
+    Takes lambda_t(x) as a WittElement and returns sigma_t(x) to the
+    requested order (default: x's order, its precision minus 1); applying
+    the operation twice returns the original element.
     """
-    n = x.order if order is None else order
-    if n > x.order:
+    have = x.precision - 1
+    if order is None:
+        order = have
+    _check_int(order, "sigma order")
+    if order < 0:
+        raise InvalidInputError("negative sigma order")
+    if order > have:
         raise PrecisionError(
             "sigma to order %d needs lambda data to order %d, have %d"
-            % (n, n, x.order)
+            % (order, order, have)
         )
-    lam = TruncSeries(x.ring, x.lambdas[: n + 1])
-    return LambdaElement.from_series(lam.opposite())
+    return WittElement(x.series.truncate(order + 1).opposite())
 
 
 class LambdaRule:
@@ -664,6 +609,7 @@ def graded_lambda_sequence(v, upto):
     binomials, which is exactly the series-inverse convention for
     virtual spaces.
     """
+    _check_int(upto, "lambda index")
     if upto < 0:
         raise InvalidInputError("negative lambda index")
     total = TruncSeries.one(_S_RING, upto + 1)

@@ -28,7 +28,7 @@ from .rationality import (
     PeriodFound,
     periodic_ratio_test,
 )
-from .rings import FractionElem, MultiPoly, _json_int
+from .rings import FractionElem, MultiPoly, _check_int, _json_int
 
 
 def _is_int(x):
@@ -172,6 +172,7 @@ class SurfaceData:
 
 def mu(surface, n):
     """The n-th graded measure 1 + h1n s + P_n s^2 of the surface."""
+    _check_int(n, "measure index")
     if n < 1:
         raise InvalidInputError("measure index must be positive")
     return GradedSpace.from_coeffs(
@@ -209,6 +210,7 @@ class MeasureSequence:
 
 def mu_sym_sequence(surface, M):
     """Measures of Sym^m X for m = 0..M via the graded lambda operations."""
+    _check_int(M, "bound M")
     if M < 0:
         raise InvalidInputError("need a nonnegative bound")
     return MeasureSequence(graded_lambda_sequence(mu(surface, 1), M))
@@ -217,6 +219,8 @@ def mu_sym_sequence(surface, M):
 def hilb_leading_term(surface, n, m):
     """Leading coefficient of the n-th measure of the m-point Hilbert model,
     the dimension of Sym^m of a P_n-dimensional space: C(P_n + m - 1, m)."""
+    _check_int(n, "measure index")
+    _check_int(m, "power m")
     if m < 0:
         raise InvalidInputError("need a nonnegative power")
     P = surface.plurigenus(n)
@@ -438,6 +442,9 @@ def irrationality_harness(surface, n, M, n_max=4, i0_max=6):
     and leading tracks are certified, so only the trend certificate can
     apply, and the report says so.
     """
+    for value, what in ((n, "measure index"), (M, "bound M"), (n_max, "n_max"),
+                        (i0_max, "i0_max")):
+        _check_int(value, what)
     if n < 1:
         raise InvalidInputError("measure index must be positive")
     if M < 2:

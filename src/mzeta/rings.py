@@ -18,10 +18,10 @@ FractionElem, an unreduced quotient of two MultiPolys, is no ring's element:
 it holds the ratios of the periodic-ratio witness and QQ's JSON form.
 
 Every ring checks membership once, where an element enters: in TruncSeries
-construction (which covers every series result), LambdaElement construction
-and each ring's elem_from_json.  The arithmetic (add, neg, sub, mul, eq, pow,
-invert) trusts its operands, so an element of a foreign ring is rejected
-where it enters, not by the operation that meets it.
+construction (which covers every series result and every WittElement built
+from a series) and each ring's elem_from_json.  The arithmetic (add, neg,
+sub, mul, eq, pow, invert) trusts its operands, so an element of a foreign
+ring is rejected where it enters, not by the operation that meets it.
 
 Monomials are packed integers (the layout of Monagan and Pearce's packed
 exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a

@@ -18,7 +18,6 @@ from .lambda_rings import (
     BigWitt,
     BinomialIntegers,
     GradedSpace,
-    LambdaElement,
     LineMonomials,
     SigmaIntegers,
     WittElement,
@@ -631,14 +630,14 @@ def _witt_lambda_zero_unit(rng):
 
 @check("adams_one")
 def _adams_one(rng):
-    x = LambdaElement.integer_binomial(rng.randint(-6, 6), 4)
-    _require(adams(1, x) == x.value, "psi^1 is the identity")
+    x = BigWitt(_ZZ, 5).from_int(rng.randint(-6, 6))
+    _require(adams(1, x) == x.series.coefficient(1), "psi^1 is the identity")
 
 
 @check("adams_two_symbolic")
 def _adams_two_symbolic(rng):
     ring = PolynomialRing(("x", "y"))
-    x = LambdaElement(ring, [ring.one(), ring.var("x"), ring.var("y")])
+    x = WittElement(TruncSeries(ring, [ring.one(), ring.var("x"), ring.var("y")]))
     expected = MultiPoly.var("x", 2).add(MultiPoly.var("y").mul_int(-2))
     _require(adams(2, x) == expected, "psi^2 x = x^2 - 2 lambda^2 x")
 
@@ -646,7 +645,7 @@ def _adams_two_symbolic(rng):
 @check("adams_line_powers")
 def _adams_line_powers(rng):
     ring = PolynomialRing(("a",))
-    x = LambdaElement.line(ring, ring.var("a"), 5)
+    x = WittElement(TruncSeries.from_polynomial(ring, [ring.one(), ring.var("a")], 6))
     for n in range(1, 5):
         _require(
             adams(n, x) == MultiPoly.var("a", n),
@@ -656,12 +655,11 @@ def _adams_line_powers(rng):
 
 @check("sigma_binomial_value")
 def _sigma_binomial_value(rng):
-    x = LambdaElement.integer_binomial(2, 5)
-    sigma = opposite_sigma(x)
-    _require(sigma.lam(3) == _int(4), "sigma^3(2) = C(4,3) = 4")
+    sigma = opposite_sigma(BigWitt(_ZZ, 6).from_int(2)).series
+    _require(sigma.coefficient(3) == _int(4), "sigma^3(2) = C(4,3) = 4")
     for n in range(6):
         _require(
-            sigma.lam(n) == _int(math.comb(2 + n - 1, n)),
+            sigma.coefficient(n) == _int(math.comb(2 + n - 1, n)),
             "sigma^n(2) follows the symmetric-power count",
         )
 
@@ -669,7 +667,7 @@ def _sigma_binomial_value(rng):
 @check("sigma_involution")
 def _sigma_involution(rng):
     data = [_int(1)] + [_int(rng.randint(-5, 5)) for _ in range(5)]
-    x = LambdaElement(_ZZ, data)
+    x = WittElement(TruncSeries(_ZZ, data))
     _require(
         opposite_sigma(opposite_sigma(x)) == x,
         "the opposite of the opposite is the original",
@@ -678,9 +676,9 @@ def _sigma_involution(rng):
 
 @check("sigma_of_unit")
 def _sigma_of_unit(rng):
-    sigma = opposite_sigma(LambdaElement.integer_binomial(1, 6))
+    sigma = opposite_sigma(BigWitt(_ZZ, 7).from_int(1)).series
     for n in range(7):
-        _require(sigma.lam(n) == _int(1), "sigma^n(1) = 1")
+        _require(sigma.coefficient(n) == _int(1), "sigma^n(1) = 1")
 
 
 @check("special_binomial_integers")

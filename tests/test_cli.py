@@ -8,7 +8,6 @@ from contextlib import redirect_stderr
 import pytest
 
 from mzeta import cli
-from mzeta.lambda_rings import LambdaElement
 from mzeta.motivic import Proj, zeta_rational, zeta_series
 from mzeta.oracles import linear_factors
 from mzeta.rationality import QQ, GroupSeries
@@ -132,6 +131,33 @@ def test_pade_from_file(tmp_path):
     assert "reason" in payload
 
 
+def test_hankel_and_pade_read_zeta_payloads(tmp_path):
+    # a zeta payload gives its specialized series when it has one, else its
+    # series: every run matches the run on the extracted series byte for byte
+    piped, extracted = tmp_path / "zeta.json", tmp_path / "series.json"
+    p2_at_3 = ["P(2)", "--terms", "8", "--specialize", "L=3"]
+    runs = [
+        (p2_at_3, ["pade", "--den-deg", "3"]),
+        (p2_at_3, ["hankel", "--m-max", "3", "--offset-max", "1"]),
+        (["Curve(1)", "--terms", "8", "--rational"],
+         ["hankel", "--m-max", "3", "--offset-max", "1"]),
+    ]
+    for zeta_args, (command, *flags) in runs:
+        code, text = run_cli(["zeta"] + zeta_args + ["--format", "json"])
+        assert code == 0
+        piped.write_text(text)
+        payload = json.loads(text)
+        extracted.write_text(json.dumps(payload.get("specialized", payload)["series"]))
+        for fmt in ("json", "text"):
+            want = run_cli([command, str(extracted)] + flags + ["--format", fmt])
+            assert want[0] == 0
+            assert run_cli([command, str(piped)] + flags + ["--format", fmt]) == want
+    piped.write_text(run_cli(["zeta"] + p2_at_3 + ["--format", "json"])[1])
+    assert run_cli(["pade", str(piped), "--den-deg", "3"]) == (
+        0, "(1) / (1 + (-13)*t + (39)*t^2 + (-27)*t^3)\n"
+    )
+
+
 def test_witness_from_file(tmp_path):
     polys = [
         MultiPoly.const(1) if i == 0 else MultiPoly.var("L", i) for i in range(14)
@@ -198,8 +224,8 @@ def test_lambda_op_sigma_and_psi(tmp_path):
     path.write_text(json.dumps(lam_data.to_json()))
     code, payload = run_json(["lambda-op", "--op", "sigma", str(path)])
     assert code == 0
-    sigma = LambdaElement.from_json(payload)
-    assert [sigma.lam(i) for i in range(5)] == [
+    sigma = series_from_json(payload)
+    assert [sigma.coefficient(i) for i in range(5)] == [
         MultiPoly.const(i) for i in (1, 2, 3, 4, 5)
     ]
     code, payload = run_json(["lambda-op", "--op", "psi", "--k", "2", str(path)])

@@ -12,7 +12,6 @@ from mzeta.lambda_rings import (
     BigWitt,
     BinomialIntegers,
     GradedSpace,
-    LambdaElement,
     LineMonomials,
     SigmaIntegers,
     WittElement,
@@ -27,6 +26,13 @@ from mzeta.lambda_rings import (
     witt_lambda,
     witt_mul,
     witt_neg,
+)
+from mzeta.measures import (
+    SurfaceData,
+    hilb_leading_term,
+    irrationality_harness,
+    mu,
+    mu_sym_sequence,
 )
 from mzeta.oracles import binom, multiset_graded_lambda
 from mzeta.rings import IntegerRing, MultiPoly, PolynomialRing
@@ -106,7 +112,7 @@ def test_foreign_elements_rejected_without_ring_arithmetic():
     with pytest.raises(RingMismatchError):
         witt_mul(f, g)
     with pytest.raises(RingMismatchError):
-        LambdaElement(Z, [MultiPoly.var("J"), Z.one()])
+        WittElement(TruncSeries(Z, [Z.one(), MultiPoly.var("J")]))
 
 
 def test_witt_mul_distributes_over_add():
@@ -163,7 +169,7 @@ def test_witt_polynomial_closure_small():
 def test_adams_newton_shape():
     # generic lambda data: psi^2 = x^2 - 2 lambda^2(x)
     R = PolynomialRing(["l1", "l2", "l3"])
-    x = LambdaElement(R, [R.one(), R.var("l1"), R.var("l2"), R.var("l3")])
+    x = WittElement(TruncSeries(R, [R.one(), R.var("l1"), R.var("l2"), R.var("l3")]))
     got = adams(2, x)
     want = R.sub(R.mul(R.var("l1"), R.var("l1")), R.mul_int(R.var("l2"), 2))
     assert R.eq(got, want)
@@ -172,13 +178,13 @@ def test_adams_newton_shape():
 
 def test_adams_on_line_elements():
     R = PolynomialRing(["a"])
-    x = LambdaElement.line(R, R.var("a"), 5)
+    x = WittElement(TruncSeries.from_polynomial(R, [R.one(), R.var("a")], 6))
     for n in range(1, 6):
         assert R.eq(adams(n, x), R.pow(R.var("a"), n))
 
 
 def test_adams_needs_order():
-    x = LambdaElement.integer_binomial(3, 2)
+    x = BigWitt(Z, 3).from_int(3)
     with pytest.raises(PrecisionError):
         adams(3, x)
 
@@ -191,9 +197,11 @@ def test_adams_needs_order():
         (lambda: TruncSeries.zero(Z, 0), PrecisionError),
         (lambda: TruncSeries.geometric(Z, Z.from_int(2), 0), PrecisionError),
         (lambda: WittElement.one(Z, 0), PrecisionError),
-        (lambda: LambdaElement.line(Z, Z.from_int(2), 0), InvalidElementError),
-        (lambda: LambdaElement.line(Z, Z.from_int(2), -1), InvalidElementError),
-        (lambda: LambdaElement.integer_binomial(3, 0), InvalidElementError),
+        (lambda: WittElement(TruncSeries.from_polynomial(Z, [Z.one(), Z.from_int(2)], 1)),
+         PrecisionError),
+        (lambda: WittElement(TruncSeries.from_polynomial(Z, [Z.one(), Z.from_int(2)], 0)),
+         PrecisionError),
+        (lambda: BigWitt(Z, 1).from_int(3), InvalidInputError),
     ],
     ids=["one-0", "one-neg", "zero-0", "geometric-0", "witt-one-0", "line-0",
          "line-neg", "binomial-0"],
@@ -216,12 +224,11 @@ def test_adams_additive_on_witt_sums():
 
 def test_sigma_of_binomial_integers():
     for r in range(-3, 4):
-        x = LambdaElement.integer_binomial(r, 6)
-        s = opposite_sigma(x)
+        s = opposite_sigma(BigWitt(Z, 7).from_int(r)).series
         for n in range(7):
-            assert s.lam(n).as_int() == binom(r + n - 1, n)
-    two = opposite_sigma(LambdaElement.integer_binomial(2, 3))
-    assert two.lam(3).as_int() == 4
+            assert s.coefficient(n).as_int() == binom(r + n - 1, n)
+    two = opposite_sigma(BigWitt(Z, 4).from_int(2))
+    assert two.series.coefficient(3).as_int() == 4
 
 
 def test_sigma_is_an_involution():
@@ -234,20 +241,22 @@ def test_sigma_is_an_involution():
             if rng.random() < 0.5:
                 c = R.add(c, R.var("u" if rng.random() < 0.5 else "v"))
             data.append(c)
-        x = LambdaElement(R, data)
+        x = WittElement(TruncSeries(R, data))
         assert opposite_sigma(opposite_sigma(x)) == x
 
 
 def test_sigma_of_one_is_one():
-    x = LambdaElement.integer_binomial(1, 6)
-    s = opposite_sigma(x)
-    assert [c.as_int() for c in s.lambdas] == [1] * 7
+    s = opposite_sigma(BigWitt(Z, 7).from_int(1))
+    assert [c.as_int() for c in s.series.coeffs] == [1] * 7
 
 
 def test_sigma_order_guard():
-    x = LambdaElement.integer_binomial(2, 3)
+    x = BigWitt(Z, 4).from_int(2)
     with pytest.raises(PrecisionError):
         opposite_sigma(x, 5)
+    with pytest.raises(InvalidInputError):
+        opposite_sigma(x, -1)
+    assert opposite_sigma(x, 0) == WittElement.one(Z, 1)
 
 
 def test_check_special_binomial_integers():
@@ -375,5 +384,43 @@ def test_graded_space_monoid_predicate():
 def test_witt_and_lambda_json_round_trip():
     f = WittElement(TruncSeries.from_ints(Z, [1, -2, 5]))
     assert WittElement.from_json(f.to_json()) == f
-    x = LambdaElement.integer_binomial(4, 3)
-    assert LambdaElement.from_json(x.to_json()) == x
+    x = BigWitt(Z, 4).from_int(4)
+    assert WittElement.from_json(x.to_json()) == x
+
+
+_W = WittElement(TruncSeries.from_ints(Z, [1, 3, 3, 1, 0, 0, 0]))
+_V = GradedSpace.from_coeffs([1, 2, 1])
+_S = SurfaceData(0, 2, [2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: witt_lambda(2.0, _W),
+        lambda: witt_lambda(True, _W),
+        lambda: witt_lambda(2, _W, 2.0),
+        lambda: witt_adams(1.5, _W),
+        lambda: witt_adams(2, _W, True),
+        lambda: adams(2.0, _W),
+        lambda: opposite_sigma(_W, 2.0),
+        lambda: opposite_sigma(_W, -2),
+        lambda: graded_lambda_sequence(_V, 2.0),
+        lambda: graded_lambda(2.0, _V),
+        lambda: mu(_S, 1.5),
+        lambda: mu_sym_sequence(_S, 2.0),
+        lambda: hilb_leading_term(_S, True, 2),
+        lambda: hilb_leading_term(_S, 1, 2.0),
+        lambda: irrationality_harness(_S, 1, 2.5),
+        lambda: irrationality_harness(_S, 2.0, 6),
+        lambda: irrationality_harness(_S, 1, 6, 2.0),
+        lambda: irrationality_harness(_S, 1, 6, 4, 6.0),
+    ],
+    ids=["witt_lambda-k-float", "witt_lambda-k-bool", "witt_lambda-precision",
+         "witt_adams-n-float", "witt_adams-precision-bool", "adams-n-float",
+         "sigma-order-float", "sigma-order-negative", "graded_sequence-upto",
+         "graded_lambda-m", "mu-n", "mu_sym_sequence-M", "hilb-n-bool", "hilb-m",
+         "harness-M", "harness-n", "harness-n_max", "harness-i0_max"],
+)
+def test_integer_bounds_are_typed(call):
+    with pytest.raises(InvalidInputError):
+        call()

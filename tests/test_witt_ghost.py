@@ -11,8 +11,10 @@ operation has roots r_i^n; the additive group is the series product and
 inverse.  Roots are drawn from each of the four ring kinds, and the
 generic case takes four root variables per factor at precision 5, where
 e_1..e_4 are independent and the check is the universal identity.
-Operands come in all three forms.  The Adams operation on lambda data
-reads a ghost coordinate too, and is checked against Newton's identity.
+Operands come in all three forms.  Read as lambda data, f is lambda_t(x)
+of an element x with roots r_i: the Adams operation psi^n(x) reads a ghost
+coordinate, p_n = sum r_i^n, and is also checked against Newton's identity,
+and the opposite structure sigma_t(x) is prod (1 - r_i t)^(-1).
 """
 
 import itertools
@@ -26,9 +28,9 @@ from mzeta import series as series_module
 from mzeta.errors import PrecisionError, RingMismatchError
 from mzeta.lambda_rings import (
     BigWitt,
-    LambdaElement,
     WittElement,
     adams,
+    opposite_sigma,
     witt_adams,
     witt_add,
     witt_lambda,
@@ -179,10 +181,37 @@ def test_adams_matches_newton_table(ring_name):
     ring = RINGS[ring_name]
     rng = random.Random(ring_name)
     for order in (6, 8):
-        x = LambdaElement(ring, [ring.one()] + [_random_coeff(rng, ring) for _ in range(order)])
+        coeffs = [ring.one()] + [_random_coeff(rng, ring) for _ in range(order)]
+        x = WittElement(TruncSeries(ring, coeffs))
         for n in range(1, 7):
-            values = {"e%d" % i: x.lam(i) for i in range(1, n + 1)}
+            values = {"e%d" % i: coeffs[i] for i in range(1, n + 1)}
             assert ring.eq(adams(n, x), eval_poly(newton_polynomial(n), values, ring))
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case", CASES)
+def test_sigma_and_adams_match_roots(case, form):
+    # x = lambda_t(x) = prod (1 + r_i t): sigma_t(x) = prod (1 - r_i t)^(-1)
+    # and psi^k(x) = sum r_i^k
+    for ring, rs, ss, nf, ng in _cases(case):
+        for roots, n in ((rs, nf), (ss, ng)):
+            f = _from_roots(ring, roots, n)
+            for m in range(1, n + 1):
+                want = TruncSeries.one(ring, m)
+                for r in roots:
+                    want = want.mul(TruncSeries.geometric(ring, r, m))
+                _assert_series(opposite_sigma(_element(f, form), m - 1), want)
+                if m == n:
+                    _assert_series(opposite_sigma(_element(f, form)), want)
+            with pytest.raises(PrecisionError):
+                opposite_sigma(_element(f, form), n)
+            for k in range(1, n):
+                power_sum = ring.zero()
+                for r in roots:
+                    power_sum = ring.add(power_sum, _product(ring, [r] * k))
+                assert ring.eq(adams(k, _element(f, form)), power_sum)
+            with pytest.raises(PrecisionError):
+                adams(n, _element(f, form))
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
