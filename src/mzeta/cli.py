@@ -11,6 +11,7 @@ errors exit 1 with a machine-readable JSON body; usage errors exit 2.
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -454,7 +455,17 @@ def run(argv=None, out=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does): exit quietly.  The
+        # interpreter flushes stdout again at exit, so point it at devnull
+        # first (the recipe in the Python signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .errors import (
     PrecisionError,
     VarietySyntaxError,
 )
-from .rationality import _eval_poly_at, verify_global
+from .rationality import _check_images, _eval_poly_at, verify_global
 from .rings import MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
@@ -691,11 +691,14 @@ def virtual_finiteness_check(expr, precision, increment="J"):
 
 
 def specialize(value, assignment):
-    """Substitute integers for the motivic symbols.
+    """Substitute ints or Fractions for the motivic symbols.
 
-    A ring element becomes an integer (or exact fraction); a series becomes
-    a series over the rationals.  Every variable that occurs must be covered
-    by the assignment, with "*" accepted as an explicit default.
+    A ring element becomes an int when its value is integral and a
+    Fraction in lowest terms otherwise; a series becomes a series over the
+    rationals.  Every variable that occurs must be covered by the
+    assignment, with "*" accepted as an explicit default; an image that is
+    not an int or a Fraction (a bool, a float, a string) is an
+    InvalidMeasureError.
     """
     if isinstance(value, TruncSeries):
         from .rationality import apply_measure
@@ -703,6 +706,7 @@ def specialize(value, assignment):
         return apply_measure(value, assignment)
     if not isinstance(value, MultiPoly):
         raise InvalidInputError("expected a ring element or series")
+    _check_images(assignment)
     result = _eval_poly_at(value, assignment)
     if result.denominator == 1:
         return int(result)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     InvalidInputError,
@@ -42,39 +43,71 @@ from .series import TruncSeries, poly_str, poly_trim
 # determinants
 
 
-def _int_det(m):
-    """Fraction-free elimination (Bareiss 1968) on a square matrix of
-    Python ints, in place.  Each step's entries are minors of the input,
-    so every division by the previous pivot is exact."""
-    n = len(m)
+def _scaled_ints(values):
+    """The rationals in values times the lcm D of their denominators, as
+    ints, and D."""
+    ratios = [c.as_integer_ratio() for c in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _int_echelon(m, n_cols):
+    """Fraction-free row echelon form (Bareiss 1968) of a matrix of Python
+    ints, in place, pivoting on the first n_cols columns.  A column with no
+    nonzero entry at or below the current row is skipped.  After each step
+    an entry below the pivots is the minor on the pivot rows and columns
+    plus its own row and column, so every division by the previous pivot is
+    exact, and each pivot is the leading minor on the pivot columns.
+    Returns the pivots as (row, column) pairs and the sign of the row
+    permutation."""
+    n_rows = len(m)
+    width = len(m[0]) if m else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    break
-            else:
-                return 0
-            m[k], m[i] = m[i], m[k]
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        for i in range(r, n_rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
             sign = -sign
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for row in m[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, n):
+        pivot_row = m[r]
+        pivot = pivot_row[c]
+        # column c below the pivot is left stale: nothing reads it again
+        for row in m[r + 1:]:
+            a = row[c]
+            for j in range(c + 1, width):
                 row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        pivots.append((r, c))
+        r += 1
+    return pivots, sign
+
+
+def _int_det(m):
+    """Determinant of a square matrix of Python ints, by _int_echelon in
+    place."""
+    pivots, sign = _int_echelon(m, len(m))
+    if len(pivots) < len(m):
+        return 0
+    return sign * m[-1][-1]
 
 
 def determinant(rows, ring):
     """Exact determinant of a square matrix over Z or Q.
 
-    Bareiss elimination runs on plain ints: a Q matrix is first scaled by
-    the lcm of its denominators.  Other rings raise InvalidInputError; a
-    Hankel grid over Z[vars] or a square-zero quotient is filled from its
-    own table of minors (_hankel_minors), which needs no division.
+    Bareiss elimination (_int_echelon) runs on plain ints: a Q matrix is
+    first scaled by the lcm of its denominators, and its determinant
+    becomes a Fraction once, at the end.  Other rings raise
+    InvalidInputError; a Hankel grid over Z[vars] or a square-zero quotient
+    is filled from its own table of minors (_hankel_minors), which needs no
+    division.
     """
     if ring.kind not in ("integers", "fraction"):
         raise InvalidInputError("determinant needs entries in Z or Q")
@@ -85,8 +118,8 @@ def determinant(rows, ring):
         return ring.one()
     if ring.kind == "integers":
         return ring.from_int(_int_det([[a.as_int() for a in r] for r in rows]))
-    den = math.lcm(*(a.denominator for r in rows for a in r))
-    ints = [[a.numerator * (den // a.denominator) for a in r] for r in rows]
+    flat, den = _scaled_ints([a for r in rows for a in r])
+    ints = [flat[i : i + n] for i in range(0, n * n, n)]
     return Fraction(_int_det(ints), den**n)
 
 
@@ -344,7 +377,11 @@ def _eliminate(ring, rows, n_cols):
     """Gauss-Jordan elimination over a field, in place, on the first n_cols
     columns of rows: each pivot becomes 1 and the only nonzero entry of its
     column.  Returns the pivots as (row, column) pairs; their number is the
-    rank of those columns."""
+    rank of those columns.
+
+    Only the square-zero annihilator search uses it.  Its systems reach
+    thousands of rows, and fraction-free elimination, which rescales every
+    lower row at each step, was slower there on the largest of them."""
     n_eq = len(rows)
     pivots = []
     r = 0
@@ -374,25 +411,32 @@ def _eliminate(ring, rows, n_cols):
 
 
 def solve_linear(ring, rows, rhs):
-    """Exact Gaussian elimination over a field.
+    """Exact solution of rows . x = rhs over Q.
 
-    Returns one solution with free variables set to zero, or None when the
-    system is inconsistent.
+    Each augmented row is scaled by the lcm of its denominators and the
+    integer system is brought to echelon form without fractions
+    (_int_echelon); pivot columns are the first nonzero ones, as in
+    Gaussian elimination.  Returns one solution with free variables set to
+    zero, as Fractions in lowest terms, or None when the system is
+    inconsistent.
     """
     if ring is not QQ:
         raise InvalidInputError("linear solving needs a field")
     n_var = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(len(rows))]
-    pivots = _eliminate(ring, aug, n_var)
+    aug = [_scaled_ints(list(row) + [b])[0] for row, b in zip(rows, rhs)]
+    pivots, _ = _int_echelon(aug, n_var)
     for i in range(len(pivots), len(aug)):
-        if not ring.is_zero(aug[i][n_var]):
+        if aug[i][n_var]:
             return None
-    # every other pivot column is cleared and free variables are zero, so
-    # each pivot row reads x[c] = its right-hand side
-    x = [ring.zero()] * n_var
-    for ri, c in pivots:
-        x[c] = aug[ri][n_var]
-    return x
+    # by Cramer's rule the solution on the pivot columns times the last
+    # pivot is integral, so back-substitution divides exactly
+    scale = aug[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    y = [0] * n_var
+    for ri, c in reversed(pivots):
+        row = aug[ri]
+        acc = scale * row[n_var] - sum(row[j] * y[j] for j in range(c + 1, n_var))
+        y[c] = acc // row[c]
+    return [Fraction(v, scale) for v in y]
 
 
 class PadeResult:
@@ -434,10 +478,14 @@ class PadeResult:
 
 def pade_reconstruct(f, den_deg):
     """Find g, h with g f = h (mod t^precision), deg g <= den_deg, g(0) = 1,
-    deg h <= den_deg, over a field; exact linear algebra throughout.
+    deg h <= den_deg, over Q.
 
-    Needs precision >= 2 den_deg + 2 so that the defining window is
-    overdetermined and the tail check is meaningful.
+    The series is scaled to integers by the lcm of its denominators once:
+    the window system for g is solved fraction-free (solve_linear), and the
+    tail of g f is checked by an integer convolution, so num and den become
+    Fractions in lowest terms only at the end.  Needs precision
+    >= 2 den_deg + 2 so that the defining window is overdetermined and the
+    tail check is meaningful.
     """
     _check_int(den_deg, "denominator degree")
     ring = f.ring
@@ -452,26 +500,32 @@ def pade_reconstruct(f, den_deg):
             "denominator degree %d needs precision %d, series has %d"
             % (d, 2 * d + 2, n)
         )
-    a = f.coeffs
+    # f scaled to integers by the lcm of its denominators: the window
+    # system and the tail check both read these
+    ints, a_scale = _scaled_ints(f.coeffs)
     if d > 0:
-        rows = []
-        rhs = []
-        for k in range(d + 1, 2 * d + 2):
-            rows.append([a[k - j] if k - j < n else ring.zero() for j in range(1, d + 1)])
-            rhs.append(ring.neg(a[k]))
-        sol = solve_linear(ring, rows, rhs)
+        window = range(d + 1, 2 * d + 2)
+        rows = [ints[k - d : k][::-1] for k in window]
+        sol = solve_linear(ring, rows, [-ints[k] for k in window])
         if sol is None:
             return PadeResult(ring, d, reason="window system inconsistent")
         den = [ring.one()] + sol
     else:
         den = [ring.one()]
-    gf = TruncSeries.from_polynomial(ring, den, n).mul(f)
+    # coefficient k of g f over Z is g . (ints[k], ints[k-1], ...)
+    g, den_scale = _scaled_ints(den)
+    back = ints[::-1]
+
+    def gf(k):
+        return sum(map(mul, g, back[n - 1 - k :]))
+
     for k in range(d + 1, n):
-        if not ring.is_zero(gf.coefficient(k)):
+        if gf(k):
             return PadeResult(
                 ring, d, reason="tail coefficient %d nonzero" % k
             )
-    num = poly_trim(ring, [gf.coefficient(k) for k in range(d + 1)])
+    scale = den_scale * a_scale
+    num = poly_trim(ring, [Fraction(gf(k), scale) for k in range(d + 1)])
     return PadeResult(ring, d, num=num, den=poly_trim(ring, den))
 
 
@@ -479,40 +533,74 @@ def pade_reconstruct(f, den_deg):
 # pointwise rationality
 
 
+def _check_images(assignment):
+    """Reject a variable image that is not an int or a Fraction; a bool is
+    not an image."""
+    for v, x in assignment.items():
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidMeasureError(
+                "image of %r must be an integer or a Fraction, got %s"
+                % (v, type(x).__name__)
+            )
+
+
 def _eval_poly_at(poly, assignment):
-    total = Fraction(0)
-    for key, c in poly.items():
-        val = Fraction(c)
+    """poly at the checked images of its variables, in lowest terms.
+
+    With each image n_v / d_v and top_v the largest exponent of v in poly,
+    D = prod d_v^top_v is a common denominator: the term c prod v^e adds
+    c prod n_v^e (D / prod d_v^e) to an integer numerator, so a term that
+    lacks v is still scaled by d_v^top_v.
+    """
+    terms = poly.items()
+    top = {}
+    for key, _ in terms:
         for v, e in key:
-            if v in assignment:
-                img = Fraction(assignment[v])
-            elif "*" in assignment:
-                img = Fraction(assignment["*"])
-            else:
-                raise MissingDataError("measure does not cover variable %r" % v)
-            val *= img ** e
-        total += val
-    return total
+            if v not in top:
+                if v not in assignment and "*" not in assignment:
+                    raise MissingDataError("measure does not cover variable %r" % v)
+                top[v] = e
+            elif e > top[v]:
+                top[v] = e
+    images = {}
+    common = 1
+    for v, t in top.items():
+        x = assignment[v] if v in assignment else assignment["*"]
+        images[v] = x.as_integer_ratio()
+        common *= images[v][1] ** t
+    total = 0
+    for key, c in terms:
+        scale = common
+        for v, e in key:
+            n, d = images[v]
+            c *= n**e
+            scale //= d**e
+        total += c * scale
+    return Fraction(total, common)
 
 
 def apply_measure(f, assignment):
     """Apply a ring homomorphism to a field, given as variable images, to
     every coefficient; returns a series over the rationals.
 
-    The assignment maps variable names to integers (or Fractions); the key
-    "*" supplies a default for unlisted variables.  Homomorphisms out of a
-    square-zero quotient must kill every variable.
+    The assignment maps variable names to ints or Fractions, and anything
+    else (a bool, a float, a string) is an InvalidMeasureError; the key "*"
+    supplies a default for unlisted variables.  Each coefficient is
+    evaluated over a common denominator in integers and becomes a Fraction
+    once.  Homomorphisms out of a square-zero quotient must kill every
+    variable.
     """
+    _check_images(assignment)
     ring = f.ring
     if ring == QQ:
         return f
     if ring.kind == "square_zero":
-        for v in set(assignment) - {"*"}:
-            if Fraction(assignment[v]) != 0:
+        for v, x in assignment.items():
+            if v != "*" and x != 0:
                 raise InvalidMeasureError(
                     "image of square-zero variable %r must be 0" % v
                 )
-        if "*" in assignment and Fraction(assignment["*"]) != 0:
+        if assignment.get("*", 0) != 0:
             raise InvalidMeasureError(
                 "default image in a square-zero ring must be 0"
             )

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr
 
@@ -556,3 +558,28 @@ def test_malformed_input_files_are_typed_errors(tmp_path):
             code, text = run_cli(argv + ["--format", fmt])
             assert code == 1, (obj, fmt)
             assert json.loads(text)["error"]["error"] == "invalid_input", (obj, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # larger than the stdout buffer: print itself meets the closed pipe
+        ["zeta", "Curve(3)", "--terms", "24", "--format", "json"],
+        # buffered: the final flush meets it
+        ["zeta", "P(1)", "--terms", "4"],
+    ],
+    ids=["print", "flush"],
+)
+def test_closed_output_pipe_exits_quietly(argv, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mzeta.cli"] + argv,
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        # the reader is gone before the first write, as after `| head -2`
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert (tmp_path / "stderr").read_bytes() == b""
+    assert code == 1

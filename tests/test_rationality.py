@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mzeta.errors import (
     InvalidInputError,
     InvalidMeasureError,
+    MissingDataError,
     PrecisionError,
 )
 from mzeta.motivic import (
@@ -23,6 +25,7 @@ from mzeta.rationality import (
     NoWitnessUpTo,
     PeriodFound,
     QQ,
+    _eval_poly_at,
     apply_measure,
     determinant,
     hankel_test,
@@ -463,6 +466,150 @@ def test_pointwise_square_zero_augmentation():
     f = TruncSeries(R, [R.zero()] + [R.var_by_index(i) for i in range(1, 10)])
     verdicts = pointwise_test(f, [{"*": 0}], 2)
     assert verdicts[0].rational
+
+
+def _gauss_jordan(rows, rhs):
+    """Reference solver: Fraction Gauss-Jordan, free variables zero."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n_var = len(rows[0]) if rows else 0
+    r = 0
+    pivots = []
+    for c in range(n_var):
+        i = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if i is None:
+            continue
+        aug[r], aug[i] = aug[i], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for k in range(len(aug)):
+            if k != r and aug[k][c]:
+                aug[k] = [x - aug[k][c] * y for x, y in zip(aug[k], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[-1] for row in aug[r:]):
+        return None
+    x = [Fraction(0)] * n_var
+    for k, c in enumerate(pivots):
+        x[c] = aug[k][-1]
+    return x
+
+
+def _random_q(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 7]))
+
+
+def test_solve_linear_matches_fraction_reference():
+    # rows are combinations of a few random rows, so most systems are rank
+    # deficient; some get a perturbed right-hand side or a zero row
+    rng = random.Random(20240517)
+    for _ in range(400):
+        n_eq, n_var = rng.randint(1, 6), rng.randint(1, 6)
+        basis = [[_random_q(rng) for _ in range(n_var + 1)] for _ in range(rng.randint(0, 4))]
+        aug = []
+        for _ in range(n_eq):
+            row = [Fraction(0)] * (n_var + 1)
+            for b in basis:
+                c = _random_q(rng)
+                row = [x + c * y for x, y in zip(row, b)]
+            if rng.random() < 0.2:
+                row[-1] += _random_q(rng)
+            aug.append(row)
+        rows, rhs = [r[:-1] for r in aug], [r[-1] for r in aug]
+        want = _gauss_jordan(rows, rhs)
+        got = solve_linear(QQ, rows, rhs)
+        assert got == want
+        assert got is None or all(type(v) is Fraction for v in got)
+
+
+def _pade_reference(f, d):
+    """Success, reason, numerator and denominator by Fraction algebra."""
+    a, n = f.coeffs, f.precision
+    den = [q(1)]
+    if d:
+        window = range(d + 1, 2 * d + 2)
+        sol = _gauss_jordan([[a[k - j] for j in range(1, d + 1)] for k in window],
+                            [-a[k] for k in window])
+        if sol is None:
+            return False, "window system inconsistent", None, None
+        den += sol
+    gf = [sum(den[j] * a[k - j] for j in range(min(d, k) + 1)) for k in range(n)]
+    for k in range(d + 1, n):
+        if gf[k]:
+            return False, "tail coefficient %d nonzero" % k, None, None
+    trim = lambda p: p[: max((i + 1 for i, c in enumerate(p) if c), default=1)]
+    return True, None, trim(gf[: d + 1]), trim(den)
+
+
+def test_pade_matches_fraction_reference():
+    rng = random.Random(777)
+    for _ in range(300):
+        d = rng.randint(0, 4)
+        n = 2 * d + 2 + rng.randint(0, 5)
+        if rng.random() < 0.5:
+            # a rational series, over non-integer coefficients
+            den = [q(1)] + [_random_q(rng) for _ in range(rng.randint(0, min(4, n - 1)))]
+            num = [_random_q(rng) for _ in range(rng.randint(1, min(4, n)))]
+            f = TruncSeries.from_polynomial(QQ, num, n).mul(
+                TruncSeries.from_polynomial(QQ, den, n).inverse()
+            )
+        else:
+            f = TruncSeries(QQ, [_random_q(rng) for _ in range(n)])
+        res = pade_reconstruct(f, d)
+        assert (res.success, res.reason, res.num, res.den) == _pade_reference(f, d)
+
+
+def _eval_reference(terms, images):
+    total = Fraction(0)
+    for key, c in terms.items():
+        for v, e in key:
+            c *= Fraction(images.get(v, images.get("*"))) ** e
+        total += c
+    return total
+
+
+def test_eval_poly_at_fractional_images():
+    # L + M at 1/2 and 1/3: the term without M still carries M's
+    # denominator in the common-denominator sum
+    assert _eval_poly_at(MultiPoly({(("L", 1),): 1, (("M", 1),): 1}),
+                         {"L": q(1, 2), "M": q(1, 3)}) == q(5, 6)
+    rng = random.Random(4242)
+    names = ["L", "M", "a1"]
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = tuple((v, rng.randint(1, 3)) for v in names if rng.random() < 0.5)
+            terms[key] = rng.randint(-20, 20) or 1
+        images = {v: _random_q(rng) or q(1, 5) for v in names if rng.random() < 0.7}
+        if len(images) < len(names) or rng.random() < 0.3:
+            images["*"] = _random_q(rng)
+        got = _eval_poly_at(MultiPoly(terms), images)
+        assert got == _eval_reference(terms, images)
+        assert type(got) is Fraction
+
+
+def test_eval_poly_at_default_and_first_missing_variable():
+    p = MultiPoly({(("b", 1),): 2, (("a", 2), ("c", 1)): 1, (): 3})
+    # "*" covers every variable the assignment does not list
+    assert _eval_poly_at(p, {"a": q(1, 2), "*": q(-2, 3)}) == q(-4, 3) + q(-1, 6) + 3
+    # terms are met in order, variables by name within a term
+    with pytest.raises(MissingDataError, match="variable 'b'"):
+        _eval_poly_at(p, {"a": 1})
+    with pytest.raises(MissingDataError, match="variable 'c'"):
+        _eval_poly_at(p, {"a": 1, "b": 1})
+
+
+@pytest.mark.parametrize("name", ["L", "*"])
+@pytest.mark.parametrize("image", ["x", True, 0.5], ids=["str", "bool", "float"])
+@pytest.mark.parametrize("entry", ["apply_measure", "pointwise_test", "specialize"])
+def test_measure_images_are_typed(entry, image, name):
+    R = PolynomialRing(["L"])
+    f = TruncSeries(R, [R.one(), R.var("L"), R.one(), R.one()])
+    call = {
+        "apply_measure": lambda a: apply_measure(f, a),
+        "pointwise_test": lambda a: pointwise_test(f, [a], 1),
+        "specialize": lambda a: specialize(R.var("L"), a),
+    }[entry]
+    with pytest.raises(InvalidMeasureError, match=re.escape("image of %r" % name)):
+        call({name: image})
 
 
 def test_measure_must_kill_nilpotents():
