@@ -211,28 +211,29 @@ def _hankel_minors(coeffs, ring):
     the bit set S, with entries a_{r+c}.  Rows 1..k-1 over columns T are rows
     0..k-2 over T shifted by one, so expansion along row 0 reads
     minor(S) = sum over c in S of +-a_c minor((S - c) << 1), skipping zero
-    entries.  Cell (m, i) is minor(((1 << (m+1)) - 1) << i), and cells share
-    every minor they have in common.
+    entries, as one ring.dot.  Cell (m, i) is minor(((1 << (m+1)) - 1) << i),
+    and cells share every minor they have in common.
     """
     nonzero = [not ring.is_zero(a) for a in coeffs]
+    # signed[0][c] = a_c and signed[1][c] = -a_c
+    signed = (coeffs, [ring.neg(a) for a in coeffs])
     memo = {0: ring.one()}
 
     def minor(cols):
         hit = memo.get(cols)
         if hit is not None:
             return hit
-        total = ring.zero()
-        sign = 1
+        pairs = []
+        odd = 0
         rest = cols
         while rest:
             bit = rest & -rest
             rest ^= bit
             c = bit.bit_length() - 1
             if nonzero[c]:
-                term = ring.mul(coeffs[c], minor((cols ^ bit) << 1))
-                total = ring.add(total, term if sign > 0 else ring.neg(term))
-            sign = -sign
-        memo[cols] = total
+                pairs.append((signed[odd][c], minor((cols ^ bit) << 1)))
+            odd ^= 1
+        memo[cols] = total = ring.dot(pairs)
         return total
 
     return minor

@@ -20,8 +20,10 @@ it holds the ratios of the periodic-ratio witness and QQ's JSON form.
 Every ring checks membership once, where an element enters: in TruncSeries
 construction (which covers every series result and every WittElement built
 from a series) and each ring's elem_from_json.  The arithmetic (add, neg,
-sub, mul, eq, pow, invert) trusts its operands, so an element of a foreign
-ring is rejected where it enters, not by the operation that meets it.
+sub, mul, dot, eq, pow, invert) trusts its operands, so an element of a
+foreign ring is rejected where it enters, not by the operation that meets it.
+dot(pairs) is the sum of a*b over a list of pairs, gathered into one dict
+by the module's one term-product loop; MultiPoly.mul is its one-pair case.
 
 Monomials are packed integers (the layout of Monagan and Pearce's packed
 exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a
@@ -39,9 +41,9 @@ names a computation uses, not an unbounded stream of fresh names.
 
 The top bit of every field is a guard: exponents must stay below 2^63.
 Larger ones raise DegreeCutoffError at construction and JSON load, and each
-product ORs its result keys once to test the guard bits.  Two exponents
-below 2^63 sum to less than 2^64, so a carry never reaches a neighbouring
-field before it is caught.
+product or dot sum ORs its result keys once to test the guard bits.  Two
+exponents below 2^63 sum to less than 2^64, so a carry never reaches a
+neighbouring field before it is caught.
 
 A SquareZeroRing may be given an explicit variable list or a prefix, in which
 case variables prefix1, prefix2, ... exist on demand.
@@ -284,22 +286,7 @@ class MultiPoly:
 
     def mul(self, other):
         # plain Z[vars] product; quotient rings reduce afterwards
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        b = b.items()
-        out = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b:
-                key = k1 + k2
-                s = get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        _check_guard(out)
-        return _poly(out)
+        return _dot(((self, other),))
 
     def mul_int(self, n):
         if n == 0:
@@ -407,6 +394,31 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+def _dot(pairs):
+    """Sum of the products a*b over (a, b) pairs of MultiPolys, gathered in
+    one dict: the one term-product loop of the module.
+
+    Every key of the sum is the sum of two keys whose fields lie below 2^63,
+    so one guard test at the end catches any field that overflowed."""
+    out = {}
+    get = out.get
+    for x, y in pairs:
+        a, b = x.terms, y.terms
+        if len(a) > len(b):
+            a, b = b, a
+        b = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                key = k1 + k2
+                s = get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    _check_guard(out)
+    return _poly(out)
 
 
 def _accumulate(terms, key, c):
@@ -582,6 +594,10 @@ class Ring:
     def mul(self, a, b):
         return a.mul(b)
 
+    def dot(self, pairs):
+        """Sum of a*b over the (a, b) pairs, built in one pass."""
+        return _dot(pairs)
+
     def mul_int(self, a, n):
         return a.mul_int(n)
 
@@ -743,6 +759,10 @@ class SquareZeroRing(Ring):
     def mul(self, a, b):
         return self.reduce(a.mul(b))
 
+    def dot(self, pairs):
+        # reduction only drops monomials, so one reduce of the sum is enough
+        return self.reduce(_dot(pairs))
+
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("expected a polynomial element")
@@ -832,6 +852,9 @@ class FractionField(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, pairs):
+        return sum((a * b for a, b in pairs), Fraction(0))
 
     def mul_int(self, a, n):
         return a * n

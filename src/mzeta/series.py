@@ -116,14 +116,9 @@ class TruncSeries:
 
     def mul(self, other):
         n = self._match(other)
+        a, b = self.coeffs, other.coeffs
         r = self.ring
-        out = []
-        for k in range(n):
-            acc = r.zero()
-            for i in range(k + 1):
-                acc = r.add(acc, r.mul(self.coeffs[i], other.coeffs[k - i]))
-            out.append(acc)
-        return TruncSeries(r, out)
+        return TruncSeries(r, [r.dot(zip(a[: k + 1], b[k::-1])) for k in range(n)])
 
     def pow(self, n):
         if n < 0:
@@ -148,12 +143,11 @@ class TruncSeries:
             raise NotInvertibleError(
                 "series inverse needs an invertible constant term, %s" % got
             ) from None
+        a = self.coeffs
         out = [u]
         for k in range(1, self.precision):
-            acc = r.zero()
-            for i in range(1, k + 1):
-                acc = r.add(acc, r.mul(self.coeffs[i], out[k - i]))
-            out.append(r.neg(r.mul(u, acc)))
+            # a_1 out_{k-1} + ... + a_k out_0
+            out.append(r.neg(r.mul(u, r.dot(zip(a[1 : k + 1], reversed(out))))))
         return TruncSeries(r, out)
 
     def scale_arg(self, c):
@@ -246,14 +240,12 @@ def power_sums(f, upto):
         raise PrecisionError(
             "power sums up to %d need precision %d, have %d" % (upto, upto + 1, f.precision)
         )
-    e = f.coeffs
+    # signed[i] = (-1)^(i-1) e_i
+    signed = [c if i % 2 else r.neg(c) for i, c in enumerate(f.coeffs[: upto + 1])]
     p = []
     for k in range(1, upto + 1):
-        acc = r.mul_int(e[k], k if (k % 2) else -k)
-        for i in range(1, k):
-            term = r.mul(e[i], p[k - i - 1])
-            acc = r.add(acc, term if (i % 2) else r.neg(term))
-        p.append(acc)
+        # k signed_k + signed_1 p_{k-1} + ... + signed_{k-1} p_1
+        p.append(r.add(r.mul_int(signed[k], k), r.dot(zip(signed[1:k], reversed(p)))))
     return p
 
 
@@ -267,13 +259,12 @@ def from_power_sums(ring, psums, precision):
         raise PrecisionError(
             "need %d power sums for precision %d, have %d" % (precision - 1, precision, len(psums))
         )
+    # signed[i - 1] = (-1)^(i-1) p_i
+    signed = [p if i % 2 == 0 else ring.neg(p) for i, p in enumerate(psums[: precision - 1])]
     e = [ring.one()]
     for k in range(1, precision):
-        acc = ring.zero()
-        for i in range(1, k + 1):
-            term = ring.mul(e[k - i], psums[i - 1])
-            acc = ring.add(acc, term if (i % 2) else ring.neg(term))
-        e.append(ring.divide_exact(acc, k))
+        # e_{k-1} signed_1 + ... + e_0 signed_k
+        e.append(ring.divide_exact(ring.dot(zip(reversed(e), signed)), k))
     return TruncSeries(ring, e)
 
 
@@ -289,12 +280,11 @@ def ghost_exterior(ring, k, p, m):
 
 
 def poly_mul(ring, a, b):
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ring.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        # a_i b_{k-i} over lo <= i <= hi, where both indices are in range
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        out.append(ring.dot(zip(a[lo : hi + 1], reversed(b[k - hi : k - lo + 1]))))
     return out
 
 

@@ -1,6 +1,6 @@
-"""Packed monomials: MultiPoly arithmetic against the tuple-key reference in
-mzeta.oracles, the 2^63 exponent bound, and output that does not depend on
-the order in which variable names were first seen."""
+"""Packed monomials: MultiPoly arithmetic and the ring.dot kernel against the
+tuple-key reference in mzeta.oracles, the 2^63 exponent bound, and output
+that does not depend on the order in which variable names were first seen."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from mzeta.errors import (
     RingMismatchError,
 )
 from mzeta.rings import (
+    QQ,
     IntegerRing,
     MultiPoly,
     PolynomialRing,
@@ -102,6 +104,96 @@ def test_square_zero_product_matches_tuple_reference():
         want = oracles.tuple_poly_mul(a, b, square_zero=True)
         assert as_tuple(ring.mul(MultiPoly(a), MultiPoly(b))) == want
         assert as_tuple(prefix_ring.mul(MultiPoly(a), MultiPoly(b))) == want
+
+
+DOT_RINGS = {
+    "Z": IntegerRing(),
+    "poly": PolynomialRing(NAMES),
+    "square_zero": SquareZeroRing(NAMES),
+    "Q": QQ,
+}
+
+
+def _rand_dot_pair(rng, kind):
+    """One (a, b) pair for ring kind: tuple-key polynomials, or Fractions."""
+    if kind == "Q":
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2))
+    if kind == "Z":
+        return tuple({(): c} if c else {} for c in (rng.randint(-9, 9), rng.randint(-9, 9)))
+    # always one name from the last five, so high fields occur in every list
+    names = rng.sample(NAMES[:20], rng.randint(0, 5)) + [rng.choice(NAMES[20:])]
+    return tuple(rand_tuple_poly(rng, names, square_free=kind == "square_zero") for _ in range(2))
+
+
+@pytest.mark.parametrize("kind", sorted(DOT_RINGS))
+def test_dot_matches_tuple_reference(kind):
+    ring = DOT_RINGS[kind]
+    rng = random.Random("dot-" + kind)
+    for _ in range(200):
+        pairs = [_rand_dot_pair(rng, kind) for _ in range(rng.randint(0, 6))]
+        if kind == "Q":
+            want = Fraction(0)
+            for a, b in pairs:
+                want += a * b
+            got = ring.dot(pairs)
+            assert type(got) is Fraction and got == want
+            continue
+        want = {}
+        for a, b in pairs:
+            want = oracles.tuple_poly_add(
+                want, oracles.tuple_poly_mul(a, b, square_zero=kind == "square_zero")
+            )
+        got = ring.dot((MultiPoly(a), MultiPoly(b)) for a, b in pairs)
+        assert as_tuple(got) == want
+        assert 0 not in got.terms.values()
+        ring.validate(got)
+    # the names every list draws one of sit past field 20
+    assert min(rings._fields[v] for v in NAMES[20:]) >= 20
+
+
+@pytest.mark.parametrize("kind", sorted(DOT_RINGS))
+def test_dot_of_no_pairs_is_the_ring_zero(kind):
+    ring = DOT_RINGS[kind]
+    for pairs in ([], (), iter([])):
+        got = ring.dot(pairs)
+        assert type(got) is type(ring.zero())
+        assert ring.is_zero(got) and ring.eq(got, ring.zero())
+    if kind != "Q":
+        assert ring.dot([]).terms == {}
+
+
+@pytest.mark.parametrize("kind", sorted(DOT_RINGS))
+def test_dot_cancels_without_stored_zeros(kind):
+    ring = DOT_RINGS[kind]
+    rng = random.Random("cancel-" + kind)
+    for _ in range(50):
+        a, b = _rand_dot_pair(rng, kind)
+        if kind == "Q":
+            assert ring.dot([(a, b), (-a, b)]) == 0
+            continue
+        a, b = MultiPoly(a), MultiPoly(b)
+        assert ring.dot([(a, b), (a.neg(), b)]).terms == {}
+        c = MultiPoly(_rand_dot_pair(rng, kind)[0])
+        # a cancelled sum in the middle of a list leaves only the rest
+        assert ring.dot([(a, b), (c, c), (b, a.neg())]) == ring.mul(c, c)
+
+
+def test_dot_raises_past_the_exponent_bound():
+    x = MultiPoly.var("pk9", BIG)
+    y = MultiPoly.var("pk9")
+    one = MultiPoly.const(1)
+    ring = DOT_RINGS["poly"]
+    with pytest.raises(DegreeCutoffError):
+        ring.dot([(one, one), (x, y)])
+    with pytest.raises(DegreeCutoffError):
+        ring.mul(x, y)
+    with pytest.raises(DegreeCutoffError):
+        x.mul(y)
+    with pytest.raises(DegreeCutoffError):
+        DOT_RINGS["square_zero"].dot([(x, y)])
+    # one below the bound is fine, and sums stay in their field
+    below = MultiPoly.var("pk9", BIG - 1)
+    assert ring.dot([(below, y), (y, below)]) == x.mul_int(2)
 
 
 def test_cancellation_and_constants():

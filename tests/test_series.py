@@ -1,13 +1,16 @@
-"""Series layer: truncation rules, inversion, scaling, opposite, power sums."""
+"""Series layer: truncation rules, inversion, scaling, opposite, power sums,
+and the ring.dot convolutions against schoolbook add/mul references."""
 
 from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from mzeta.errors import (
+    ExactDivisionError,
     InvalidInputError,
     NotInvertibleError,
     PrecisionError,
@@ -19,7 +22,13 @@ from mzeta.rings import (
     PolynomialRing,
     SquareZeroRing,
 )
-from mzeta.series import TruncSeries, from_power_sums, power_sums, series_from_json
+from mzeta.series import (
+    TruncSeries,
+    from_power_sums,
+    poly_mul,
+    power_sums,
+    series_from_json,
+)
 
 Z = IntegerRing()
 ZL = PolynomialRing(["L"])
@@ -176,3 +185,159 @@ def test_power_sums_precision_guard():
     f = TruncSeries.from_ints(Z, [1, 1, 1])
     with pytest.raises(PrecisionError):
         power_sums(f, 5)
+
+
+# Schoolbook references: one r.add(acc, r.mul(x, y)) per product, the way
+# the convolutions were written before they went through ring.dot.
+
+
+def ref_series_mul(r, a, b):
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = r.zero()
+        for i in range(k + 1):
+            acc = r.add(acc, r.mul(a[i], b[k - i]))
+        out.append(acc)
+    return out
+
+
+def ref_inverse(r, a):
+    u = r.invert(a[0])
+    out = [u]
+    for k in range(1, len(a)):
+        acc = r.zero()
+        for i in range(1, k + 1):
+            acc = r.add(acc, r.mul(a[i], out[k - i]))
+        out.append(r.neg(r.mul(u, acc)))
+    return out
+
+
+def ref_poly_mul(r, a, b):
+    out = [r.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = r.add(out[i + j], r.mul(x, y))
+    return out
+
+
+def ref_power_sums(r, e, upto):
+    p = []
+    for k in range(1, upto + 1):
+        acc = r.mul_int(e[k], k if k % 2 else -k)
+        for i in range(1, k):
+            term = r.mul(e[i], p[k - i - 1])
+            acc = r.add(acc, term if i % 2 else r.neg(term))
+        p.append(acc)
+    return p
+
+
+def ref_from_power_sums(r, psums, precision):
+    e = [r.one()]
+    for k in range(1, precision):
+        acc = r.zero()
+        for i in range(1, k + 1):
+            term = r.mul(e[k - i], psums[i - 1])
+            acc = r.add(acc, term if i % 2 else r.neg(term))
+        e.append(r.divide_exact(acc, k))
+    return e
+
+
+CONV_RINGS = {
+    "Z": Z,
+    "poly": PolynomialRing(["L", "J", "c1"]),
+    "square_zero": SquareZeroRing(["x1", "x2", "x3", "x4"]),
+    "Q": FractionField(Z),
+}
+
+
+def _rand_elem(ring, rng):
+    """A random element, zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return ring.zero()
+    if ring.kind == "fraction":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    c = ring.from_int(rng.randint(-4, 4))
+    names = getattr(ring, "variables", ())
+    for _ in range(rng.randint(0, 3) if names else 0):
+        term = ring.from_int(rng.randint(-3, 3))
+        for v in rng.sample(names, rng.randint(1, 2)):
+            term = ring.mul(term, ring.var(v))
+        c = ring.add(c, term)
+    return c
+
+
+def _rand_list(ring, rng, n):
+    return [_rand_elem(ring, rng) for _ in range(n)]
+
+
+def _with_constant(ring, rng, a, unit):
+    """a with its constant coefficient set to unit plus, in a square-zero
+    quotient, a nilpotent (still a unit there)."""
+    c = ring.from_int(unit)
+    if ring.kind == "square_zero":
+        c = ring.add(c, ring.sub(a[0], ring.from_int(a[0].constant_term())))
+    return [c] + a[1:]
+
+
+def _same(ring, got, want):
+    # MultiPoly equality compares the term dicts, so a stored zero
+    # coefficient in either list is a mismatch
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for i, (x, y) in enumerate(zip(got, want)):
+        assert type(x) is type(y) and ring.eq(x, y), i
+
+
+@pytest.mark.parametrize("kind", sorted(CONV_RINGS))
+def test_series_mul_and_inverse_match_schoolbook(kind):
+    ring = CONV_RINGS[kind]
+    rng = random.Random("series-" + kind)
+    for _ in range(40):
+        a = _rand_list(ring, rng, rng.randint(1, 8))
+        b = _rand_list(ring, rng, rng.randint(1, 8))
+        _same(ring, TruncSeries(ring, a).mul(TruncSeries(ring, b)).coeffs, ref_series_mul(ring, a, b))
+        unit = rng.choice((1, -1)) if ring.kind != "fraction" else Fraction(rng.choice((1, -3)), 2)
+        a = _with_constant(ring, rng, a, unit)
+        _same(ring, TruncSeries(ring, a).inverse().coeffs, ref_inverse(ring, a))
+
+
+@pytest.mark.parametrize("kind", sorted(CONV_RINGS))
+def test_poly_mul_matches_schoolbook(kind):
+    ring = CONV_RINGS[kind]
+    rng = random.Random("poly-" + kind)
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 7), (7, 2), (4, 4)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(20)]
+    for n, m in shapes:
+        a, b = _rand_list(ring, rng, n), _rand_list(ring, rng, m)
+        _same(ring, poly_mul(ring, a, b), ref_poly_mul(ring, a, b))
+
+
+@pytest.mark.parametrize("kind", sorted(CONV_RINGS))
+def test_power_sums_match_schoolbook(kind):
+    ring = CONV_RINGS[kind]
+    rng = random.Random("psums-" + kind)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        e = [ring.one()] + _rand_list(ring, rng, n - 1)
+        p = power_sums(TruncSeries(ring, e), n - 1)
+        _same(ring, p, ref_power_sums(ring, e, n - 1))
+        _same(ring, from_power_sums(ring, p, n).coeffs, ref_from_power_sums(ring, p, n))
+        _same(ring, from_power_sums(ring, p, n).coeffs, e)
+
+
+@pytest.mark.parametrize("kind", sorted(CONV_RINGS))
+def test_from_power_sums_of_arbitrary_sums_matches_schoolbook(kind):
+    # sums that come from no series: over Z and Z[vars] a division by k may
+    # fail, and then both sides must fail
+    ring = CONV_RINGS[kind]
+    rng = random.Random("arbitrary-" + kind)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        p = _rand_list(ring, rng, n - 1)
+        try:
+            want = ref_from_power_sums(ring, p, n)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                from_power_sums(ring, p, n)
+            continue
+        _same(ring, from_power_sums(ring, p, n).coeffs, want)
