@@ -36,7 +36,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import MultiPoly, PolynomialRing, _check_int, eval_poly
+from .rings import MultiPoly, PolynomialRing, _check_int, eval_poly, poly_from_json, poly_to_json
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
 from .symfunc import universal_P, universal_Q
 
@@ -575,14 +575,10 @@ class GradedSpace:
         )
 
     def to_json(self):
-        from .rings import poly_to_json
-
         return poly_to_json(self.poly)
 
     @classmethod
     def from_json(cls, obj):
-        from .rings import poly_from_json
-
         return cls(poly_from_json(obj))
 
     def __eq__(self, other):

@@ -42,7 +42,7 @@ from .errors import (
     PrecisionError,
     VarietySyntaxError,
 )
-from .rationality import _check_images, _eval_poly_at, verify_global
+from .rationality import _check_images, _eval_poly_at, apply_measure, verify_global
 from .rings import MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
@@ -701,8 +701,6 @@ def specialize(value, assignment):
     InvalidMeasureError.
     """
     if isinstance(value, TruncSeries):
-        from .rationality import apply_measure
-
         return apply_measure(value, assignment)
     if not isinstance(value, MultiPoly):
         raise InvalidInputError("expected a ring element or series")

@@ -6,7 +6,9 @@ The notions, in decreasing strength:
 
 * global: f is the unique solution of g(t) x = h(t) for polynomials g, h.
   Verified by checking the product to the available precision and
-  certifying uniqueness through the annihilator of the coefficients of g.
+  certifying uniqueness through the annihilator of the coefficients of g:
+  it is zero iff some coefficient is nonzero (over Z, Z[vars] and Q) or has
+  a nonzero constant term (over a square-zero quotient).
 * determinantal: the (m+1) x (m+1) shifted Hankel determinants of the
   coefficients eventually vanish.  Tested on a bounded (m, offset) grid.
 * pointwise: after every ring homomorphism to a field the image series is
@@ -273,44 +275,15 @@ def hankel_test(f, m_max, offset_max):
 # global rationality
 
 
-def _square_free_monomials(variables):
-    out = [()]
-    for v in sorted(variables):
-        out += [key + ((v, 1),) for key in out]
-    return [MultiPoly({key: 1}) for key in out]
-
-
-def _square_zero_annihilator_exists(ring, coeffs):
-    """Whether some nonzero element kills every coefficient of g.
-
-    In a square-zero quotient it suffices to search the subring generated by
-    the variables appearing in the coefficients: a variable foreign to all
-    of them multiplies injectively, so any annihilator projects to one here.
-    The search is a finite linear system over the square-free monomials.
-    """
-    variables = set()
-    for c in coeffs:
-        variables |= c.variables()
-    if len(variables) > 12:
-        return None  # over 4096 square-free monomials: too large to certify either way
-    basis = _square_free_monomials(variables)
-    equations = {}
-    for j, c in enumerate(coeffs):
-        for pos, mono in enumerate(basis):
-            prod = ring.mul(mono, c)
-            for tkey, tc in prod.terms.items():
-                eq = equations.setdefault((j, tkey), [QQ.zero()] * len(basis))
-                eq[pos] += tc
-    # nontrivial kernel of the equation matrix <=> annihilator exists
-    return len(_eliminate(QQ, list(equations.values()), len(basis))) < len(basis)
-
-
 class VerifyGlobalReport:
     """Product check plus the uniqueness certificate for g f = h."""
 
     def __init__(self, product_ok, uniqueness, precision):
         self.product_ok = product_ok
-        self.uniqueness = uniqueness  # "certified" | "fails" | "not_certified"
+        # "certified" when the coefficients of g have a zero annihilator (one
+        # is nonzero, or over a square-zero quotient one has a nonzero
+        # constant term), else "fails"
+        self.uniqueness = uniqueness
         self.precision = precision
 
     def __bool__(self):
@@ -338,12 +311,14 @@ class VerifyGlobalReport:
 def verify_global(f, g, h):
     """Check that f solves g(t) x = h(t) and that the solution is unique.
 
-    g and h are coefficient lists over the ring of f.  Uniqueness holds when
-    the annihilator of the ideal generated by the coefficients of g is zero;
-    this is certified for the domains Z, Z[vars] and Q (some coefficient
-    nonzero) and for square-zero quotients by a finite linear search.  The
-    search is skipped, and uniqueness reported "not_certified", only for a
-    square-zero g whose coefficients have more than 12 variables.
+    g and h are coefficient lists over the ring of f.  Uniqueness holds iff
+    the annihilator of the ideal generated by the coefficients of g is zero.
+    Over the domains Z, Z[vars] and Q that means some coefficient is
+    nonzero.  Over a square-zero quotient Z[vars]/(v^2) it means some
+    coefficient has a nonzero constant term: c + n with c a nonzero integer
+    and n nilpotent is no zero divisor (a c = -a n gives a c^m = +-a n^m = 0
+    for large m, and the ring is torsion-free), while if every constant term
+    is 0 the product of all the variables of g kills every coefficient.
     """
     ring = f.ring
     n = f.precision
@@ -356,59 +331,16 @@ def verify_global(f, g, h):
     gf = TruncSeries.from_polynomial(ring, g, n).mul(f)
     hs = TruncSeries.from_polynomial(ring, h, n) if h else TruncSeries.zero(ring, n)
     product_ok = gf.eq(hs)
-    nonzero = [c for c in g if not ring.is_zero(c)]
-    if not nonzero:
-        uniqueness = "fails"  # g = 0 annihilates everything
-    elif ring.kind != "square_zero":
-        uniqueness = "certified"  # Z, Z[vars] and Q are domains
+    if ring.kind == "square_zero":
+        regular = any(c.constant_term() != 0 for c in g)
     else:
-        found = _square_zero_annihilator_exists(ring, g)
-        if found is None:
-            uniqueness = "not_certified"
-        else:
-            uniqueness = "fails" if found else "certified"
+        regular = any(not ring.is_zero(c) for c in g)
+    uniqueness = "certified" if regular else "fails"
     return VerifyGlobalReport(product_ok, uniqueness, n)
 
 
 # ---------------------------------------------------------------------------
 # linear solving and Pade reconstruction over a field
-
-
-def _eliminate(ring, rows, n_cols):
-    """Gauss-Jordan elimination over a field, in place, on the first n_cols
-    columns of rows: each pivot becomes 1 and the only nonzero entry of its
-    column.  Returns the pivots as (row, column) pairs; their number is the
-    rank of those columns.
-
-    Only the square-zero annihilator search uses it.  Its systems reach
-    thousands of rows, and fraction-free elimination, which rescales every
-    lower row at each step, was slower there on the largest of them."""
-    n_eq = len(rows)
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_eq):
-            if not ring.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ring.invert(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(n_eq):
-            if i != r and not ring.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    ring.sub(a, ring.mul(factor, b))
-                    for a, b in zip(rows[i], rows[r])
-                ]
-        pivots.append((r, c))
-        r += 1
-        if r == n_eq:
-            break
-    return pivots
 
 
 def solve_linear(ring, rows, rhs):
@@ -638,14 +570,20 @@ class PointwiseVerdict:
 
 def pointwise_test(f, measures, d_max):
     """Apply each measure and search for a rational form of denominator
-    degree at most d_max; one verdict per measure."""
+    degree at most min(d_max, (precision - 2) // 2), the largest degree
+    pade_reconstruct accepts; one verdict per measure.  A failed verdict
+    reports that bound, the last degree tried."""
     _check_int(d_max, "d_max")
     if d_max < 0:
         raise InvalidInputError("negative denominator degree")
+    limit = min(d_max, (f.precision - 2) // 2)
+    if limit < 0:
+        raise PrecisionError(
+            "pointwise test needs precision 2, series has %d" % f.precision
+        )
     verdicts = []
     for assignment in measures:
         image = apply_measure(f, assignment)
-        limit = min(d_max, (image.precision - 2) // 2)
         result = None
         for d in range(limit + 1):
             attempt = pade_reconstruct(image, d)
@@ -653,7 +591,7 @@ def pointwise_test(f, measures, d_max):
                 result = attempt
                 break
         if result is None:
-            result = PadeResult(QQ, d_max, reason="no degree succeeded")
+            result = PadeResult(QQ, limit, reason="no degree succeeded")
         verdicts.append(PointwiseVerdict(assignment, result))
     return verdicts
 

@@ -60,6 +60,8 @@ JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
 
 from __future__ import annotations
 
+import json
+import math
 import re
 import sys
 import threading
@@ -525,8 +527,6 @@ class FractionElem:
         """Display-only normalization: divide out integer content and sign."""
         if self.num.is_zero():
             return FractionElem(MultiPoly.const(0), MultiPoly.const(1))
-        import math
-
         g = 0
         for c in self.num.terms.values():
             g = math.gcd(g, c)
@@ -634,8 +634,6 @@ class Ring:
         raise NotImplementedError
 
     def __repr__(self):
-        import json
-
         return "Ring(%s)" % json.dumps(self.to_json(), sort_keys=True)
 
 

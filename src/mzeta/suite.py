@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import redirect_stderr
 
-from .errors import VarietySyntaxError
+from .errors import InvalidInputError, VarietySyntaxError
 from .lambda_rings import (
     BigWitt,
     BinomialIntegers,
@@ -138,8 +138,6 @@ def run_checks(names=None, seed=DEFAULT_SEED):
     else:
         unknown = [n for n in names if n not in _REGISTRY]
         if unknown:
-            from .errors import InvalidInputError
-
             raise InvalidInputError("unknown checks: %s" % ", ".join(unknown))
         selected = list(names)
     outcomes = []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -312,6 +313,68 @@ def test_verify_global_square_zero_annihilated():
     assert not report
 
 
+def _square_zero_annihilator_exists(ring, g):
+    """Reference: whether a nonzero a kills every coefficient of g, by the
+    kernel of a linear system.  It suffices to search a = sum y_m m over the
+    square-free monomials m in the variables of g (a foreign variable
+    multiplies injectively); each monomial of each product a c gives one
+    equation in the y_m."""
+    basis = [()]
+    for v in sorted(set().union(*(c.variables() for c in g))):
+        basis += [key + ((v, 1),) for key in basis]
+    equations = {}
+    for j, c in enumerate(g):
+        for pos, key in enumerate(basis):
+            for mono, tc in ring.mul(MultiPoly({key: 1}), c).items():
+                eq = equations.setdefault((j, mono), [Fraction(0)] * len(basis))
+                eq[pos] += tc
+    return len(_fraction_pivots(list(equations.values()), len(basis))) < len(basis)
+
+
+def _random_square_zero(ring, rng, n_vars, constants):
+    """Zero, or a constant drawn from constants plus square-free terms."""
+    if rng.random() < 0.2:
+        return ring.zero()
+    c = ring.from_int(rng.choice(constants))
+    for _ in range(rng.randint(0, 3)):
+        term = ring.from_int(rng.choice([1, -1, 2, -2]))
+        for i in rng.sample(range(1, n_vars + 1), rng.randint(1, n_vars)):
+            term = ring.mul(term, ring.var_by_index(i))
+        c = ring.add(c, term)
+    return c
+
+
+def test_square_zero_uniqueness_matches_kernel_search():
+    R = SquareZeroRing(prefix="x")
+    rng = random.Random(19)
+    seen = {"certified": 0, "fails": 0}
+    for _ in range(320):
+        n_vars = rng.randint(1, 5)
+        # half of the g have only nilpotent coefficients
+        constants = rng.choice([[0], [0, 0, 0, 1, -1, 2, -2, 3]])
+        g = [_random_square_zero(R, rng, n_vars, constants) for _ in range(rng.randint(1, 4))]
+        f = TruncSeries(R, [R.zero()] * len(g))
+        report = verify_global(f, g, [])
+        want = "fails" if _square_zero_annihilator_exists(R, g) else "certified"
+        assert report.uniqueness == want, [R.elem_str(c) for c in g]
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_verify_global_square_zero_past_twelve_variables():
+    R = SquareZeroRing(prefix="x")
+    xs = [R.var_by_index(i) for i in range(1, 17)]
+    f = TruncSeries(R, [R.zero()] * 4)
+    report = verify_global(f, [R.add(R.one(), xs[0]), functools.reduce(R.add, xs[1:])], [])
+    assert report
+    assert report.uniqueness == "certified"
+    # x1 x2 ... x16 kills x1 + ... + x16
+    report = verify_global(f, [functools.reduce(R.add, xs)], [])
+    assert report.product_ok
+    assert report.uniqueness == "fails"
+    assert not report
+
+
 def test_solve_linear_basics():
     rows = [[q(1), q(1)], [q(1), q(-1)]]
     sol = solve_linear(QQ, rows, [q(3), q(1)])
@@ -423,6 +486,21 @@ def test_pointwise_rejects_negative_degree_bound():
         pointwise_test(f, [{}], -1)
 
 
+def test_pointwise_failure_reports_the_degrees_tried():
+    # 1/(1-t)^5 is rational of degree 5, but precision 8 allows degrees 0..3
+    binom = [math.comb(k + 4, 4) for k in range(12)]
+    verdict = pointwise_test(qq_series(binom[:8]), [{}], 10)[0]
+    assert not verdict.rational
+    assert verdict.result.den_deg == 3
+    assert str(verdict) == "{}: no reconstruction with denominator degree <= 3"
+    verdict = pointwise_test(qq_series(binom), [{}], 10)[0]
+    assert verdict.rational
+    assert verdict.result.den_deg == 5
+    # precision 1 allows no degree at all
+    with pytest.raises(PrecisionError, match="needs precision 2, series has 1"):
+        pointwise_test(qq_series([1]), [{}], 0)
+
+
 def test_apply_measure_keeps_rational_series():
     f = qq_series([1, 2, 3])
     assert apply_measure(f, {"L": 4}).eq(f)
@@ -468,24 +546,31 @@ def test_pointwise_square_zero_augmentation():
     assert verdicts[0].rational
 
 
+def _fraction_pivots(rows, n_cols):
+    """Reference elimination: Fraction Gauss-Jordan on the first n_cols
+    columns of rows, in place; returns the pivot columns."""
+    r = 0
+    pivots = []
+    for c in range(n_cols):
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                rows[k] = [x - rows[k][c] * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def _gauss_jordan(rows, rhs):
     """Reference solver: Fraction Gauss-Jordan, free variables zero."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     n_var = len(rows[0]) if rows else 0
-    r = 0
-    pivots = []
-    for c in range(n_var):
-        i = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if i is None:
-            continue
-        aug[r], aug[i] = aug[i], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for k in range(len(aug)):
-            if k != r and aug[k][c]:
-                aug[k] = [x - aug[k][c] * y for x, y in zip(aug[k], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(row[-1] for row in aug[r:]):
+    pivots = _fraction_pivots(aug, n_var)
+    if any(row[-1] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * n_var
     for k, c in enumerate(pivots):
