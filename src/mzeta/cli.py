@@ -38,6 +38,30 @@ _MAX_N = 8
 _MAX_MN = 10
 
 
+def _term_text(o, nl):
+    """The text of o at indent nl when o is shaped exactly like a polynomial
+    term, {"c": str, "e": {str: int, ...}}, else None."""
+    if type(o) is not dict or len(o) != 2:
+        return None
+    c = o.get("c")
+    e = o.get("e")
+    if type(c) is not str or type(e) is not dict:
+        return None
+    inner = nl + "  "
+    text = "{" + inner + '"c": ' + encode_basestring_ascii(c) + "," + inner + '"e": '
+    if not e:
+        return text + "{}" + nl + "}"
+    deeper = inner + "  "
+    sep = "{" + deeper
+    for k in sorted(e):
+        x = e[k]
+        if type(k) is not str or type(x) is not int:
+            return None
+        text += sep + encode_basestring_ascii(k) + ": " + int.__repr__(x)
+        sep = "," + deeper
+    return text + inner + "}" + nl + "}"
+
+
 def _write(o, append, nl):
     t = type(o)
     if t is dict:
@@ -49,8 +73,16 @@ def _write(o, append, nl):
         # a key that is not a str makes sorted() or the string encoder
         # raise TypeError, as _write does for a value it does not write
         for k in sorted(o):
-            append(sep + encode_basestring_ascii(k) + ": ")
-            _write(o[k], append, inner)
+            head = sep + encode_basestring_ascii(k) + ": "
+            v = o[k]
+            tv = type(v)
+            if tv is str:
+                append(head + encode_basestring_ascii(v))
+            elif tv is int:
+                append(head + int.__repr__(v))
+            else:
+                append(head)
+                _write(v, append, inner)
             sep = "," + inner
         append(nl + "}")
     elif t is str:
@@ -62,8 +94,12 @@ def _write(o, append, nl):
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
-            append(sep)
-            _write(v, append, inner)
+            text = _term_text(v, inner)
+            if text is None:
+                append(sep)
+                _write(v, append, inner)
+            else:
+                append(sep + text)
             sep = "," + inner
         append(nl + "]")
     elif t is int:
@@ -83,7 +119,9 @@ def _dumps(obj):
 
     With an indent, json.dumps always runs the pure-Python encoder.  This
     writer lays out dicts, lists, str, int, bool and None itself, with the C
-    string encoder.  A payload holding any other value (a float, a tuple, an
+    string encoder; a str or int value of a dict goes out in one piece with
+    its key, and a list element shaped like a polynomial term as one string.
+    A payload holding any other value (a float, a tuple, an
     int or str subclass, a key that is not a str) or a circular reference
     goes whole to json.dumps, so neither the text nor an error can differ.
     """

@@ -39,6 +39,12 @@ therefore mean nothing outside the process that made them.  A key is as
 long as the field of its highest variable, so the table suits the few dozen
 names a computation uses, not an unbounded stream of fresh names.
 
+Keys decode once per polynomial: its layout, the (name, shift) of every
+field that one of its keys uses, sorted by name, comes from one OR of the
+keys, and items(), variables() and poly_to_json read every term through it.
+poly_from_json packs each term as it reads it, checking each name once per
+polynomial, before the table learns it.
+
 The top bit of every field is a guard: exponents must stay below 2^63.
 Larger ones raise DegreeCutoffError at construction and JSON load, and each
 product or dot sum ORs its result keys once to test the guard bits.  Two
@@ -50,7 +56,9 @@ case variables prefix1, prefix2, ... exist on demand.
 
 JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
 
-  polynomial  {"terms": [{"c": "<decimal int>", "e": {"<var>": <exp>, ...}}, ...]}
+  polynomial  {"terms": [{"c": "<decimal int>", "e": {"<var>": <exp>, ...}}, ...]};
+              every <var> must be a variable name and every <exp> lie in
+              [0, 2^63), whatever the term's coefficient
   fraction    {"num": <poly>, "den": <poly>}; QQ writes the reduced numerator
               and the positive denominator as constant polynomials
   ring        {"kind": "integers"} | {"kind": "poly", "vars": [...]}
@@ -127,16 +135,18 @@ def _pack(pairs):
     return key
 
 
-def _decode(key):
-    """The (variable, exponent) pairs of a packed monomial, sorted by name."""
+def _layout(keys):
+    """(name, shift) of every field that some packed key uses, sorted by
+    name: how every key of one polynomial decodes, found from one OR of
+    the keys."""
+    acc = reduce(or_, keys, 0)
     out = []
-    while key:
-        shift = ((key & -key).bit_length() - 1) // _FIELD * _FIELD
-        e = (key >> shift) & _FIELD_MASK
-        out.append((_names[shift // _FIELD], e))
-        key ^= e << shift
+    while acc:
+        shift = ((acc & -acc).bit_length() - 1) // _FIELD * _FIELD
+        out.append((_names[shift // _FIELD], shift))
+        acc &= ~(_FIELD_MASK << shift)
     out.sort()
-    return tuple(out)
+    return out
 
 
 def _exponent_cutoff():
@@ -220,7 +230,11 @@ class MultiPoly:
 
     def items(self):
         """The terms as (((variable, exponent), ...), coefficient) pairs."""
-        return [(_decode(key), c) for key, c in self.terms.items()]
+        layout = _layout(self.terms)
+        return [
+            (tuple([(v, e) for v, shift in layout if (e := (key >> shift) & _FIELD_MASK)]), c)
+            for key, c in self.terms.items()
+        ]
 
     def is_zero(self):
         return not self.terms
@@ -234,7 +248,7 @@ class MultiPoly:
         return self.constant_term()
 
     def variables(self):
-        return {v for v, _ in _decode(reduce(or_, self.terms, 0))}
+        return {v for v, _ in _layout(self.terms)}
 
     def total_degree(self):
         return max((sum(e for _, e in mono) for mono, _ in self.items()), default=0)
@@ -495,6 +509,9 @@ def poly_from_json(obj):
         raise InvalidInputError("expected a polynomial object with 'terms'")
     if not isinstance(obj["terms"], list):
         raise InvalidInputError("a polynomial's 'terms' must be a list")
+    # each term is packed as it is read; a name is checked and given its
+    # field once per polynomial, before the name table can learn it
+    shifts = {}
     terms = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or "c" not in t:
@@ -502,9 +519,26 @@ def poly_from_json(obj):
         exps = t.get("e", {})
         if not isinstance(exps, dict):
             raise InvalidInputError("a term's 'e' must map variables to exponents")
-        mono = tuple((str(v), _json_int(e, "exponent")) for v, e in exps.items())
-        terms[mono] = terms.get(mono, 0) + _json_int(t["c"], "coefficient")
-    return MultiPoly(terms)
+        key = 0
+        for v, e in exps.items():
+            shift = shifts.get(v)
+            if shift is None:
+                if not isinstance(v, str) or not _VAR_RE.match(v):
+                    raise InvalidInputError("bad variable name %.40r" % (v,))
+                shift = shifts[v] = _FIELD * _field(v)
+            if type(e) is not int:
+                e = _json_int(e, "exponent")
+            # every exponent is checked, whatever its term's coefficient
+            if e < 0:
+                raise InvalidElementError("negative exponent on %r" % v)
+            if e >= _EXP_LIMIT:
+                raise _exponent_cutoff()
+            # distinct names own distinct fields, so no sum can carry
+            key += e << shift
+        c = _json_int(t["c"], "coefficient")
+        if c:
+            _accumulate(terms, key, c)
+    return _poly(terms)
 
 
 class FractionElem:
@@ -562,10 +596,14 @@ def frac_to_json(f):
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 
-def frac_from_json(obj):
+def _fraction_parts(obj):
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise InvalidInputError("expected a fraction object with 'num' and 'den'")
-    return FractionElem(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
+    return poly_from_json(obj["num"]), poly_from_json(obj["den"])
+
+
+def frac_from_json(obj):
+    return FractionElem(*_fraction_parts(obj))
 
 
 class Ring:
@@ -878,15 +916,19 @@ class FractionField(Ring):
         return a / n
 
     def elem_to_json(self, a):
-        return frac_to_json(
-            FractionElem(MultiPoly.const(a.numerator), MultiPoly.const(a.denominator))
-        )
+        # the fraction form with constant polynomials; a zero numerator has
+        # no terms
+        n = a.numerator
+        num = [{"c": int_str(n), "e": {}}] if n else []
+        return {"num": {"terms": num}, "den": {"terms": [{"c": int_str(a.denominator), "e": {}}]}}
 
     def elem_from_json(self, obj):
-        f = frac_from_json(obj)
-        _ZZ.validate(f.num)
-        _ZZ.validate(f.den)
-        return Fraction(f.num.constant_term(), f.den.constant_term())
+        num, den = _fraction_parts(obj)
+        if not den.terms:
+            raise InvalidElementError("zero denominator")
+        _ZZ.validate(num)
+        _ZZ.validate(den)
+        return Fraction(num.constant_term(), den.constant_term())
 
     def elem_str(self, a):
         if a.denominator == 1:

@@ -495,6 +495,10 @@ def test_malformed_polynomial_json_is_a_typed_error(tmp_path):
         ({"terms": ["1"]}, "invalid_input"),
         ({"terms": "1"}, "invalid_input"),
         ({"terms": [{"c": "1", "e": {"L": -1}}]}, "invalid_element"),
+        # every negative exponent, whatever its coefficient
+        ({"terms": [{"c": "0", "e": {"L": -1}}]}, "invalid_element"),
+        ({"terms": [{"c": "1", "e": {"L": -1}}, {"c": "-1", "e": {"L": -1}}]}, "invalid_element"),
+        ({"terms": [{"c": "1", "e": {"1L": 1}}]}, "invalid_input"),
         ({"terms": [{"c": "1", "e": {"L": 2**63}}]}, "degree_cutoff"),
         ({"terms": [{"c": "1", "e": {"L": 10**30}}]}, "degree_cutoff"),
         ({"terms": [{"c": "1" * 5000, "e": {}}]}, "degree_cutoff"),
@@ -512,6 +516,21 @@ def test_malformed_polynomial_json_is_a_typed_error(tmp_path):
     code, payload = run_json(["hankel", str(path), "--m-max", "0", "--offset-max", "0"])
     assert code == 0
     assert payload["determinants"] == [[{"terms": [{"c": "-12", "e": {"L": 2**63 - 1}}]}]]
+
+
+def test_bad_variable_name_is_a_typed_error(tmp_path):
+    # "1x" is no variable name: it is rejected as read, before printing the
+    # element could meet it
+    path = tmp_path / "s.json"
+    poly = {"terms": [{"c": "1", "e": {"x": 1}}, {"c": "2", "e": {"1x": 1}}]}
+    path.write_text(json.dumps({"ring": {"kind": "integers"}, "coeffs": [poly]}))
+    for fmt in ("json", "text"):
+        code, text = run_cli(["hankel", str(path), "--m-max", "0", "--offset-max", "0",
+                              "--format", fmt])
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "error": "invalid_input", "message": "bad variable name '1x'"
+        }
 
 
 def test_malformed_input_files_are_typed_errors(tmp_path):

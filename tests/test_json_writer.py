@@ -54,11 +54,40 @@ def _random_int(rng):
     return -rng.randrange(10**3999, 10**4000)
 
 
+def _random_term(rng):
+    """A polynomial term {"c": str, "e": {str: int, ...}}, which the writer
+    lays out as one string, or one of its near misses."""
+    exps = {_random_text(rng, _TEXTS): _random_int(rng) for _ in range(rng.randrange(4))}
+    term = {"c": _random_text(rng, _VALUES), "e": exps}
+    miss = rng.randrange(12)
+    if miss == 0:
+        term["c"] = _random_int(rng)
+    elif miss == 1 and exps:
+        exps[rng.choice(list(exps))] = rng.choice([True, False, "3", None, 1.5, Colour.RED])
+    elif miss == 2:
+        term[rng.choice(["d", "", "cc"])] = _random_payload(rng, 3)
+    elif miss == 3:
+        term["e"] = {rng.randrange(9): 1 for _ in range(rng.randrange(1, 3))}
+    elif miss == 4:
+        term["c"] = Name(term["c"])
+    elif miss == 5:
+        term["e"] = {Name(k): e for k, e in exps.items()}
+    elif miss == 6:
+        del term[rng.choice(["c", "e"])]
+    elif miss == 7:
+        term["e"] = rng.choice([[], ["L"], None, "L"])
+    return term
+
+
 def _random_payload(rng, depth):
-    kinds = ["str", "int", "bool", "none", "empty_list", "empty_dict"]
+    kinds = ["str", "int", "bool", "none", "empty_list", "empty_dict", "term"]
     if depth < 4:
-        kinds += ["list", "dict", "list", "dict"]
+        kinds += ["list", "dict", "list", "dict", "terms"]
     kind = rng.choice(kinds)
+    if kind == "term":
+        return _random_term(rng)
+    if kind == "terms":
+        return {"terms": [_random_term(rng) for _ in range(rng.randrange(4))]}
     if kind == "str":
         return _random_text(rng, _VALUES)
     if kind == "int":
@@ -95,6 +124,30 @@ class WriterMatchesStdlib(unittest.TestCase):
         rng = random.Random(20260)
         for _ in range(400):
             self.assertSameText(_random_payload(rng, 0))
+
+    def test_polynomial_terms_and_near_misses(self):
+        term = {"c": "-12", "e": {"L": 1, "J": 2, "c10": 3, "c9": 0}}
+        near = [
+            {"c": 12, "e": {"L": 1}},
+            {"c": "1", "e": {"L": True}},
+            {"c": "1", "e": {"L": "1"}},
+            {"c": "1", "e": {"L": 1}, "d": 0},
+            {"c": "1", "e": {1: 1}},
+            {"c": "1", "e": {1: 1, 2: 0}},
+            {Name("c"): "1", "e": {"L": 1}},
+            {"c": Name("1"), "e": {"L": 1}},
+            {"c": "1", "e": {Name("L"): 1}},
+            {"c": "1", "e": {"L": Colour.RED}},
+            {"c": "1", "e": {"L": 10**300}},
+            {"c": "1"},
+            {"c": "1", "e": []},
+            {"c": "1", "d": {}},
+        ]
+        for obj in [term, {"c": "0", "e": {}}] + near:
+            with self.subTest(obj=obj):
+                self.assertSameText({"terms": [obj, term, obj]})
+                self.assertSameText([[obj]])
+                self.assertSameText(obj)
 
     def test_every_key_and_value_text(self):
         self.assertSameText({k: _VALUES for k in _TEXTS})

@@ -1,0 +1,228 @@
+"""The polynomial and Q JSON codec: the readers against the earlier readers,
+kept here as references, on seeded valid and single-defect inputs; the
+writers and decoders against the tuple-key reference, for names registered
+out of alphabetical order; and the boundary rules for names and exponents."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from mzeta import rings
+from mzeta.errors import (
+    DegreeCutoffError,
+    InvalidElementError,
+    InvalidInputError,
+    ToolkitError,
+)
+from mzeta.rings import (
+    QQ,
+    FractionElem,
+    IntegerRing,
+    MultiPoly,
+    _json_int,
+    poly_from_json,
+    poly_to_json,
+)
+
+BIG = 2**63 - 1
+# registered here, in this order: neither alphabetical nor natural (jd10 <
+# jd9 as text, jd9 < jd10 naturally), so field order is not name order
+NAMES = ["jdz", "jd9", "jda", "jd10", "jdB"]
+for _name in NAMES:
+    MultiPoly.var(_name)
+
+
+def reference_poly_from_json(obj):
+    """The reader that built a tuple-keyed dict and packed it through
+    MultiPoly.__init__."""
+    if not isinstance(obj, dict) or "terms" not in obj:
+        raise InvalidInputError("expected a polynomial object with 'terms'")
+    if not isinstance(obj["terms"], list):
+        raise InvalidInputError("a polynomial's 'terms' must be a list")
+    terms = {}
+    for t in obj["terms"]:
+        if not isinstance(t, dict) or "c" not in t:
+            raise InvalidInputError("each polynomial term must be an object with 'c'")
+        exps = t.get("e", {})
+        if not isinstance(exps, dict):
+            raise InvalidInputError("a term's 'e' must map variables to exponents")
+        mono = tuple((str(v), _json_int(e, "exponent")) for v, e in exps.items())
+        terms[mono] = terms.get(mono, 0) + _json_int(t["c"], "coefficient")
+    return MultiPoly(terms)
+
+
+def reference_q_from_json(obj):
+    """The Q reader that went through a FractionElem."""
+    if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
+        raise InvalidInputError("expected a fraction object with 'num' and 'den'")
+    f = FractionElem(reference_poly_from_json(obj["num"]), reference_poly_from_json(obj["den"]))
+    IntegerRing().validate(f.num)
+    IntegerRing().validate(f.den)
+    return Fraction(f.num.constant_term(), f.den.constant_term())
+
+
+def outcome(read, obj):
+    try:
+        return "value", read(obj)
+    except ToolkitError as e:
+        return type(e), str(e)
+
+
+def random_term(rng, names):
+    """A valid term: exponents 0, 2^63 - 1 and decimal strings included,
+    sometimes no "e" at all."""
+    exps = {
+        v: rng.choice([0, 1, 2, 7, BIG, "3"])
+        for v in rng.sample(names, rng.randrange(min(4, len(names)) + 1))
+    }
+    c = rng.choice([rng.randint(-50, 50), str(rng.randint(-50, 50)), "0", str(-(10**40))])
+    if not exps and rng.random() < 0.5:
+        return {"c": c}
+    return {"c": c, "e": exps}
+
+
+def random_poly(rng, names):
+    terms = [random_term(rng, names) for _ in range(rng.randrange(5))]
+    if terms and rng.random() < 0.6:
+        # a duplicate monomial, half the time one that cancels its twin
+        t = rng.choice(terms)
+        c = int(t["c"])
+        twin = {"c": str(-c if rng.random() < 0.5 else c), "e": dict(t.get("e", {}))}
+        terms.insert(rng.randrange(len(terms) + 1), twin)
+    return {"terms": terms}
+
+
+# defects inside one term; a defective exponent sits on a term with a
+# nonzero coefficient that nothing cancels
+_BAD_COEFFS = ["x", "1_000", " 7", "+7", "٣", "", "1.5", True, False, 1.5, None, [1],
+               "1" * 5000]
+_BAD_EXPONENTS = [True, False, 2.0, "q", " 3", "3_0", None, [1], -1, "-4", 2**63, 10**30]
+_BAD_TERMS = ["1", 5, None, [], {"e": {}}, {"c": "1", "e": ["jdz"]}, {"c": "1", "e": "jdz"}]
+
+
+def with_defect(rng, obj):
+    """obj with one defect, at a random term or around the term list."""
+    kind = rng.randrange(5)
+    terms = obj["terms"]
+    if kind == 0:
+        return rng.choice([[obj], "terms", {"term": terms}, {"terms": "1"}, {"terms": {}}])
+    at = rng.randrange(len(terms) + 1)
+    if kind == 1:
+        bad = rng.choice(_BAD_TERMS)
+    elif kind == 2:
+        bad = {"c": rng.choice(_BAD_COEFFS), "e": {rng.choice(NAMES): 1}}
+    else:
+        bad = {"c": str(rng.randint(1, 9)), "e": {rng.choice(NAMES): rng.choice(_BAD_EXPONENTS)}}
+    return {"terms": terms[:at] + [bad] + terms[at:]}
+
+
+def test_poly_reader_matches_the_reference():
+    rng = random.Random("poly-json")
+    for i in range(1500):
+        obj = random_poly(rng, NAMES)
+        if i % 2:
+            obj = with_defect(rng, obj)
+        got = outcome(poly_from_json, obj)
+        assert got == outcome(reference_poly_from_json, obj), obj
+        # every defect raises, and no valid input does
+        assert (got[0] != "value") == bool(i % 2)
+
+
+def random_fraction(rng):
+    """A valid Q element in JSON, or one with a defect: a zero denominator,
+    a variable, a missing part or a defective polynomial."""
+
+    def const(n):
+        return {"terms": [{"c": str(n), "e": {}}] if n else []}
+
+    obj = {"num": const(rng.randint(-30, 30)), "den": const(rng.choice([-6, -1, 1, 4, 10**30]))}
+    kind = rng.randrange(8)
+    if kind == 1:
+        obj["den"] = rng.choice([const(0), {"terms": [{"c": "2"}, {"c": "-2", "e": {}}]}])
+    elif kind == 2:
+        part = rng.choice(["num", "den"])
+        obj[part] = {"terms": obj[part]["terms"] + [{"c": "1", "e": {rng.choice(NAMES): 1}}]}
+    elif kind == 3:
+        del obj[rng.choice(["num", "den"])]
+    elif kind == 4:
+        part = rng.choice(["num", "den"])
+        obj[part] = with_defect(rng, obj[part])
+    elif kind == 5:
+        obj = rng.choice([None, [obj], "1/2"])
+    elif kind == 6:
+        # two defects: the zero denominator is the one reported
+        obj = {"num": {"terms": [{"c": "1", "e": {rng.choice(NAMES): 1}}]}, "den": const(0)}
+    return obj
+
+
+def test_q_reader_matches_the_reference():
+    rng = random.Random("q-json")
+    values = 0
+    for _ in range(600):
+        obj = random_fraction(rng)
+        got = outcome(QQ.elem_from_json, obj)
+        assert got == outcome(reference_q_from_json, obj), obj
+        if got[0] == "value":
+            values += 1
+            assert type(got[1]) is Fraction
+    assert 100 < values < 300
+
+
+def random_tuple_poly(rng, names):
+    out = {}
+    for _ in range(rng.randrange(6)):
+        chosen = rng.sample(names, rng.randrange(len(names) + 1))
+        key = tuple(sorted((v, rng.choice([1, 2, 5, BIG])) for v in chosen))
+        out[key] = out.get(key, 0) + rng.randint(-9, 9)
+    return {key: c for key, c in out.items() if c}
+
+
+def test_decoding_matches_the_tuple_reference_out_of_name_order():
+    assert sorted(NAMES, key=rings._fields.get) == NAMES != sorted(NAMES)
+    rng = random.Random("decode")
+    for _ in range(300):
+        a = random_tuple_poly(rng, rng.sample(NAMES, rng.randint(1, len(NAMES))))
+        p = MultiPoly(a)
+        assert dict(p.items()) == a
+        assert p.variables() == {v for mono in a for v, _ in mono}
+        want = [{"c": str(c), "e": dict(mono)} for mono, c in sorted(a.items())]
+        assert poly_to_json(p) == {"terms": want}
+        assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_q_writer_gives_constant_polynomials():
+    for q in [Fraction(0), Fraction(-3, 2), Fraction(10**40, 7), Fraction(5)]:
+        want = {
+            "num": poly_to_json(MultiPoly.const(q.numerator)),
+            "den": poly_to_json(MultiPoly.const(q.denominator)),
+        }
+        assert QQ.elem_to_json(q) == want
+        assert QQ.elem_from_json(want) == q
+
+
+def test_every_negative_exponent_is_rejected():
+    cases = [
+        [{"c": "0", "e": {"jdz": -1}}],
+        # equal monomials that cancel
+        [{"c": "1", "e": {"jdz": -1}}, {"c": "-1", "e": {"jdz": -1}}],
+        [{"c": "3", "e": {"jda": 1, "jdz": "-2"}}],
+    ]
+    for terms in cases:
+        with pytest.raises(InvalidElementError, match="negative exponent on 'jdz'"):
+            poly_from_json({"terms": terms})
+    # an exponent past its field is rejected whatever its coefficient too
+    with pytest.raises(DegreeCutoffError):
+        poly_from_json({"terms": [{"c": "0", "e": {"jdz": 2**63}}]})
+
+
+def test_bad_variable_name_is_rejected_before_it_is_registered():
+    for name in ["1x", "", "x-y", "x y", "_x", "é", "x\n", "L" * 50 + "!"]:
+        size = len(rings._names)
+        obj = {"terms": [{"c": "1", "e": {"jdz": 1}}, {"c": "2", "e": {name: 1}}]}
+        with pytest.raises(InvalidInputError, match="^bad variable name "):
+            poly_from_json(obj)
+        assert len(rings._names) == size
+        assert name not in rings._fields
