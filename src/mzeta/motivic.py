@@ -346,7 +346,7 @@ def _cell_series(ring, profile, c):
     """
     n = len(c)
     for k, a in sorted(profile.items()):
-        x = MultiPoly.var("L", k)
+        x = ring.var("L", k)
         for _ in range(abs(a)):
             if a > 0:
                 for i in range(1, n):
@@ -397,7 +397,7 @@ class CurveModel:
                     step = ring.var(_jacobian_name(self.index))
                 else:
                     step = ring.var(_power_name(self.index, 1))
-                bump = ring.mul(step, MultiPoly.var("L", m - g))
+                bump = ring.mul(step, ring.var("L", m - g))
                 value = ring.add(self._classes[m - 1], bump)
             self._classes.append(value)
         return self._classes[n]
@@ -471,7 +471,7 @@ class MotivicModel:
                 atoms[atom] = self._atom_series(atom.node, n)
             piece = atoms[atom]
             if k:
-                piece = piece.scale_arg(MultiPoly.var("L", k))
+                piece = piece.scale_arg(ring.var("L", k))
             piece = piece.pow(v)
             out = piece if out is None else out.mul(piece)
         if out is None:
@@ -531,7 +531,7 @@ class MotivicModel:
                 numerators[atom] = poly_trim(ring, shear.coeffs)
             piece = numerators[atom]
             if k:
-                piece = poly_scale_t(ring, piece, MultiPoly.var("L", k))
+                piece = poly_scale_t(ring, piece, ring.var("L", k))
             piece = poly_pow(ring, piece, abs(v))
             if v > 0:
                 num = poly_mul(ring, num, piece)
@@ -542,7 +542,7 @@ class MotivicModel:
         for k, a in sorted(cells.items()):
             if not a:
                 continue
-            binom = [ring.one(), ring.neg(MultiPoly.var("L", k))]
+            binom = [ring.one(), ring.neg(ring.var("L", k))]
             piece = poly_pow(ring, binom, abs(a))
             if a < 0:
                 num = poly_mul(ring, num, piece)

@@ -24,32 +24,49 @@ sub, mul, dot, eq, pow, invert) trusts its operands, so an element of a
 foreign ring is rejected where it enters, not by the operation that meets it.
 dot(pairs) is the sum of a*b over a list of pairs, gathered into one dict
 by the module's one term-product loop; MultiPoly.mul is its one-pair case.
+Over Z, whose elements are constants, dot and mul are one integer sum.
 
-Monomials are packed integers (the layout of Monagan and Pearce's packed
-exponent vectors and of FLINT's fmpz_mpoly).  Every variable name owns a
-64-bit field, and the monomial prod v_i^e_i is the integer sum e_i << 64*i,
-so the product of two monomials is one integer addition.  Field i belongs
-to the i-th name in a module table that is append-only, filled on first
-sight of a name under a lock, and shared by the whole process.  Like
-sys.intern, the table fixes only how a name is stored: no value, output
-order or error depends on it, because equality compares packed dicts built
-from the same table, and everything that leaves the process (JSON, str,
-sorting, error messages) decodes keys back to names first.  Packed keys
-therefore mean nothing outside the process that made them.  A key is as
-long as the field of its highest variable, so the table suits the few dozen
-names a computation uses, not an unbounded stream of fresh names.
+Monomials are packed integers (the packed exponent vectors of Monagan and
+Pearce, and FLINT's fmpz_mpoly).  Every MultiPoly carries a layout, an
+interned tuple of variable names: field i of each of its keys is a 64-bit
+field that holds the exponent of names[i], so the monomial prod v_i^e_i is
+the integer sum e_i << 64*i and the product of two monomials is one integer
+addition.  A PolynomialRing or SquareZeroRing owns the layout of its own
+variable list, and its var, from_int and elem_from_json build elements in
+it; in the motivic ring ["L", "J", "c1", ...] the key of L^k is the small
+integer k.  A prefix SquareZeroRing's layout grows by one name each time
+the ring hands out a variable it has not handed out before.  A value built
+outside a ring (MultiPoly(...), MultiPoly.var, poly_from_json) gets the
+sorted layout of the names it uses, and MultiPoly.const the empty layout.
+So a key is as wide as the fields of its own variables, whatever names the
+rest of the process has seen.
 
-Keys decode once per polynomial: its layout, the (name, shift) of every
-field that one of its keys uses, sorted by name, comes from one OR of the
-keys, and items(), variables() and poly_to_json read every term through it.
-poly_from_json packs each term as it reads it, checking each name once per
-polynomial, before the table learns it.
+Operands that share a layout, tested by identity, run the plain loops.
+Where two layouts meet (add, dot, substitute, ==), the operand that lacks
+names moves into the other's layout, or both into their union: the first
+layout's names, then the second's new names in their order.  A layout that
+extends the other as a prefix, and a constant, moves without touching a
+key; any other move re-packs each key once.  The meeting of each pair of
+layouts is worked out once and kept.  Like sys.intern, a layout fixes only
+how a monomial is stored: no value, output order or error depends on it,
+because equality compares keys on one layout, and everything that leaves the
+process (JSON, str, sorting, error messages) decodes keys back to names.
+Layouts are kept for the life of the process, so they suit the name sets of
+a computation, not an unbounded stream of fresh names.
+
+Keys decode once per polynomial: items(), variables() and poly_to_json find
+the fields its keys use from one OR of the keys and read every term through
+them.  poly_from_json packs each term as it reads it, checking each name
+once per polynomial before any layout learns it; a ring's elem_from_json
+packs straight into the ring's layout.  Every path that takes a variable
+name from its caller (MultiPoly(...), MultiPoly.var, collect, the keys of a
+substitute mapping, JSON) rejects a name that is not [A-Za-z][A-Za-z0-9_]*.
 
 The top bit of every field is a guard: exponents must stay below 2^63.
 Larger ones raise DegreeCutoffError at construction and JSON load, and each
-product or dot sum ORs its result keys once to test the guard bits.  Two
-exponents below 2^63 sum to less than 2^64, so a carry never reaches a
-neighbouring field before it is caught.
+product or dot sum ORs its result keys once to test the guard bits of its
+layout.  Two exponents below 2^63 sum to less than 2^64, so a carry never
+reaches a neighbouring field before it is caught.
 
 A SquareZeroRing may be given an explicit variable list or a prefix, in which
 case variables prefix1, prefix2, ... exist on demand.
@@ -72,7 +89,6 @@ import json
 import math
 import re
 import sys
-import threading
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -93,76 +109,181 @@ _FIELD = 64
 _FIELD_MASK = (1 << _FIELD) - 1
 _EXP_LIMIT = 1 << (_FIELD - 1)
 
-# the name table: field index -> name, and back
-_names = []
-_fields = {}
-_names_lock = threading.Lock()
-# over every registered field: the guard bit, and the bits of exponents >= 2
-_GUARD = 0
-_ABOVE_ONE = 0
+
+class _Layout:
+    """The field order of packed keys: field i belongs to names[i].
+
+    Layouts are interned by _layout_of, so equal layouts are identical."""
+
+    __slots__ = ("names", "index", "guard", "above_one", "decode")
+
+    def __init__(self, names):
+        self.names = names
+        self.index = {v: i for i, v in enumerate(names)}
+        # one set bit at the bottom of every field
+        low = ((1 << (_FIELD * len(names))) - 1) // _FIELD_MASK
+        self.guard = low << (_FIELD - 1)
+        # the bits of every exponent >= 2
+        self.above_one = low * (_FIELD_MASK - 1)
+        # (name, shift) of every field, sorted by name
+        self.decode = sorted((v, _FIELD * i) for i, v in enumerate(names))
+
+    def __reduce__(self):
+        # copies and pickles stay the interned instance
+        return _layout_of, (self.names,)
+
+    def used(self, terms):
+        """(name, shift) of every field that some key of terms uses, sorted
+        by name, from one OR of the keys."""
+        acc = reduce(or_, terms, 0)
+        return [(v, s) for v, s in self.decode if (acc >> s) & _FIELD_MASK]
 
 
-def _field(name):
-    """Field index of a variable name, registered on first sight."""
-    i = _fields.get(name)
-    if i is None:
-        global _GUARD, _ABOVE_ONE
-        with _names_lock:
-            i = _fields.get(name)
-            if i is None:
-                i = len(_names)
-                _names.append(name)
-                _GUARD |= 1 << (_FIELD * i + _FIELD - 1)
-                _ABOVE_ONE |= (_FIELD_MASK - 1) << (_FIELD * i)
-                # published last: whoever sees the index sees the masks
-                _fields[name] = i
-    return i
+_layouts = {}
 
 
-def _pack(pairs):
-    """Packed monomial of (variable, exponent) pairs; exponents must lie in
-    [0, 2^63)."""
-    key = 0
-    for v, e in pairs:
-        if e < 0:
-            raise InvalidElementError("negative exponent on %r" % v)
-        if e:
-            if e >= _EXP_LIMIT:
-                raise _exponent_cutoff()
-            key += e << (_FIELD * _field(v))
-            if key & _GUARD:
-                raise _exponent_cutoff()
-    return key
+def _layout_of(names):
+    """The interned layout of a tuple of distinct, valid names."""
+    lay = _layouts.get(names)
+    if lay is None:
+        lay = _layouts.setdefault(names, _Layout(names))
+    return lay
 
 
-def _layout(keys):
-    """(name, shift) of every field that some packed key uses, sorted by
-    name: how every key of one polynomial decodes, found from one OR of
-    the keys."""
-    acc = reduce(or_, keys, 0)
-    out = []
-    while acc:
-        shift = ((acc & -acc).bit_length() - 1) // _FIELD * _FIELD
-        out.append((_names[shift // _FIELD], shift))
-        acc &= ~(_FIELD_MASK << shift)
-    out.sort()
+_EMPTY = _layout_of(())
+
+_joins = {}
+
+
+def _join(la, lb):
+    """(layout, moves of a, moves of b): the layout where operands of layouts
+    la and lb meet, and for each operand None when its keys stay as they
+    are, else the shift in that layout of each of its fields.  Worked out
+    once per pair of layouts."""
+    j = _joins.get((la, lb))
+    if j is None:
+        a, b = la.names, lb.names
+        if b[: len(a)] == a:
+            j = (lb, None, None)
+        elif a[: len(b)] == b:
+            j = (la, None, None)
+        else:
+            if lb.index.keys() >= la.index.keys():
+                to = lb
+            elif la.index.keys() >= lb.index.keys():
+                to = la
+            else:
+                to = _layout_of(a + tuple(v for v in b if v not in la.index))
+            j = (to, _moves(la, to), _moves(lb, to))
+        j = _joins.setdefault((la, lb), j)
+    return j
+
+
+def _moves(src, dst):
+    if dst.names[: len(src.names)] == src.names:
+        return None
+    return tuple(_FIELD * dst.index[v] for v in src.names)
+
+
+def _moved(terms, moves):
+    """terms re-packed: field i of every key goes to shift moves[i].  Names
+    are distinct, so no two keys meet and no field sums."""
+    if moves is None:
+        return terms
+    out = {}
+    for key, c in terms.items():
+        new = 0
+        for s in moves:
+            if not key:
+                break
+            new += (key & _FIELD_MASK) << s
+            key >>= _FIELD
+        out[new] = c
     return out
+
+
+def _home(p):
+    """p's layout, or the empty one for a constant, which fits every layout."""
+    return p.layout if any(p.terms) else _EMPTY
+
+
+def _meet(p, q):
+    """(layout, p's terms, q's terms) on the layout where p and q meet."""
+    if q.layout is _EMPTY:
+        return p.layout, p.terms, q.terms
+    if p.layout is _EMPTY:
+        return q.layout, p.terms, q.terms
+    lay, mp, mq = _join(p.layout, q.layout)
+    if mp is not None or mq is not None:
+        lay, mp, mq = _join(_home(p), _home(q))
+    return lay, _moved(p.terms, mp), _moved(q.terms, mq)
+
+
+def _widened(lay, x, y):
+    """The layout where lay (None for none yet), x's and y's layouts meet
+    when none of them moves a key (each is a prefix of it, as a constant's
+    empty layout is of every layout), else None."""
+    for p in (x, y):
+        other = p.layout
+        if other is lay or other is _EMPTY:
+            continue
+        if lay is None or lay is _EMPTY:
+            lay = other
+            continue
+        lay, ml, mp = _join(lay, other)
+        if ml is not None or mp is not None:
+            return None
+    return lay or _EMPTY
+
+
+def _onto(p, lay):
+    """p on layout lay, which holds every name p uses."""
+    if p.layout is lay:
+        return p
+    return _poly(_moved(p.terms, _join(_home(p), lay)[1]), lay)
+
+
+def _check_name(v):
+    if not isinstance(v, str) or not _VAR_RE.match(v):
+        raise InvalidElementError("bad variable name %.40r" % (v,))
+
+
+def _own_layout(terms, names):
+    """terms, packed with field i for names[i], and the sorted layout of the
+    names they use, moved onto it."""
+    acc = reduce(or_, terms, 0)
+    used = tuple(sorted(v for i, v in enumerate(names) if (acc >> (_FIELD * i)) & _FIELD_MASK))
+    lay = _layout_of(used)
+    if tuple(names[: len(used)]) == used:
+        return terms, lay
+    # a name no key uses moves nowhere: its field is zero in every key
+    return _moved(terms, tuple(_FIELD * lay.index.get(v, 0) for v in names)), lay
 
 
 def _exponent_cutoff():
     return DegreeCutoffError("an exponent is 2^63 or more, the limit of a monomial field")
 
 
-def _check_guard(terms):
-    if reduce(or_, terms, 0) & _GUARD:
+def _check_guard(terms, lay):
+    if reduce(or_, terms, 0) & lay.guard:
         raise _exponent_cutoff()
 
 
-def _poly(terms):
+def _poly(terms, layout, new=object.__new__):
     """MultiPoly over an already packed dict with nonzero coefficients."""
-    p = MultiPoly.__new__(MultiPoly)
+    p = new(MultiPoly)
     p.terms = terms
+    p.layout = layout
     return p
+
+
+def _var(lay, name, exp, coeff):
+    """coeff * name^exp on layout lay, which holds name."""
+    if coeff == 0 or exp < 0:
+        return _poly({}, lay)
+    if exp >= _EXP_LIMIT:
+        raise _exponent_cutoff()
+    return _poly({exp << (_FIELD * lay.index[name]): coeff}, lay)
 
 
 def _bare_var_field(p):
@@ -193,46 +314,56 @@ def _int_text(n):
 class MultiPoly:
     """Sparse multivariate polynomial over Z.
 
-    terms maps a packed monomial (see the module docstring) to a nonzero
-    integer coefficient; items() gives the same terms with decoded keys,
-    tuples of (variable, exponent) pairs sorted by name.  Instances are
-    treated as immutable.
+    terms maps a packed monomial on layout (see the module docstring) to a
+    nonzero integer coefficient; items() gives the same terms with decoded
+    keys, tuples of (variable, exponent) pairs sorted by name.  Instances
+    are treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "layout")
 
     def __init__(self, terms=None):
         """terms maps sequences of (variable, exponent) pairs to integers."""
         clean = {}
+        names = []
+        index = {}
         if terms:
             for pairs, coeff in terms.items():
                 if coeff == 0:
                     continue
-                key = _pack(pairs)
-                s = clean.get(key, 0) + coeff
-                if s:
-                    clean[key] = s
-                else:
-                    del clean[key]
-        self.terms = clean
+                key = 0
+                for v, e in pairs:
+                    if e < 0:
+                        raise InvalidElementError("negative exponent on %r" % v)
+                    if e:
+                        if e >= _EXP_LIMIT:
+                            raise _exponent_cutoff()
+                        i = index.get(v) if isinstance(v, str) else None
+                        if i is None:
+                            _check_name(v)
+                            i = index[v] = len(names)
+                            names.append(v)
+                        key += e << (_FIELD * i)
+                        # a name given twice sums in its field
+                        if (key >> (_FIELD * i + _FIELD - 1)) & 1:
+                            raise _exponent_cutoff()
+                _accumulate(clean, key, coeff)
+        self.terms, self.layout = _own_layout(clean, names)
 
     @classmethod
     def const(cls, c):
-        return _poly({0: int(c)} if c else {})
+        return _poly({0: int(c)} if c else {}, _EMPTY)
 
     @classmethod
     def var(cls, name, exp=1, coeff=1):
-        if not _VAR_RE.match(name):
-            raise InvalidElementError("bad variable name %r" % name)
-        if coeff == 0 or exp < 0:
-            return _poly({})
-        return _poly({_pack(((name, exp),)): coeff})
+        _check_name(name)
+        return _var(_layout_of((name,)), name, exp, coeff)
 
     def items(self):
         """The terms as (((variable, exponent), ...), coefficient) pairs."""
-        layout = _layout(self.terms)
+        used = self.layout.used(self.terms)
         return [
-            (tuple([(v, e) for v, shift in layout if (e := (key >> shift) & _FIELD_MASK)]), c)
+            (tuple([(v, e) for v, shift in used if (e := (key >> shift) & _FIELD_MASK)]), c)
             for key, c in self.terms.items()
         ]
 
@@ -248,32 +379,45 @@ class MultiPoly:
         return self.constant_term()
 
     def variables(self):
-        return {v for v, _ in _layout(self.terms)}
+        return {v for v, _ in self.layout.used(self.terms)}
 
     def total_degree(self):
         return max((sum(e for _, e in mono) for mono, _ in self.items()), default=0)
 
     def degree_in(self, var):
-        if var not in _fields:
+        i = self.layout.index.get(var)
+        if i is None:
             return 0
-        shift = _FIELD * _fields[var]
+        shift = _FIELD * i
         return max(((key >> shift) & _FIELD_MASK for key in self.terms), default=0)
 
     def coefficient_of(self, var, exp):
         """Collect the coefficient of var**exp as a polynomial in the rest."""
-        if var not in _fields:
+        i = self.layout.index.get(var)
+        if i is None:
             return self if exp == 0 else MultiPoly.const(0)
-        shift = _FIELD * _fields[var]
+        shift = _FIELD * i
         drop = exp << shift
         return _poly({
             key - drop: c for key, c in self.terms.items()
             if (key >> shift) & _FIELD_MASK == exp
-        })
+        }, self.layout)
 
     def collect(self, names):
         """Group the terms by their exponent vector on names: a dict from the
         vector to its coefficient, a polynomial in the other variables."""
-        shifts = [_FIELD * _field(v) for v in names]
+        index = self.layout.index
+        # a name outside the layout reads the field past its last one,
+        # which is zero in every key
+        past = _FIELD * len(index)
+        shifts = []
+        for v in names:
+            i = index.get(v) if isinstance(v, str) else None
+            if i is None:
+                _check_name(v)
+                shifts.append(past)
+            else:
+                shifts.append(_FIELD * i)
         block = 0
         for s in shifts:
             block |= _FIELD_MASK << s
@@ -282,20 +426,24 @@ class MultiPoly:
         for key, c in self.terms.items():
             vec = tuple((key >> s) & _FIELD_MASK for s in shifts)
             groups.setdefault(vec, {})[key & keep] = c
-        return {vec: _poly(terms) for vec, terms in groups.items()}
+        return {vec: _poly(terms, self.layout) for vec, terms in groups.items()}
 
     def add(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        lay = self.layout
+        a, b = self.terms, other.terms
+        if other.layout is not lay:
+            lay, a, b = _meet(self, other)
+        out = dict(a)
+        for key, c in b.items():
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return _poly(out)
+        return _poly(out, lay)
 
     def neg(self):
-        return _poly({key: -c for key, c in self.terms.items()})
+        return _poly({key: -c for key, c in self.terms.items()}, self.layout)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -307,7 +455,7 @@ class MultiPoly:
     def mul_int(self, n):
         if n == 0:
             return MultiPoly.const(0)
-        return _poly({key: c * n for key, c in self.terms.items()})
+        return _poly({key: c * n for key, c in self.terms.items()}, self.layout)
 
     def pow(self, n):
         if n < 0:
@@ -319,13 +467,20 @@ class MultiPoly:
 
         When every value is a bare variable this is a rename of fields, with
         no polynomial product."""
-        images = {}
+        lay = self.layout
+        vals = {}
         for v, val in mapping.items():
-            # a name never registered occurs in no polynomial
-            if v in _fields:
-                images[_FIELD * _fields[v]] = (
-                    val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-                )
+            if v not in lay.index:
+                # a name outside the layout occurs in no key
+                _check_name(v)
+                continue
+            vals[v] = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
+        # self and every image on one layout
+        for val in vals.values():
+            if val.layout is not lay:
+                lay = _join(lay, _home(val))[0]
+        terms = _onto(self, lay).terms
+        images = {_FIELD * lay.index[v]: _onto(val, lay) for v, val in vals.items()}
         moved = 0
         for shift in images:
             moved |= _FIELD_MASK << shift
@@ -336,16 +491,16 @@ class MultiPoly:
         # 2^63, which cannot carry past the guard bit
         renames = None not in targets.values() and len(set(targets.values())) == len(targets)
         if renames:
-            for key, c in self.terms.items():
+            for key, c in terms.items():
                 new = key & keep
                 for shift, i in targets.items():
                     new += ((key >> shift) & _FIELD_MASK) << (_FIELD * i)
                 _accumulate(out, new, c)
-            _check_guard(out)
-            return _poly(out)
+            _check_guard(out, lay)
+            return _poly(out, lay)
         powers = {}
-        for key, c in self.terms.items():
-            term = _poly({key & keep: c})
+        for key, c in terms.items():
+            term = _poly({key & keep: c}, lay)
             for shift, val in images.items():
                 e = (key >> shift) & _FIELD_MASK
                 if e:
@@ -354,7 +509,7 @@ class MultiPoly:
                     term = term.mul(powers[shift, e])
             for k, tc in term.terms.items():
                 _accumulate(out, k, tc)
-        return _poly(out)
+        return _poly(out, lay)
 
     def divide_int_exact(self, n):
         if n == 0:
@@ -367,10 +522,17 @@ class MultiPoly:
                     "coefficient %s not divisible by %s" % (_int_text(c), _int_text(n))
                 )
             out[key] = q
-        return _poly(out)
+        return _poly(out, self.layout)
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        if not isinstance(other, MultiPoly):
+            return False
+        if other.layout is self.layout:
+            return self.terms == other.terms
+        if len(self.terms) != len(other.terms):
+            return False
+        _, a, b = _meet(self, other)
+        return a == b
 
     __hash__ = None
 
@@ -412,15 +574,29 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
-def _dot(pairs):
+def _dot(pairs, out=None, lay=None):
     """Sum of the products a*b over (a, b) pairs of MultiPolys, gathered in
     one dict: the one term-product loop of the module.
 
-    Every key of the sum is the sum of two keys whose fields lie below 2^63,
-    so one guard test at the end catches any field that overflowed."""
-    out = {}
+    The loop runs on one layout, which widens without a move while each new
+    operand's layout is a prefix of it or it of theirs; an operand that
+    needs a move hands the rest of the sum, and what is gathered so far, to
+    _dot_met.  Every key of the sum is the sum of two
+    keys whose fields lie below 2^63, so one guard test at the end catches
+    any field that overflowed."""
+    if out is None:
+        out = {}
     get = out.get
+    pairs = iter(pairs)
     for x, y in pairs:
+        if x.layout is not lay or y.layout is not lay:
+            if lay is None and x.layout is y.layout:
+                lay = x.layout
+            else:
+                wide = _widened(lay, x, y)
+                if wide is None:
+                    return _dot_met(out, lay, (x, y), pairs)
+                lay = wide
         a, b = x.terms, y.terms
         if len(a) > len(b):
             a, b = b, a
@@ -433,8 +609,25 @@ def _dot(pairs):
                     out[key] = s
                 else:
                     del out[key]
-    _check_guard(out)
-    return _poly(out)
+    if lay is None:
+        return _poly(out, _EMPTY)
+    _check_guard(out, lay)
+    return _poly(out, lay)
+
+
+def _dot_met(out, lay, first, rest):
+    """_dot from the pair first on, with out gathered so far on layout lay
+    (None before the first pair): every operand left moves onto the layout
+    where they all meet, and the sum goes on there."""
+    pairs = [first, *rest]
+    to = lay or _EMPTY
+    for pair in pairs:
+        for p in pair:
+            if p.layout is not to:
+                to = _join(to, _home(p))[0]
+    if lay is not None:
+        out = _moved(out, _join(lay, to)[1])
+    return _dot([(_onto(x, to), _onto(y, to)) for x, y in pairs], out, to)
 
 
 def _accumulate(terms, key, c):
@@ -504,14 +697,19 @@ def _json_int(x, what):
         ) from None
 
 
-def poly_from_json(obj):
+def poly_from_json(obj, layout=_EMPTY):
+    """A polynomial from its JSON form, packed on layout (a ring's) when it
+    uses no other name; names outside layout take the fields after it, and
+    a polynomial read on the empty layout gets the layout of its names."""
     if not isinstance(obj, dict) or "terms" not in obj:
         raise InvalidInputError("expected a polynomial object with 'terms'")
     if not isinstance(obj["terms"], list):
         raise InvalidInputError("a polynomial's 'terms' must be a list")
     # each term is packed as it is read; a name is checked and given its
-    # field once per polynomial, before the name table can learn it
+    # field once per polynomial, before any layout can learn it
+    index = layout.index
     shifts = {}
+    extra = []
     terms = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or "c" not in t:
@@ -525,7 +723,11 @@ def poly_from_json(obj):
             if shift is None:
                 if not isinstance(v, str) or not _VAR_RE.match(v):
                     raise InvalidInputError("bad variable name %.40r" % (v,))
-                shift = shifts[v] = _FIELD * _field(v)
+                i = index.get(v)
+                if i is None:
+                    i = len(index) + len(extra)
+                    extra.append(v)
+                shift = shifts[v] = _FIELD * i
             if type(e) is not int:
                 e = _json_int(e, "exponent")
             # every exponent is checked, whatever its term's coefficient
@@ -538,7 +740,13 @@ def poly_from_json(obj):
         c = _json_int(t["c"], "coefficient")
         if c:
             _accumulate(terms, key, c)
-    return _poly(terms)
+    if not extra:
+        return _poly(terms, layout)
+    if layout is _EMPTY:
+        return _poly(*_own_layout(terms, extra))
+    if not reduce(or_, terms, 0) >> (_FIELD * len(index)):
+        return _poly(terms, layout)
+    return _poly(terms, _layout_of(layout.names + tuple(extra)))
 
 
 class FractionElem:
@@ -610,6 +818,8 @@ class Ring:
     """Common interface, with the MultiPoly arithmetic; subclasses validate."""
 
     kind = None
+    # the layout of the ring's own elements (see the module docstring)
+    _layout = _EMPTY
 
     def zero(self):
         return self.from_int(0)
@@ -618,7 +828,7 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n):
-        return MultiPoly.const(n)
+        return _poly({0: int(n)} if n else {}, self._layout)
 
     def add(self, a, b):
         return a.add(b)
@@ -661,9 +871,17 @@ class Ring:
         return poly_to_json(a)
 
     def elem_from_json(self, obj):
-        a = poly_from_json(obj)
+        a = poly_from_json(obj, self._layout)
         self.validate(a)
         return a
+
+    def _mask_in(self, lay):
+        """The ring's membership mask for elements on layout lay, worked out
+        once per layout."""
+        m = self._masks.get(lay)
+        if m is None:
+            m = self._masks[lay] = self._mask_of(lay)
+        return m
 
     def elem_str(self, a):
         return str(a)
@@ -687,6 +905,17 @@ def _check_var_names(variables):
 
 class IntegerRing(Ring):
     kind = "integers"
+
+    def mul(self, a, b):
+        return self.dot(((a, b),))
+
+    def dot(self, pairs):
+        # every element is a constant, {0: c} or {}, so the sum is one int
+        n = 0
+        for a, b in pairs:
+            if a.terms and b.terms:
+                n += a.terms[0] * b.terms[0]
+        return _poly({0: n} if n else {}, _EMPTY)
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
@@ -713,20 +942,27 @@ class PolynomialRing(Ring):
     def __init__(self, variables):
         self.variables = _check_var_names(variables)
         self._varset = set(self.variables)
-        # every field of the ring's variables: an element's keys OR into it
-        self._mask = 0
-        for v in self.variables:
-            self._mask |= _FIELD_MASK << (_FIELD * _field(v))
+        self._layout = _layout_of(self.variables)
+        self._masks = {}
 
-    def var(self, name):
+    def var(self, name, exp=1):
         if name not in self._varset:
             raise RingMismatchError("variable %r is not in this ring" % name)
-        return MultiPoly.var(name)
+        return _var(self._layout, name, exp, 1)
+
+    def _mask_of(self, lay):
+        # every field of a ring variable: an element's keys OR into it
+        return sum(_FIELD_MASK << (_FIELD * i) for i, v in enumerate(lay.names) if v in self._varset)
 
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("expected a polynomial element")
-        if reduce(or_, a.terms, self._mask) != self._mask:
+        # no key passes the last field of its layout, so every element on
+        # the ring's own layout is in the ring
+        if a.layout is self._layout:
+            return
+        mask = self._mask_in(a.layout)
+        if reduce(or_, a.terms, mask) != mask:
             extra = a.variables() - self._varset
             raise RingMismatchError("variables %s not in ring %s" % (sorted(extra), list(self.variables)))
 
@@ -757,19 +993,17 @@ class SquareZeroRing(Ring):
         if prefix is not None and not _VAR_RE.match(prefix):
             raise InvalidInputError("bad variable prefix %r" % prefix)
         self.prefix = prefix
-        # the exponent-one bit of each known variable's field; a prefix ring
-        # learns its variables from the name table as they are registered
-        self._ones = 0
+        self._masks = {}
         if variables is not None:
             self.variables = _check_var_names(variables)
             self._varset = set(self.variables)
-            for v in self.variables:
-                self._ones |= 1 << (_FIELD * _field(v))
+            self._layout = _layout_of(self.variables)
         else:
             self.variables = None
             self._varset = None
             self._prefix_re = re.compile(re.escape(prefix) + r"[1-9][0-9]*\Z")
-            self._scanned = 0
+            # grows by one name each time var hands out a new variable
+            self._layout = _EMPTY
 
     def _valid_var(self, v):
         if self._varset is not None:
@@ -779,18 +1013,22 @@ class SquareZeroRing(Ring):
     def var(self, name):
         if not self._valid_var(name):
             raise RingMismatchError("variable %r is not in this ring" % name)
-        return MultiPoly.var(name)
+        lay = self._layout
+        if name not in lay.index:
+            # only a prefix ring meets a variable its layout lacks
+            lay = self._layout = _layout_of(lay.names + (name,))
+        return _var(lay, name, 1, 1)
 
     def var_by_index(self, i):
         if self.prefix is None:
             raise InvalidInputError("ring has a fixed variable list")
         if i < 1:
             raise InvalidInputError("variable index must be >= 1")
-        return MultiPoly.var("%s%d" % (self.prefix, i))
+        return self.var("%s%d" % (self.prefix, i))
 
     def reduce(self, a):
-        squares = _ABOVE_ONE
-        return _poly({key: c for key, c in a.terms.items() if not key & squares})
+        squares = a.layout.above_one
+        return _poly({key: c for key, c in a.terms.items() if not key & squares}, a.layout)
 
     def mul(self, a, b):
         return self.reduce(a.mul(b))
@@ -799,35 +1037,25 @@ class SquareZeroRing(Ring):
         # reduction only drops monomials, so one reduce of the sum is enough
         return self.reduce(_dot(pairs))
 
+    def _mask_of(self, lay):
+        # the exponent-one bit of the field of each ring variable
+        return sum(1 << (_FIELD * i) for i, v in enumerate(lay.names) if self._valid_var(v))
+
     def validate(self, a):
         if not isinstance(a, MultiPoly):
             raise RingMismatchError("expected a polynomial element")
         # a key ORs into the ones bits iff its variables are the ring's and
         # every exponent is 1
-        acc = reduce(or_, a.terms, self._ones)
-        if acc == self._ones:
+        ones = self._mask_in(a.layout)
+        if reduce(or_, a.terms, ones) == ones:
             return
-        if self.prefix is not None and self._scanned < len(_names):
-            self._learn_names()
-            acc |= self._ones
-            if acc == self._ones:
-                return
-        # the decoded check names the offending variable; after a race
-        # between two threads learning names it may find nothing wrong, and
-        # then a is valid
+        # the decoded check names the offending variable
         for mono, _ in a.items():
             for v, e in mono:
                 if not self._valid_var(v):
                     raise RingMismatchError("variable %r is not in this ring" % v)
                 if e >= 2:
                     raise InvalidElementError("unreduced square %s^%d" % (v, e))
-
-    def _learn_names(self):
-        end = len(_names)
-        for i in range(self._scanned, end):
-            if self._prefix_re.match(_names[i]):
-                self._ones |= 1 << (_FIELD * i)
-        self._scanned = end
 
     def invert(self, a):
         """Invert c + n with c = +-1 and n nilpotent, by a finite geometric sum."""

@@ -68,16 +68,18 @@ def is_symmetric(p, block):
     return True
 
 
-def _eliminate_block(p, block, symbols):
+def _eliminate_block(p, block, symbols, ring):
     """Rewrite p (symmetric in block) using the block's elementary polys.
 
     Classical leading-term elimination: repeatedly locate the lex-largest
     exponent vector on the block, peel off a matching product of elementary
     symmetric polynomials, and record it in the fresh symbol variables.
-    Variables outside the block ride along as coefficients.
+    Variables outside the block ride along as coefficients.  ring holds
+    every name, so all the work runs on its layout.
     """
     k = len(block)
-    elems = [None] + [elementary_symmetric(i, block) for i in range(1, k + 1)]
+    roots = [ring.var(v) for v in block]
+    elems = [None] + [esym_of_elements(i, roots) for i in range(1, k + 1)]
     acc = MultiPoly.const(0)
     while True:
         groups = p.collect(block)
@@ -95,7 +97,7 @@ def _eliminate_block(p, block, symbols):
         for i in range(k):
             step = best[i] - (best[i + 1] if i + 1 < k else 0)
             if step:
-                mono = mono.mul(MultiPoly.var(symbols[i], step))
+                mono = mono.mul(ring.var(symbols[i], step))
                 expansion = expansion.mul(elems[i + 1].pow(step))
         acc = acc.add(q.mul(mono))
         p = p.sub(q.mul(expansion))
@@ -138,13 +140,15 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
             raise NonSymmetricError(
                 "polynomial is not symmetric in block %r" % (block,)
             )
+    ring = PolynomialRing(sorted(taken) + [name for names in symbols for name in names])
     out = p
     for block, names in zip(blocks, symbols):
-        out = _eliminate_block(out, block, names)
+        out = _eliminate_block(out, block, names, ring)
     back = {}
     for block, names in zip(blocks, symbols):
+        roots = [ring.var(v) for v in block]
         for i, name in enumerate(names):
-            back[name] = elementary_symmetric(i + 1, block)
+            back[name] = esym_of_elements(i + 1, roots)
     if out.substitute(back) != p:
         raise RuntimeError("internal error: rewrite failed back-substitution")
     return out
@@ -218,9 +222,8 @@ def universal_P_from_roots(n, extra=0):
     size = n + extra
     avars = ["a%d" % i for i in range(1, size + 1)]
     bvars = ["b%d" % i for i in range(1, size + 1)]
-    products = [
-        MultiPoly.var(u).mul(MultiPoly.var(v)) for u in avars for v in bvars
-    ]
+    ring = PolynomialRing(avars + bvars)
+    products = [ring.var(u).mul(ring.var(v)) for u in avars for v in bvars]
     sym = esym_of_elements(n, products)
     return rewrite_in_elementaries(sym, [avars, bvars])
 
@@ -233,7 +236,8 @@ def universal_Q_from_roots(m, n, extra=0):
     """
     size = m * n + extra
     avars = ["a%d" % i for i in range(1, size + 1)]
-    roots = [MultiPoly.var(v) for v in avars]
+    ring = PolynomialRing(avars)
+    roots = [ring.var(v) for v in avars]
     subsets = []
     for combo in itertools.combinations(roots, n):
         prod = MultiPoly.const(1)

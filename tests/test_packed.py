@@ -1,11 +1,15 @@
 """Packed monomials: MultiPoly arithmetic and the ring.dot kernel against the
-tuple-key reference in mzeta.oracles, the 2^63 exponent bound, and output
-that does not depend on the order in which variable names were first seen."""
+tuple-key reference in mzeta.oracles, on one layout and where layouts meet;
+the 2^63 exponent bound; per-ring layouts that do not depend on the names a
+process has seen; and output that does not depend on the order in which
+variable names were first seen."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -129,6 +133,7 @@ def _rand_dot_pair(rng, kind):
 def test_dot_matches_tuple_reference(kind):
     ring = DOT_RINGS[kind]
     rng = random.Random("dot-" + kind)
+    deepest = 0
     for _ in range(200):
         pairs = [_rand_dot_pair(rng, kind) for _ in range(rng.randint(0, 6))]
         if kind == "Q":
@@ -143,12 +148,22 @@ def test_dot_matches_tuple_reference(kind):
             want = oracles.tuple_poly_add(
                 want, oracles.tuple_poly_mul(a, b, square_zero=kind == "square_zero")
             )
-        got = ring.dot((MultiPoly(a), MultiPoly(b)) for a, b in pairs)
+        operands = [(MultiPoly(a), MultiPoly(b)) for a, b in pairs]
+        if rng.random() < 0.5:
+            # on the ring's own layout
+            operands = [tuple(ring.elem_from_json(poly_to_json(p)) for p in pair) for pair in operands]
+        got = ring.dot(iter(operands))
         assert as_tuple(got) == want
         assert 0 not in got.terms.values()
         ring.validate(got)
-    # the names every list draws one of sit past field 20
-    assert min(rings._fields[v] for v in NAMES[20:]) >= 20
+        if operands and operands[0][0].layout is ring._layout:
+            assert got.layout is ring._layout
+            deepest = max([deepest] + [key.bit_length() for key in got.terms])
+    if kind in ("poly", "square_zero"):
+        # the names every list draws one of sit past field 20 of the ring's
+        # layout, and products on it reach them
+        assert all(ring._layout.index[v] >= 20 for v in NAMES[20:])
+        assert deepest > 64 * 20
 
 
 @pytest.mark.parametrize("kind", sorted(DOT_RINGS))
@@ -302,21 +317,23 @@ def test_inverse_of_huge_non_unit_is_typed():
 
 def test_concurrent_registration_gives_each_name_one_field():
     names = ["thr%d" % i for i in range(300)]
-    products = []
+    blob = poly_to_json(MultiPoly({tuple((name, 1) for name in names): 1}))
+    results = []
 
-    def register(order):
-        p = MultiPoly.const(1)
+    def build(forward):
+        order = names if forward else names[::-1]
+        ring = PolynomialRing(names)
+        on_ring = ring.one()
+        free = MultiPoly.const(1)
         for name in order:
-            p = p.mul(MultiPoly.var(name))
-        products.append(p)
+            on_ring = ring.mul(on_ring, ring.var(name))
+            free = free.mul(MultiPoly.var(name))
+        results.append((forward, ring, on_ring, free, poly_from_json(blob)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [
-            threading.Thread(target=register, args=(names[::1 if i % 2 else -1],))
-            for i in range(8)
-        ]
+        threads = [threading.Thread(target=build, args=(i % 2 == 0,)) for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -324,11 +341,162 @@ def test_concurrent_registration_gives_each_name_one_field():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(products) == 8
-    # a lost update would give a name two fields, or two names one field
-    assert len(set(rings._names)) == len(rings._names)
-    fields = [rings._fields[name] for name in names]
-    assert len(set(fields)) == len(names)
-    assert all(rings._names[rings._fields[name]] == name for name in names)
-    assert all(p == products[0] for p in products)
-    assert as_tuple(products[0]) == {tuple(sorted((name, 1) for name in names)): 1}
+    assert len(results) == 8
+    # a lost update while interning would give one tuple of names two
+    # layouts: the same build must meet the same layout, by identity
+    rings_ = [r[1] for r in results]
+    assert all(ring._layout is rings_[0]._layout for ring in rings_)
+    assert rings_[0]._layout.names == tuple(names)
+    for forward in (True, False):
+        same = [r for r in results if r[0] is forward]
+        assert len(same) == 4
+        assert all(r[3].layout is same[0][3].layout for r in same)
+    assert all(r[2].layout is rings_[0]._layout for r in results)
+    assert all(r[4].layout is results[0][4].layout for r in results)
+    for lay in rings._layouts.values():
+        assert rings._layouts[lay.names] is lay
+        assert len(set(lay.names)) == len(lay.names)
+    want = {tuple(sorted((name, 1) for name in names)): 1}
+    for r in results:
+        assert r[2] == r[3] == r[4]
+        assert as_tuple(r[2]) == as_tuple(r[3]) == as_tuple(r[4]) == want
+
+
+@pytest.mark.parametrize("name", ["1x", "", "x y", "_x", "x-y", "é", "x\n", 5, None])
+def test_bad_variable_name_is_typed_wherever_a_layout_learns_it(name):
+    x = MultiPoly.var("x")
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        MultiPoly({((name, 1),): 2})
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        MultiPoly.var(name)
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        x.collect(["x", name])
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        x.substitute({name: MultiPoly.var("y")})
+    # a name with a zero exponent or coefficient enters no layout
+    assert MultiPoly({((name, 0),): 2}) == MultiPoly.const(2)
+    assert MultiPoly({((name, 1),): 0}).is_zero()
+    # an unhashable name too, where one can be passed
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        MultiPoly.var([name])
+    with pytest.raises(InvalidElementError, match="^bad variable name "):
+        x.collect([[name]])
+
+
+def test_bad_name_no_longer_reaches_text_output():
+    # the name was once stored, and str() failed in the natural sort
+    with pytest.raises(InvalidElementError):
+        str(MultiPoly({(("1x", 1),): 2}).add(MultiPoly.var("x")))
+
+
+# where layouts meet: a ring's layout, the layouts of MultiPoly.var products
+# and of JSON input, a prefix square-zero ring's growing layout, and constants
+CROSS = ["L", "J", "c1", "c2", "x1", "x2", "x3"]
+CROSS_RING = PolynomialRing(CROSS)
+CROSS_OTHER = PolynomialRing(["x3", "c2", "L", "x1"])
+CROSS_PREFIX = SquareZeroRing(prefix="x")
+
+
+def _build(ring_var, one, a):
+    out = None
+    for mono, c in a.items():
+        term = one.mul_int(c)
+        for v, e in mono:
+            term = term.mul(ring_var(v).pow(e) if e > 1 else ring_var(v))
+        out = term if out is None else out.add(term)
+    return one.mul_int(0) if out is None else out
+
+
+def _cross_operand(rng, a):
+    """a as a MultiPoly on a layout chosen among those that can hold it."""
+    names = {v for mono in a for v, _ in mono}
+    square_free = all(e == 1 for mono in a for _, e in mono)
+    makers = [
+        lambda: _build(CROSS_RING.var, CROSS_RING.one(), a),
+        lambda: _build(MultiPoly.var, MultiPoly.const(1), a),
+        lambda: poly_from_json(json.loads(json.dumps(poly_to_json(MultiPoly(a))))),
+        lambda: MultiPoly(a),
+    ]
+    if names <= set(CROSS_OTHER.variables):
+        makers.append(lambda: _build(CROSS_OTHER.var, CROSS_OTHER.one(), a))
+    if square_free and names <= {"x1", "x2", "x3"}:
+        makers.append(lambda: _build(CROSS_PREFIX.var, CROSS_PREFIX.one(), a))
+    if not names:
+        makers.append(lambda: MultiPoly.const(a.get((), 0)))
+    p = rng.choice(makers)()
+    assert as_tuple(p) == a
+    return p
+
+
+def _tuple_collect(a, names):
+    out = {}
+    for mono, c in a.items():
+        exps = dict(mono)
+        vec = tuple(exps.pop(v, 0) for v in names)
+        rest = tuple(sorted(exps.items()))
+        out.setdefault(vec, {})[rest] = c
+    return out
+
+
+def test_operations_agree_with_tuple_reference_across_layouts():
+    rng = random.Random("cross-layout")
+    for _ in range(400):
+        if rng.random() < 0.3:
+            pool = ["x1", "x2", "x3"]
+        else:
+            pool = rng.sample(CROSS, rng.randint(1, len(CROSS)))
+        square_free = rng.random() < 0.3
+        a, b, c = (rand_tuple_poly(rng, pool, max_terms=4, square_free=square_free) for _ in range(3))
+        pa, pb, pc = (_cross_operand(rng, t) for t in (a, b, c))
+        neg_b = {k: -v for k, v in b.items()}
+        assert as_tuple(pa.add(pb)) == oracles.tuple_poly_add(a, b)
+        assert as_tuple(pa.sub(pb)) == oracles.tuple_poly_add(a, neg_b)
+        assert as_tuple(pa.mul(pb)) == oracles.tuple_poly_mul(a, b)
+        want = oracles.tuple_poly_add(oracles.tuple_poly_mul(a, b), oracles.tuple_poly_mul(c, a))
+        got = CROSS_RING.dot([(pa, pb), (pc, pa)])
+        assert as_tuple(got) == want
+        CROSS_RING.validate(got)
+        v = rng.choice(CROSS)
+        assert as_tuple(pa.substitute({v: pc})) == oracles.tuple_poly_substitute(a, {v: c})
+        w = rng.choice(CROSS)
+        if v != w:
+            # a rename, which may merge terms
+            image = _cross_operand(rng, {((w, 1),): 1})
+            assert as_tuple(pa.substitute({v: image})) == oracles.tuple_poly_substitute(
+                a, {v: {((w, 1),): 1}}
+            )
+        names = rng.sample(CROSS, rng.randint(1, 3))
+        assert {vec: as_tuple(q) for vec, q in pa.collect(names).items()} == _tuple_collect(a, names)
+        assert (pa == pb) == (a == b)
+        assert pa == MultiPoly(a) and pa == _cross_operand(rng, a)
+        assert sorted(pa.items()) == sorted(a.items())
+        assert poly_to_json(pa) == poly_to_json(MultiPoly(a))
+        assert str(pa) == str(MultiPoly(a))
+
+
+def test_ring_layout_does_not_depend_on_names_seen_before():
+    for i in range(200):
+        MultiPoly.var("unrelated%d" % i)
+    ring = PolynomialRing(["L", "J", "c1", "c2", "c3"])
+    for k in range(1, 8):
+        assert ring.var("L", k).terms == {k: 1}
+    assert ring.mul(ring.var("L", 2), ring.var("J")).terms == {2 + (1 << 64): 1}
+    # every key of the ring's elements fits in its own fields, also when
+    # read back from JSON
+    from mzeta.motivic import MotivicModel, parse_variety
+    from mzeta.series import series_from_json
+
+    model = MotivicModel(parse_variety("Prod(Curve(2),P(1))"))
+    f = model.zeta_series(8)
+    width = 64 * len(model.ring.variables)
+    assert model.ring.variables[0] == "L"
+    for series in (f, series_from_json(f.to_json())):
+        for coeff in series.coeffs:
+            assert coeff.layout is model.ring._layout
+            assert all(key.bit_length() <= width for key in coeff.terms)
+    assert all(key.bit_length() <= 64 for key in model.ring.var("L", 5).terms)
+    # copies and pickles keep the ring's layout, by identity
+    x = f.coeffs[3]
+    for copied in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied.layout is x.layout and copied == x
+    assert pickle.loads(pickle.dumps(model.ring))._layout is model.ring._layout

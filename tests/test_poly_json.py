@@ -1,7 +1,8 @@
 """The polynomial and Q JSON codec: the readers against the earlier readers,
 kept here as references, on seeded valid and single-defect inputs; the
-writers and decoders against the tuple-key reference, for names registered
-out of alphabetical order; and the boundary rules for names and exponents."""
+writers and decoders against the tuple-key reference, on a ring layout whose
+fields are out of alphabetical order; and the boundary rules for names and
+exponents."""
 
 from __future__ import annotations
 
@@ -22,17 +23,18 @@ from mzeta.rings import (
     FractionElem,
     IntegerRing,
     MultiPoly,
+    PolynomialRing,
     _json_int,
     poly_from_json,
     poly_to_json,
 )
 
 BIG = 2**63 - 1
-# registered here, in this order: neither alphabetical nor natural (jd10 <
-# jd9 as text, jd9 < jd10 naturally), so field order is not name order
+# the layout of RING holds its fields in this order: neither alphabetical
+# nor natural (jd10 < jd9 as text, jd9 < jd10 naturally), so on it field
+# order is not name order
 NAMES = ["jdz", "jd9", "jda", "jd10", "jdB"]
-for _name in NAMES:
-    MultiPoly.var(_name)
+RING = PolynomialRing(NAMES)
 
 
 def reference_poly_from_json(obj):
@@ -180,17 +182,33 @@ def random_tuple_poly(rng, names):
     return {key: c for key, c in out.items() if c}
 
 
+def on_ring(a):
+    """The tuple-key polynomial a built from RING's variables, on its layout."""
+    out = RING.zero()
+    for mono, c in a.items():
+        term = RING.from_int(c)
+        for v, e in mono:
+            term = RING.mul(term, RING.var(v, e))
+        out = RING.add(out, term)
+    return out
+
+
 def test_decoding_matches_the_tuple_reference_out_of_name_order():
-    assert sorted(NAMES, key=rings._fields.get) == NAMES != sorted(NAMES)
+    assert RING._layout.names == tuple(NAMES) != tuple(sorted(NAMES))
     rng = random.Random("decode")
     for _ in range(300):
         a = random_tuple_poly(rng, rng.sample(NAMES, rng.randint(1, len(NAMES))))
-        p = MultiPoly(a)
-        assert dict(p.items()) == a
-        assert p.variables() == {v for mono in a for v, _ in mono}
         want = [{"c": str(c), "e": dict(mono)} for mono, c in sorted(a.items())]
-        assert poly_to_json(p) == {"terms": want}
-        assert poly_from_json(poly_to_json(p)) == p
+        # the same value on the ring's layout and on the layout of its names
+        q = on_ring(a)
+        assert q.layout is RING._layout
+        for p in (MultiPoly(a), q):
+            assert dict(p.items()) == a
+            assert p.variables() == {v for mono in a for v, _ in mono}
+            assert poly_to_json(p) == {"terms": want}
+            assert poly_from_json(poly_to_json(p)) == p
+            assert RING.elem_from_json(poly_to_json(p)).terms == q.terms
+        assert MultiPoly(a) == q and str(MultiPoly(a)) == str(q)
 
 
 def test_q_writer_gives_constant_polynomials():
@@ -220,9 +238,12 @@ def test_every_negative_exponent_is_rejected():
 
 def test_bad_variable_name_is_rejected_before_it_is_registered():
     for name in ["1x", "", "x-y", "x y", "_x", "é", "x\n", "L" * 50 + "!"]:
-        size = len(rings._names)
+        size = len(rings._layouts)
         obj = {"terms": [{"c": "1", "e": {"jdz": 1}}, {"c": "2", "e": {name: 1}}]}
         with pytest.raises(InvalidInputError, match="^bad variable name "):
             poly_from_json(obj)
-        assert len(rings._names) == size
-        assert name not in rings._fields
+        with pytest.raises(InvalidInputError, match="^bad variable name "):
+            RING.elem_from_json(obj)
+        # no layout learnt the name, and none was made
+        assert len(rings._layouts) == size
+        assert not any(name in lay.names for lay in rings._layouts.values())
