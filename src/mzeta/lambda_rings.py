@@ -1,6 +1,6 @@
 """Lambda structures: the big Witt ring on series with constant term 1,
 Adams operations and the opposite (sigma) structure on lambda data,
-specialness checks, and graded vector spaces.
+specialness checks, and lambda on graded vector spaces.
 
 Conventions used throughout:
 
@@ -22,10 +22,12 @@ Conventions used throughout:
   lambda^i(x), and x itself is coefficient 1.  adams and opposite_sigma
   state the order they need and raise PrecisionError otherwise.  The Adams
   operation psi^n(x) reads the n-th ghost coordinate of lambda_t(x).
-* GradedSpace models integer polynomials in s as graded virtual vector
-  spaces: lambda acts on an even-degree piece through symmetric powers and
-  on an odd-degree piece through exterior powers, with negative dimensions
-  handled by the same generalized binomial coefficients.
+* A graded virtual vector space is an element of Z[s] (PolynomialRing(["s"]))
+  whose s^j coefficient is the (possibly negative) dimension in degree j,
+  built by graded_space and read by graded_dims; direct sum and tensor
+  product are add and mul.  lambda acts on an even-degree piece through
+  symmetric powers and on an odd-degree piece through exterior powers, with
+  negative dimensions handled by the same generalized binomial coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import MultiPoly, PolynomialRing, _check_int, eval_poly, poly_from_json, poly_to_json
+from .rings import PolynomialRing, _check_int, eval_poly
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
 from .symfunc import universal_P, universal_Q
 
@@ -529,70 +531,26 @@ def check_special(rule, x, y, nmax, mmax):
 _S_RING = PolynomialRing(["s"])
 
 
-class GradedSpace:
-    """Graded virtual vector space: an integer polynomial in s whose
-    coefficient at s^j is the (possibly negative) dimension in degree j.
-    """
+def graded_space(dims):
+    """The graded virtual vector space with dimension dims[j] (possibly
+    negative) in degree j: the element sum of dims[j] s^j of Z[s]."""
+    v = _S_RING.zero()
+    for j, d in enumerate(dims):
+        _check_int(d, "graded dimension")
+        v = v.add(_S_RING.var("s", j).mul_int(d))
+    return v
 
-    __slots__ = ("poly",)
 
-    def __init__(self, poly):
-        if not poly.variables() <= {"s"}:
-            raise InvalidElementError("graded spaces live in the variable s")
-        self.poly = poly
-
-    @classmethod
-    def from_coeffs(cls, dims):
-        p = MultiPoly.const(0)
-        for j, d in enumerate(dims):
-            p = p.add(MultiPoly.var("s", j, d) if j else MultiPoly.const(d))
-        return cls(p)
-
-    def coefficient(self, j):
-        return self.poly.coefficient_of("s", j).constant_term() if j else self.poly.constant_term()
-
-    def degree(self):
-        return self.poly.degree_in("s")
-
-    def coeff_list(self):
-        return [self.coefficient(j) for j in range(self.degree() + 1)]
-
-    def constant_term(self):
-        return self.poly.constant_term()
-
-    def add(self, other):
-        """Direct sum."""
-        return GradedSpace(self.poly.add(other.poly))
-
-    def mul(self, other):
-        """Tensor product."""
-        return GradedSpace(self.poly.mul(other.poly))
-
-    def is_monoid_element(self):
-        """Constant term 1 and no negative dimensions."""
-        return self.constant_term() == 1 and all(
-            c >= 0 for c in self.poly.terms.values()
-        )
-
-    def to_json(self):
-        return poly_to_json(self.poly)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(poly_from_json(obj))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSpace):
-            return NotImplemented
-        return self.poly == other.poly
-
-    __hash__ = None
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __repr__(self):
-        return "GradedSpace(%s)" % self.poly
+def graded_dims(v):
+    """The dimensions [d_0, ..., d_top] of the graded space v, an element of
+    Z[s] of degree top; [0] for v = 0."""
+    _S_RING.validate(v)
+    if v.layout is _S_RING._layout:
+        # the ring's own layout has the one field s, so a key is its exponent
+        dims = v.terms
+    else:
+        dims = {mono[0][1] if mono else 0: c for mono, c in v.items()}
+    return [dims.get(j, 0) for j in range(max(dims, default=0) + 1)]
 
 
 def graded_lambda_sequence(v, upto):
@@ -609,16 +567,15 @@ def graded_lambda_sequence(v, upto):
     if upto < 0:
         raise InvalidInputError("negative lambda index")
     total = TruncSeries.one(_S_RING, upto + 1)
-    for p in range(v.degree() + 1):
-        dim = v.coefficient(p)
+    for p, dim in enumerate(graded_dims(v)):
         if dim == 0:
             continue
         coeffs = []
         for i in range(upto + 1):
             c = gen_binom(dim, i) if p % 2 else gen_binom(dim + i - 1, i)
-            coeffs.append(MultiPoly.var("s", p * i, c) if p * i else MultiPoly.const(c))
+            coeffs.append(_S_RING.var("s", p * i).mul_int(c))
         total = total.mul(TruncSeries(_S_RING, coeffs))
-    return [GradedSpace(c) for c in total.coeffs]
+    return list(total.coeffs)
 
 
 def graded_lambda(m, v):

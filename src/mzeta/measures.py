@@ -3,7 +3,7 @@
 The geometry comes in as plain integers: irregularity q, geometric genus
 pg, the plurigenus list P1, P2, ..., and optionally virtual dimensions
 h1n for n >= 2.  The degree-one measure of a surface is the graded space
-1 + q s + pg s^2; the n-th measure is 1 + h1n s + P_n s^2.  Measures of
+1 + q s + pg s^2 in Z[s]; the n-th is 1 + h1n s + P_n s^2.  Measures of
 symmetric powers come from the graded lambda operations for n = 1; for
 n >= 2 that identity is not available, so only three coefficient tracks
 are certified: the constant term (always 1), the s^1 value, and the
@@ -21,14 +21,14 @@ import json
 import math
 
 from .errors import InvalidInputError, MissingDataError
-from .lambda_rings import GradedSpace, graded_lambda_sequence
+from .lambda_rings import graded_dims, graded_lambda_sequence, graded_space
 from .rationality import (
     GroupSeries,
     NoWitnessUpTo,
     PeriodFound,
     periodic_ratio_test,
 )
-from .rings import FractionElem, MultiPoly, _check_int, _json_int
+from .rings import _check_int, _json_int, poly_to_json
 
 
 def _is_int(x):
@@ -175,18 +175,16 @@ def mu(surface, n):
     _check_int(n, "measure index")
     if n < 1:
         raise InvalidInputError("measure index must be positive")
-    return GradedSpace.from_coeffs(
-        [1, surface.h1(n), surface.plurigenus(n)]
-    )
+    return graded_space([1, surface.h1(n), surface.plurigenus(n)])
 
 
 class MeasureSequence:
-    """Measures of the symmetric powers Sym^m X for m = 0..M."""
+    """Measures of the symmetric powers Sym^m X for m = 0..M, in Z[s]."""
 
     def __init__(self, entries):
         entries = list(entries)
         for entry in entries:
-            if entry.constant_term() != 1:
+            if graded_dims(entry)[0] != 1:
                 raise InvalidInputError("measure entries have constant term 1")
         self.entries = entries
 
@@ -200,7 +198,7 @@ class MeasureSequence:
         return iter(self.entries)
 
     def to_json(self):
-        return {"entries": [e.to_json() for e in self.entries]}
+        return {"entries": [poly_to_json(e) for e in self.entries]}
 
     def __str__(self):
         return "\n".join(
@@ -284,12 +282,16 @@ class BoundednessReport:
 
 def boundedness_check(seq, j):
     """Track the s^j coefficients across a measure sequence."""
+    _check_int(j, "track degree")
+    if j < 0:
+        raise InvalidInputError("track degree must be nonnegative")
     if not len(seq):
         raise InvalidInputError("empty measure sequence")
-    values = [e.coefficient(j) for e in seq]
-    s1 = [e.coefficient(1) for e in seq]
-    leading = [e.coefficient(2 * m) for m, e in enumerate(seq)]
-    degrees = [e.degree() for e in seq]
+    dims = [dict(enumerate(graded_dims(e))) for e in seq]
+    values = [d.get(j, 0) for d in dims]
+    s1 = [d.get(1, 0) for d in dims]
+    leading = [d.get(2 * m, 0) for m, d in enumerate(dims)]
+    degrees = [len(d) - 1 for d in dims]
     return BoundednessReport(j, values, s1, leading, degrees)
 
 
@@ -460,14 +462,10 @@ def irrationality_harness(surface, n, M, n_max=4, i0_max=6):
     if n == 1:
         need = max(M + 1, i0_max + 3 * n_max)
         seq = mu_sym_sequence(surface, need)
-        one = MultiPoly.const(1)
-        gs = GroupSeries(
-            [FractionElem(e.poly, one) for e in seq], check_monoid=True
-        )
+        gs = GroupSeries.from_polynomials(seq, check_monoid=True)
         witness = periodic_ratio_test(gs, n_max, i0_max)
-        leading = [e.coefficient(2 * m) for m, e in enumerate(seq)]
-        degrees = [e.degree() for e in seq]
-        certificate = _track_certificate(leading, degrees, M)
+        track = boundedness_check(seq, 1)
+        certificate = _track_certificate(track.leading_values, track.degrees, M)
         if certificate is None or not certificate.holds:
             if isinstance(witness, NoWitnessUpTo):
                 certificate = GrowthCertificate(

@@ -15,7 +15,9 @@ Elements are plain values (MultiPoly, Fraction) and the ring objects own the
 arithmetic.  Ring holds the MultiPoly arithmetic once; subclasses define
 membership (validate), and FractionField overrides it with Fraction rules.
 FractionElem, an unreduced quotient of two MultiPolys, is no ring's element:
-it holds the ratios of the periodic-ratio witness and QQ's JSON form.
+it holds a group series' coefficients and the periodic-ratio witness's
+ratios.  QQ writes its fraction JSON form directly and reads it with
+_fraction_parts, the parser of frac_from_json.
 
 Every ring checks membership once, where an element enters: in TruncSeries
 construction (which covers every series result and every WittElement built
@@ -895,11 +897,11 @@ class Ring:
 
 def _check_var_names(variables):
     vs = tuple(variables)
+    for v in vs:
+        if not isinstance(v, str) or not _VAR_RE.match(v):
+            raise InvalidInputError("bad variable name %.40r" % (v,))
     if len(set(vs)) != len(vs):
         raise InvalidInputError("duplicate variable names")
-    for v in vs:
-        if not _VAR_RE.match(v):
-            raise InvalidInputError("bad variable name %r" % v)
     return vs
 
 

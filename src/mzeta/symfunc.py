@@ -48,8 +48,10 @@ def esym_of_elements(k, elems):
 
 
 def elementary_symmetric(k, names):
-    """e_k in the named variables."""
-    return esym_of_elements(k, [MultiPoly.var(v) for v in names])
+    """e_k in the named variables; a repeated name is a repeated root."""
+    names = list(names)
+    ring = PolynomialRing([v for i, v in enumerate(names) if v not in names[:i]])
+    return esym_of_elements(k, [ring.var(v) for v in names])
 
 
 def _swap_vars(p, u, v):
@@ -206,9 +208,10 @@ def witt_product_coeff(p):
     poly = universal_P(p)
     rename = {}
     for i in range(1, p + 1):
-        rename["e%d" % i] = MultiPoly.var("x%d" % i)
-        rename["f%d" % i] = MultiPoly.var("y%d" % i)
-    return poly.substitute(rename)
+        rename["e%d" % i] = "x%d" % i
+        rename["f%d" % i] = "y%d" % i
+    ring = PolynomialRing(rename.values())
+    return poly.substitute({v: ring.var(name) for v, name in rename.items()})
 
 
 def universal_P_from_roots(n, extra=0):

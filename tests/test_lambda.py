@@ -11,15 +11,16 @@ from mzeta.errors import (
 from mzeta.lambda_rings import (
     BigWitt,
     BinomialIntegers,
-    GradedSpace,
     LineMonomials,
     SigmaIntegers,
     WittElement,
     adams,
     check_special,
     gen_binom,
+    graded_dims,
     graded_lambda,
     graded_lambda_sequence,
+    graded_space,
     opposite_sigma,
     witt_adams,
     witt_add,
@@ -28,7 +29,9 @@ from mzeta.lambda_rings import (
     witt_neg,
 )
 from mzeta.measures import (
+    MeasureSequence,
     SurfaceData,
+    boundedness_check,
     hilb_leading_term,
     irrationality_harness,
     mu,
@@ -316,9 +319,9 @@ def test_check_special_reports_insufficient_window():
 
 def test_graded_lambda_curve_data():
     for g in (0, 1, 3):
-        v = GradedSpace.from_coeffs([1, g])
+        v = graded_space([1, g])
         for m in range(5):
-            got = graded_lambda(m, v).coeff_list()
+            got = graded_dims(graded_lambda(m, v))
             want = [binom(g, j) for j in range(m + 1)]
             while want and want[-1] == 0:
                 want.pop()
@@ -328,9 +331,9 @@ def test_graded_lambda_curve_data():
 
 
 def test_graded_lambda_k3_data():
-    v = GradedSpace.from_coeffs([1, 0, 1])
+    v = graded_space([1, 0, 1])
     for m in range(1, 6):
-        got = graded_lambda(m, v).coeff_list()
+        got = graded_dims(graded_lambda(m, v))
         want = [0] * (2 * m + 1)
         for i in range(m + 1):
             want[2 * i] = 1
@@ -338,15 +341,15 @@ def test_graded_lambda_k3_data():
 
 
 def test_graded_lambda_zero_is_one():
-    v = GradedSpace.from_coeffs([1, 5, 7])
-    assert graded_lambda(0, v).coeff_list() == [1]
+    v = graded_space([1, 5, 7])
+    assert graded_dims(graded_lambda(0, v)) == [1]
 
 
 def test_graded_lambda_direct_sum_rule():
     rng = random.Random(1202)
     for _ in range(8):
-        u = GradedSpace.from_coeffs([rng.randint(-2, 3) for _ in range(3)])
-        v = GradedSpace.from_coeffs([rng.randint(-2, 3) for _ in range(3)])
+        u = graded_space([rng.randint(-2, 3) for _ in range(3)])
+        v = graded_space([rng.randint(-2, 3) for _ in range(3)])
         for m in range(4):
             lhs = graded_lambda(m, u.add(v))
             rhs = None
@@ -360,25 +363,19 @@ def test_graded_lambda_multiset_oracle():
     rng = random.Random(908)
     for _ in range(8):
         dims = [rng.randint(-2, 3) for _ in range(rng.randint(1, 4))]
-        v = GradedSpace.from_coeffs(dims)
+        v = graded_space(dims)
         for m in range(5):
-            got = graded_lambda(m, v).coeff_list()
+            got = graded_dims(graded_lambda(m, v))
             want = multiset_graded_lambda(m, dims)
             assert got == want, (dims, m)
 
 
 def test_graded_lambda_sequence_consistent():
-    v = GradedSpace.from_coeffs([1, 2, 1])
+    v = graded_space([1, 2, 1])
     seq = graded_lambda_sequence(v, 6)
     assert len(seq) == 7
     for m in range(7):
         assert seq[m] == graded_lambda(m, v)
-
-
-def test_graded_space_monoid_predicate():
-    assert GradedSpace.from_coeffs([1, 2, 0, 1]).is_monoid_element()
-    assert not GradedSpace.from_coeffs([0, 1]).is_monoid_element()
-    assert not GradedSpace.from_coeffs([1, -1]).is_monoid_element()
 
 
 def test_witt_and_lambda_json_round_trip():
@@ -389,8 +386,9 @@ def test_witt_and_lambda_json_round_trip():
 
 
 _W = WittElement(TruncSeries.from_ints(Z, [1, 3, 3, 1, 0, 0, 0]))
-_V = GradedSpace.from_coeffs([1, 2, 1])
+_V = graded_space([1, 2, 1])
 _S = SurfaceData(0, 2, [2, 3, 4, 5, 6])
+_SEQ = MeasureSequence([_V])
 
 
 @pytest.mark.parametrize(
@@ -414,13 +412,50 @@ _S = SurfaceData(0, 2, [2, 3, 4, 5, 6])
         lambda: irrationality_harness(_S, 2.0, 6),
         lambda: irrationality_harness(_S, 1, 6, 2.0),
         lambda: irrationality_harness(_S, 1, 6, 4, 6.0),
+        lambda: graded_space([1, 2.5]),
+        lambda: graded_space([1, True]),
+        lambda: boundedness_check(_SEQ, 1.5),
+        lambda: boundedness_check(_SEQ, -1),
+        lambda: boundedness_check(_SEQ, True),
     ],
     ids=["witt_lambda-k-float", "witt_lambda-k-bool", "witt_lambda-precision",
          "witt_adams-n-float", "witt_adams-precision-bool", "adams-n-float",
          "sigma-order-float", "sigma-order-negative", "graded_sequence-upto",
          "graded_lambda-m", "mu-n", "mu_sym_sequence-M", "hilb-n-bool", "hilb-m",
-         "harness-M", "harness-n", "harness-n_max", "harness-i0_max"],
+         "harness-M", "harness-n", "harness-n_max", "harness-i0_max",
+         "graded_space-float", "graded_space-bool", "boundedness-j-float",
+         "boundedness-j-negative", "boundedness-j-bool"],
 )
 def test_integer_bounds_are_typed(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: graded_dims("x"),
+        lambda: graded_lambda_sequence(MultiPoly.var("x"), 2),
+        lambda: graded_lambda_sequence({"terms": []}, 2),
+        lambda: graded_lambda(2, MultiPoly.var("s").mul(MultiPoly.var("t"))),
+        lambda: MeasureSequence([_V, MultiPoly.var("x").add(MultiPoly.const(1))]),
+        lambda: MeasureSequence([1]),
+    ],
+    ids=["graded_dims-str", "graded_sequence-other-variable", "graded_sequence-not-a-poly",
+         "graded_lambda-two-variables", "measure_sequence-other-variable",
+         "measure_sequence-int"],
+)
+def test_graded_values_must_lie_in_z_s(call):
+    with pytest.raises(RingMismatchError):
+        call()
+
+
+def test_graded_values_from_outside_a_ring():
+    # any polynomial in s is a graded space, whatever layout it was built on
+    v = MultiPoly.var("s", 2).add(MultiPoly.var("s").mul_int(-3)).add(MultiPoly.const(1))
+    assert graded_dims(v) == [1, -3, 1]
+    w = MultiPoly.var("x").add(v).sub(MultiPoly.var("x"))
+    assert graded_dims(w) == [1, -3, 1]
+    assert graded_lambda_sequence(w, 4) == graded_lambda_sequence(graded_space([1, -3, 1]), 4)
+    assert graded_dims(graded_space([])) == [0]
+    assert graded_dims(graded_space([0, 0, 2, 0])) == [0, 0, 2]

@@ -1,12 +1,14 @@
 """Tests for surface invariants, measure sequences, and the harness."""
 
+import io
 import json
 import random
 
 import pytest
 
+from mzeta import cli
 from mzeta.errors import DegreeCutoffError, InvalidInputError, MissingDataError
-from mzeta.lambda_rings import GradedSpace
+from mzeta.lambda_rings import graded_dims, graded_lambda_sequence, graded_space
 from mzeta.measures import (
     BoundednessReport,
     GrowthCertificate,
@@ -145,12 +147,12 @@ def test_surface_json_that_does_not_parse_is_a_typed_error(text):
 
 
 def test_mu_examples():
-    assert mu(k3(), 1) == GradedSpace.from_coeffs([1, 0, 1])
-    assert mu(abelian(), 1) == GradedSpace.from_coeffs([1, 2, 1])
+    assert mu(k3(), 1) == graded_space([1, 0, 1])
+    assert mu(abelian(), 1) == graded_space([1, 2, 1])
     # with all plurigenera zero and the degree-one term supplied as zero,
     # the higher measures collapse to the unit
     s = SurfaceData(q=0, pg=0, plurigenera=[0, 0], h1n={2: 0})
-    assert mu(s, 2) == GradedSpace.from_coeffs([1])
+    assert mu(s, 2) == graded_space([1])
     with pytest.raises(MissingDataError):
         mu(rational_like(), 2)
     with pytest.raises(InvalidInputError):
@@ -158,7 +160,7 @@ def test_mu_examples():
 
 
 def test_mu_abelian_is_a_square():
-    line = GradedSpace.from_coeffs([1, 1])
+    line = graded_space([1, 1])
     assert mu(abelian(), 1) == line.mul(line)
 
 
@@ -167,40 +169,37 @@ def test_k3_sym_sequence():
     assert len(seq) == 7
     for m, entry in enumerate(seq):
         expected = [1 if j % 2 == 0 else 0 for j in range(2 * m + 1)]
-        assert entry.coeff_list() == expected
+        assert graded_dims(entry) == expected
 
 
 def test_abelian_sym_sequence_spot_values():
     seq = mu_sym_sequence(abelian(), 4)
-    assert seq.entry(2).coefficient(1) == 2
-    assert seq.entry(2).coefficient(4) == 1
+    assert graded_dims(seq.entry(2))[4] == 1
     for m in range(1, 5):
-        assert seq.entry(m).coefficient(1) == 2
-        assert seq.entry(m).degree() == 2 * m
+        dims = graded_dims(seq.entry(m))
+        assert dims[1] == 2
+        assert len(dims) - 1 == 2 * m
 
 
 def test_sym_sequence_against_multiset_oracle():
     seq = mu_sym_sequence(abelian(), 6)
     for m in range(7):
-        assert seq.entry(m).coeff_list() == multiset_graded_lambda(
+        assert graded_dims(seq.entry(m)) == multiset_graded_lambda(
             m, [1, 2, 1]
         )
 
 
 def test_curve_like_lambda_sanity():
-    from mzeta.lambda_rings import graded_lambda_sequence
-
     g = 3
-    entries = graded_lambda_sequence(GradedSpace.from_coeffs([1, g]), 5)
+    entries = graded_lambda_sequence(graded_space([1, g]), 5)
     for m, entry in enumerate(entries):
-        for j in range(m + 1):
-            assert entry.coefficient(j) == binom(g, j)
-        assert entry.degree() <= g
+        # coefficient j is C(g, j) for j <= m, and the degree stays <= g
+        assert graded_dims(entry) == [binom(g, j) for j in range(min(m, g) + 1)]
 
 
 def test_measure_sequence_rejects_bad_constant():
     with pytest.raises(InvalidInputError):
-        MeasureSequence([GradedSpace.from_coeffs([2])])
+        MeasureSequence([graded_space([2])])
 
 
 # ----------------------------------------------------------- hilbert leading
@@ -363,3 +362,35 @@ def test_certificate_log_concavity_window_scales():
     assert small.certificate.window == 4
     assert large.certificate.window == 12
     assert large.certificate.checked > small.certificate.checked
+
+
+# the verdicts of the surface corpus (general type, abelian, K3, Enriques,
+# bielliptic) under `measure --sym-max 8 --witness` at n = 1, 2, 3, 4
+@pytest.mark.parametrize(
+    "surface,arguments",
+    [
+        ("q=3,pg=2,P=2,3,5,7", ["tracks", "tracks", "tracks", "tracks"]),
+        ("q=2,pg=1,P=1,1,1,1", ["direct", "insufficient", "insufficient", "insufficient"]),
+        ("q=0,pg=1,P=1,1,1,1", ["direct", "insufficient", "insufficient", "insufficient"]),
+        ("q=0,pg=0,P=0,1,0,1", ["found", "insufficient", "insufficient", "insufficient"]),
+        ("q=1,pg=0,P=0,1,0,1", ["found", "insufficient", "insufficient", "insufficient"]),
+    ],
+    ids=["general_type", "abelian", "k3", "enriques", "bielliptic"],
+)
+def test_corpus_measure_verdicts(surface, arguments):
+    for n, argument in enumerate(arguments, 1):
+        buf = io.StringIO()
+        argv = ["measure", "--surface", surface, "--sym-max", "8", "--witness",
+                "--n", str(n), "--format", "json"]
+        assert cli.run(argv, out=buf) == 0
+        payload = json.loads(buf.getvalue())
+        certificate = payload["certificate"]
+        assert certificate["argument"] == argument, n
+        assert certificate["holds"] is (argument in ("tracks", "direct")), n
+        if n == 1:
+            assert payload["mode"] == "full"
+            # a witness exactly where the certificate says "found"
+            assert payload["witness"]["found"] is (argument == "found")
+        else:
+            assert payload["mode"] == "tracks"
+            assert "witness" not in payload

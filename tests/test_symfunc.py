@@ -5,6 +5,7 @@ import pytest
 
 from mzeta.errors import NonSymmetricError, InvalidInputError
 from mzeta.oracles import binom
+from mzeta import rings
 from mzeta.rings import IntegerRing, MultiPoly
 from mzeta.lambda_rings import WittElement, witt_lambda, witt_mul
 from mzeta.series import TruncSeries
@@ -199,6 +200,31 @@ def test_witt_product_coeff_rename():
     assert witt_product_coeff(1) == x1.mul(y1)
     names = witt_product_coeff(2).variables()
     assert names == {"x1", "x2", "y1", "y2"}
+
+
+def test_library_builders_intern_one_layout():
+    # each builds its variables in one ring, so it adds at most that ring's
+    # layout (and, for the rename, the layout where the table meets it and
+    # the table's own ring), not one layout per partial product
+    names = ["w%d" % i for i in range(40)]
+    before = len(rings._layouts)
+    e3 = elementary_symmetric(3, names)
+    assert len(rings._layouts) - before <= 1
+    assert len(e3.terms) == binom(40, 3)
+    before = len(rings._layouts)
+    assert witt_product_coeff(4).variables() == {"x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"}
+    assert len(rings._layouts) - before <= 3
+
+
+def test_elementary_symmetric_names():
+    x = MultiPoly.var("x")
+    assert elementary_symmetric(2, ["x", "x"]) == x.mul(x)
+    assert elementary_symmetric(2, iter(["x", "y", "x"])) == x.mul(x).add(
+        x.mul(MultiPoly.var("y")).mul_int(2)
+    )
+    for bad in ("1x", "a b", 5, None, ["x"]):
+        with pytest.raises(InvalidInputError, match="^bad variable name "):
+            elementary_symmetric(2, ["x", bad])
 
 
 def test_exterior_power_of_split_element():
