@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import DegreeCutoffError, InvalidInputError, ToolkitError
@@ -25,7 +26,7 @@ from .rationality import (
     pade_reconstruct,
     periodic_ratio_test,
 )
-from .rings import _VAR_RE, _json_int, poly_to_json
+from .rings import _VAR_RE, MultiPoly, _json_int, _json_terms, int_str, plain
 from .series import series_from_json
 from .symfunc import (
     newton_polynomial,
@@ -38,28 +39,38 @@ _MAX_N = 8
 _MAX_MN = 10
 
 
-def _term_text(o, nl):
-    """The text of o at indent nl when o is shaped exactly like a polynomial
-    term, {"c": str, "e": {str: int, ...}}, else None."""
-    if type(o) is not dict or len(o) != 2:
-        return None
-    c = o.get("c")
-    e = o.get("e")
-    if type(c) is not str or type(e) is not dict:
-        return None
-    inner = nl + "  "
-    text = "{" + inner + '"c": ' + encode_basestring_ascii(c) + "," + inner + '"e": '
-    if not e:
-        return text + "{}" + nl + "}"
-    deeper = inner + "  "
-    sep = "{" + deeper
-    for k in sorted(e):
-        x = e[k]
-        if type(k) is not str or type(x) is not int:
-            return None
-        text += sep + encode_basestring_ascii(k) + ": " + int.__repr__(x)
-        sep = "," + deeper
-    return text + inner + "}" + nl + "}"
+def _poly_text(p, nl):
+    """poly_to_json(p) as json.dumps lays it out at indent nl, built from
+    p's terms with no term dicts.  Variable names need no escaping."""
+    i1 = nl + "  "
+    terms = _json_terms(p)
+    if not terms:
+        return "{" + i1 + '"terms": []' + nl + "}"
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    head = "{" + i3 + '"c": "'
+    mid = '",' + i3 + '"e": {' + i4
+    end = i3 + "}" + i2 + "}"
+    const = '",' + i3 + '"e": {}' + i2 + "}"
+    sep = "," + i4
+    texts = [
+        head + int_str(c) + mid + sep.join([f'"{v}": {e}' for v, e in mono]) + end
+        if mono else head + int_str(c) + const
+        for mono, c in terms
+    ]
+    return "{" + i1 + '"terms": [' + i2 + ("," + i2).join(texts) + i1 + "]" + nl + "}"
+
+
+@functools.cache
+def _fraction_texts(nl):
+    """QQ's fraction form at indent nl as % templates laid out by _poly_text:
+    one that takes the denominator and numerator digits, and one for a zero
+    numerator."""
+    i1 = nl + "  "
+    const = _poly_text(MultiPoly.const(1), i1).replace('"1"', '"%s"')
+    head = "{" + i1 + '"den": ' + const + "," + i1 + '"num": '
+    return head + const + nl + "}", head + _poly_text(MultiPoly.const(0), i1) + nl + "}"
 
 
 def _write(o, append, nl):
@@ -94,14 +105,17 @@ def _write(o, append, nl):
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
-            text = _term_text(v, inner)
-            if text is None:
-                append(sep)
-                _write(v, append, inner)
-            else:
-                append(sep + text)
+            append(sep)
+            _write(v, append, inner)
             sep = "," + inner
         append(nl + "]")
+    elif t is MultiPoly:
+        append(_poly_text(o, nl))
+    elif t is Fraction:
+        full, zero = _fraction_texts(nl)
+        n = o.numerator
+        den = int_str(o.denominator)
+        append(full % (den, int_str(n)) if n else zero % den)
     elif t is int:
         append(int.__repr__(o))
     elif o is None:
@@ -114,22 +128,36 @@ def _write(o, append, nl):
         raise TypeError
 
 
+class _LeafEncoder(json.JSONEncoder):
+    """json.dumps's encoder, writing a MultiPoly or a Fraction as plain() does."""
+
+    def default(self, o):
+        if isinstance(o, (MultiPoly, Fraction)):
+            return plain(o)
+        return super().default(o)
+
+
 def _dumps(obj):
-    """Return exactly json.dumps(obj, indent=2, sort_keys=True).
+    """Return exactly json.dumps(plain(obj), indent=2, sort_keys=True) for a
+    payload whose ring elements sit in dicts and lists.
 
     With an indent, json.dumps always runs the pure-Python encoder.  This
     writer lays out dicts, lists, str, int, bool and None itself, with the C
     string encoder; a str or int value of a dict goes out in one piece with
-    its key, and a list element shaped like a polynomial term as one string.
-    A payload holding any other value (a float, a tuple, an
-    int or str subclass, a key that is not a str) or a circular reference
-    goes whole to json.dumps, so neither the text nor an error can differ.
+    its key.  Ring elements reach it as values: a MultiPoly is written from
+    its terms, in the order poly_to_json uses, and a Fraction from one
+    template per indent, both through int_str, so a coefficient past the
+    interpreter's digit limit raises DegreeCutoffError as plain() does.
+    A payload holding any other value (a float, a tuple, an int or str
+    subclass, a key that is not a str) or a circular reference goes whole
+    to json.dumps, which writes ring elements through plain(), so neither
+    the text nor an error can differ.
     """
     parts = []
     try:
         _write(obj, parts.append, "\n")
     except (TypeError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(obj, cls=_LeafEncoder, indent=2, sort_keys=True)
     return "".join(parts)
 
 
@@ -190,17 +218,17 @@ def _cmd_zeta(args):
     expr = parse_variety(args.expr)
     model = MotivicModel(expr, increment=args.curve_increment)
     f = model.zeta_series(args.terms)
-    payload = {"expr": str(expr), "terms": args.terms, "series": f.to_json()}
+    payload = {"expr": str(expr), "terms": args.terms, "series": f.payload()}
     form = image = None
     if args.rational:
         form = model.rational_form()
-        payload["rational"] = form.to_json()
+        payload["rational"] = form.payload()
     if args.specialize:
         assignment = _parse_assignment(args.specialize)
         image = specialize(f, assignment)
         payload["specialized"] = {
             "assignment": {k: v for k, v in sorted(assignment.items())},
-            "series": image.to_json(),
+            "series": image.payload(),
         }
 
     def render():
@@ -223,19 +251,19 @@ def _cmd_zeta(args):
 def _cmd_hankel(args):
     f = _load_series(args.series)
     report = hankel_test(f, args.m_max, args.offset_max)
-    return _emit(args, report.to_json(), report.__str__)
+    return _emit(args, report.payload(), report.__str__)
 
 
 def _cmd_pade(args):
     f = _load_series(args.series)
     result = pade_reconstruct(f, args.den_deg)
-    return _emit(args, result.to_json(), result.__str__)
+    return _emit(args, result.payload(), result.__str__)
 
 
 def _cmd_witness(args):
     gs = GroupSeries.from_json(_load_json(args.series))
     verdict = periodic_ratio_test(gs, args.max_period, args.max_offset)
-    return _emit(args, verdict.to_json(), verdict.__str__)
+    return _emit(args, verdict.payload(), verdict.__str__)
 
 
 def _cmd_lambda_op(args):
@@ -253,7 +281,7 @@ def _cmd_lambda_op(args):
     if op == "psi":
         ring = xs[0].ring
         value = adams(args.k, xs[0])
-        payload = {"psi": args.k, "value": ring.elem_to_json(value)}
+        payload = {"psi": args.k, "value": value}
         return _emit(args, payload, lambda: ring.elem_str(value))
     if op == "witt-mul":
         result = witt_mul(*xs)
@@ -261,7 +289,7 @@ def _cmd_lambda_op(args):
         result = opposite_sigma(xs[0], args.k)
     else:
         result = witt_lambda(args.k, xs[0])
-    return _emit(args, result.to_json(), result.__str__)
+    return _emit(args, result.payload(), result.__str__)
 
 
 def _cmd_universal(args):
@@ -295,7 +323,7 @@ def _cmd_universal(args):
     payload = {
         "which": which,
         "n": args.n,
-        "poly": poly_to_json(poly),
+        "poly": poly,
         "text": text,
     }
     if which == "Q":
@@ -313,7 +341,7 @@ def _cmd_measure(args):
     report = irrationality_harness(
         surface, args.n, args.sym_max, args.max_period, args.max_offset
     )
-    payload = report.to_json()
+    payload = report.payload()
     if report.applicable and report.n == 1:
         payload["boundedness"] = boundedness_check(report.sequence, 1).to_json()
     if not args.witness:

@@ -119,6 +119,9 @@ class WittElement:
     def from_json(cls, obj):
         return cls(series_from_json(obj))
 
+    def payload(self):
+        return self.series.payload()
+
     def to_json(self):
         return self.series.to_json()
 

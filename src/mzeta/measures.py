@@ -28,7 +28,7 @@ from .rationality import (
     PeriodFound,
     periodic_ratio_test,
 )
-from .rings import _check_int, _json_int, poly_to_json
+from .rings import JsonPayload, _check_int, _json_int
 
 
 def _is_int(x):
@@ -178,7 +178,7 @@ def mu(surface, n):
     return graded_space([1, surface.h1(n), surface.plurigenus(n)])
 
 
-class MeasureSequence:
+class MeasureSequence(JsonPayload):
     """Measures of the symmetric powers Sym^m X for m = 0..M, in Z[s]."""
 
     def __init__(self, entries):
@@ -197,8 +197,8 @@ class MeasureSequence:
     def __iter__(self):
         return iter(self.entries)
 
-    def to_json(self):
-        return {"entries": [poly_to_json(e) for e in self.entries]}
+    def payload(self):
+        return {"entries": list(self.entries)}
 
     def __str__(self):
         return "\n".join(
@@ -375,7 +375,7 @@ def _track_certificate(leading, degrees, claim_bound):
     )
 
 
-class HarnessReport:
+class HarnessReport(JsonPayload):
     """Full outcome of the irrationality harness on one surface."""
 
     def __init__(
@@ -402,7 +402,7 @@ class HarnessReport:
         self.certificate = certificate
         self.tracks = tracks
 
-    def to_json(self):
+    def payload(self):
         out = {
             "surface": self.surface.to_json(),
             "n": self.n,
@@ -413,9 +413,9 @@ class HarnessReport:
         if self.mode is not None:
             out["mode"] = self.mode
         if self.sequence is not None:
-            out["sequence"] = self.sequence.to_json()
+            out["sequence"] = self.sequence.payload()
         if self.witness is not None:
-            out["witness"] = self.witness.to_json()
+            out["witness"] = self.witness.payload()
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         if self.tracks is not None:

@@ -43,7 +43,7 @@ from .errors import (
     VarietySyntaxError,
 )
 from .rationality import _check_images, _eval_poly_at, apply_measure, verify_global
-from .rings import MultiPoly, PolynomialRing, _check_int, _json_int
+from .rings import JsonPayload, MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
 
@@ -561,7 +561,7 @@ class MotivicModel:
         return ZetaRationalForm(ring, num, den, verified)
 
 
-class ZetaRationalForm:
+class ZetaRationalForm(JsonPayload):
     """A numerator/denominator pair certified against the zeta series."""
 
     def __init__(self, ring, num, den, verified_to):
@@ -570,11 +570,11 @@ class ZetaRationalForm:
         self.den = den
         self.verified_to = verified_to
 
-    def to_json(self):
+    def payload(self):
         return {
             "ring": self.ring.to_json(),
-            "num": [self.ring.elem_to_json(c) for c in self.num],
-            "den": [self.ring.elem_to_json(c) for c in self.den],
+            "num": list(self.num),
+            "den": list(self.den),
             "verified_to": self.verified_to,
         }
 
@@ -593,7 +593,7 @@ def zeta_rational(expr, increment="J"):
     return MotivicModel(expr, increment).rational_form()
 
 
-class VirtualFinitenessReport:
+class VirtualFinitenessReport(JsonPayload):
     """Outcome of the exterior-power polynomiality check.
 
     kind "direct" means the exterior series of the class itself ends within
@@ -614,15 +614,14 @@ class VirtualFinitenessReport:
     def precision(self):
         return self.lam.precision
 
-    def to_json(self):
-        ring = self.lam.ring
+    def payload(self):
         return {
             "expr": str(self.expr),
             "kind": self.kind,
-            "lambda_series": self.lam.to_json(),
+            "lambda_series": self.lam.payload(),
             "polynomial_to_precision": self.polynomial,
-            "witness_y": [ring.elem_to_json(c) for c in self.witness_y],
-            "witness_z": [ring.elem_to_json(c) for c in self.witness_z],
+            "witness_y": list(self.witness_y),
+            "witness_z": list(self.witness_z),
         }
 
     def __str__(self):

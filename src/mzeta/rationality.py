@@ -33,10 +33,10 @@ from .errors import (
 from .rings import (
     QQ,
     FractionElem,
+    JsonPayload,
     MultiPoly,
     _check_int,
     frac_from_json,
-    frac_to_json,
 )
 from .series import TruncSeries, poly_str, poly_trim
 
@@ -129,7 +129,7 @@ def determinant(rows, ring):
 # determinantal rationality
 
 
-class HankelReport:
+class HankelReport(JsonPayload):
     """Grid of shifted Hankel determinants and the verdict drawn from it.
 
     grid[m][i] is the determinant of the (m+1) x (m+1) matrix with entries
@@ -169,7 +169,7 @@ class HankelReport:
     def found(self):
         return self.summary is not None
 
-    def to_json(self):
+    def payload(self):
         summary = self.summary
         return {
             "ring": self.ring.to_json(),
@@ -181,9 +181,7 @@ class HankelReport:
             "per_m": [
                 {"m": m, "n": self.window(m)} for m in range(self.m_max + 1)
             ],
-            "determinants": [
-                [self.ring.elem_to_json(d) for d in row] for row in self.grid
-            ],
+            "determinants": [list(row) for row in self.grid],
         }
 
     def __str__(self):
@@ -372,7 +370,7 @@ def solve_linear(ring, rows, rhs):
     return [Fraction(v, scale) for v in y]
 
 
-class PadeResult:
+class PadeResult(JsonPayload):
     """Outcome of rational reconstruction at a fixed denominator degree."""
 
     def __init__(self, ring, den_deg, num=None, den=None, reason=None):
@@ -389,11 +387,11 @@ class PadeResult:
     def __bool__(self):
         return self.success
 
-    def to_json(self):
+    def payload(self):
         out = {"den_deg": self.den_deg, "success": self.success}
         if self.success:
-            out["num"] = [self.ring.elem_to_json(c) for c in self.num]
-            out["den"] = [self.ring.elem_to_json(c) for c in self.den]
+            out["num"] = list(self.num)
+            out["den"] = list(self.den)
         else:
             out["reason"] = self.reason
         return out
@@ -600,7 +598,7 @@ def pointwise_test(f, measures, d_max):
 # the periodic-ratio criterion
 
 
-class GroupSeries:
+class GroupSeries(JsonPayload):
     """Series whose coefficients are elements of a group of fractions of
     nonzero polynomials, or the zero marker (None)."""
 
@@ -636,10 +634,10 @@ class GroupSeries:
         ]
         return cls(coeffs, **kw)
 
-    def to_json(self):
+    def payload(self):
         return {
             "coeffs": [
-                None if c is None else frac_to_json(c) for c in self.coeffs
+                None if c is None else {"num": c.num, "den": c.den} for c in self.coeffs
             ]
         }
 
@@ -658,7 +656,7 @@ class GroupSeries:
         return "[" + ", ".join(parts) + "]"
 
 
-class PeriodFound:
+class PeriodFound(JsonPayload):
     """Witness (n, i0, h) with g_{i+n} = h_{i mod n} g_i for all i > i0."""
 
     def __init__(self, period, offset, ratios):
@@ -673,12 +671,12 @@ class PeriodFound:
     def ratio_for(self, i):
         return self.ratios[i % self.period]
 
-    def to_json(self):
+    def payload(self):
         return {
             "found": True,
             "period": self.period,
             "offset": self.offset,
-            "ratios": [frac_to_json(h) for h in self.ratios],
+            "ratios": [{"num": h.num, "den": h.den} for h in self.ratios],
         }
 
     def __str__(self):
@@ -693,7 +691,7 @@ class PeriodFound:
         )
 
 
-class NoWitnessUpTo:
+class NoWitnessUpTo(JsonPayload):
     """Negative verdict: no (n, i0) within the searched bounds works."""
 
     def __init__(self, n_max, i0_max):
@@ -704,7 +702,7 @@ class NoWitnessUpTo:
     def found(self):
         return False
 
-    def to_json(self):
+    def payload(self):
         return {"found": False, "n_max": self.n_max, "i0_max": self.i0_max}
 
     def __str__(self):

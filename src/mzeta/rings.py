@@ -83,6 +83,12 @@ JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
   ring        {"kind": "integers"} | {"kind": "poly", "vars": [...]}
               | {"kind": "square_zero", "vars": [...] } | {"kind": "square_zero", "prefix": "x"}
               | {"kind": "fraction", "of": {"kind": "integers"}}
+
+A report's payload() is its JSON shape with each ring element left as a
+value: a MultiPoly or a Fraction, and a FractionElem as {"num": p, "den": q}.
+Its to_json() is plain(payload()), which puts the forms above in their place;
+the CLI writes payload() itself, each element straight from its terms in the
+order _json_terms defines, to the same text.
 """
 
 from __future__ import annotations
@@ -383,28 +389,6 @@ class MultiPoly:
     def variables(self):
         return {v for v, _ in self.layout.used(self.terms)}
 
-    def total_degree(self):
-        return max((sum(e for _, e in mono) for mono, _ in self.items()), default=0)
-
-    def degree_in(self, var):
-        i = self.layout.index.get(var)
-        if i is None:
-            return 0
-        shift = _FIELD * i
-        return max(((key >> shift) & _FIELD_MASK for key in self.terms), default=0)
-
-    def coefficient_of(self, var, exp):
-        """Collect the coefficient of var**exp as a polynomial in the rest."""
-        i = self.layout.index.get(var)
-        if i is None:
-            return self if exp == 0 else MultiPoly.const(0)
-        shift = _FIELD * i
-        drop = exp << shift
-        return _poly({
-            key - drop: c for key, c in self.terms.items()
-            if (key >> shift) & _FIELD_MASK == exp
-        }, self.layout)
-
     def collect(self, names):
         """Group the terms by their exponent vector on names: a dict from the
         vector to its coefficient, a polynomial in the other variables."""
@@ -667,8 +651,14 @@ def power(x, n, mul, one):
         x = mul(x, x)
 
 
+def _json_terms(p):
+    """p's terms in JSON order, the one definition of it: sorted by monomial,
+    whose (name, exponent) pairs are sorted by name."""
+    return sorted(p.items())
+
+
 def poly_to_json(p):
-    return {"terms": [{"c": int_str(c), "e": dict(mono)} for mono, c in sorted(p.items())]}
+    return {"terms": [{"c": int_str(c), "e": dict(mono)} for mono, c in _json_terms(p)]}
 
 
 def _check_int(value, what):
@@ -1171,6 +1161,31 @@ class FractionField(Ring):
 
 _ZZ = IntegerRing()
 QQ = object.__new__(FractionField)
+
+
+def plain(obj):
+    """obj with every MultiPoly and Fraction in its dicts and lists replaced
+    by its JSON form; anything else passes through.  A report's to_json()
+    is plain(payload()), where payload() leaves its ring elements as values."""
+    if isinstance(obj, MultiPoly):
+        return poly_to_json(obj)
+    if isinstance(obj, Fraction):
+        return QQ.elem_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    return obj
+
+
+class JsonPayload:
+    """Base of the values whose JSON form holds ring elements: each defines
+    payload(), and to_json() is plain(payload())."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        return plain(self.payload())
 
 
 def _json_vars(obj):

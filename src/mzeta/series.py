@@ -34,10 +34,10 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import power, ring_from_json
+from .rings import JsonPayload, power, ring_from_json
 
 
-class TruncSeries:
+class TruncSeries(JsonPayload):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
@@ -188,12 +188,8 @@ class TruncSeries:
                 deg = i
         return deg
 
-    def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "precision": self.precision,
-            "coeffs": [self.ring.elem_to_json(c) for c in self.coeffs],
-        }
+    def payload(self):
+        return {"ring": self.ring.to_json(), "precision": self.precision, "coeffs": list(self.coeffs)}
 
     def __str__(self):
         bits = []

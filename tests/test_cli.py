@@ -462,6 +462,23 @@ def _poly(*terms):
     return {"terms": [{"c": str(c), "e": e} for c, e in terms]}
 
 
+def test_hankel_determinant_past_digit_limit_is_a_typed_error(tmp_path):
+    # the m = 1 cell is det [[a, 1], [1, a]] = a^2 - 1: every coefficient
+    # of the series can be written, the determinant cannot
+    limit = sys.get_int_max_str_digits()
+    a = 10 ** (limit // 2 + 50)
+    assert a * a - 1 >= 10**limit
+    coeffs = [{"num": _poly((c, {})), "den": _poly((1, {}))} for c in (a, 1, a)]
+    path = _qq_series_file(tmp_path, coeffs)
+    for fmt in ("json", "text"):
+        code, text = run_cli(["hankel", path, "--m-max", "1", "--offset-max", "0", "--format", fmt])
+        assert code == 1
+        # the error body is the whole output: nothing was printed before it
+        error = json.loads(text)["error"]
+        assert error["error"] == "degree_cutoff"
+        assert "%d decimal digits" % limit in error["message"]
+
+
 def test_qq_bad_fractions_are_typed_errors(tmp_path):
     one = {"num": _poly((1, {})), "den": _poly((1, {}))}
     zero_den = {"num": _poly((1, {})), "den": _poly()}

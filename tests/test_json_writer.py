@@ -1,4 +1,5 @@
-"""The CLI's JSON writer against json.dumps(indent=2, sort_keys=True).
+"""The CLI's JSON writer against json.dumps(indent=2, sort_keys=True), and
+on payloads that hold ring elements against json.dumps of their plain() form.
 
 A unittest.TestCase, so it also runs without pytest:
 
@@ -10,8 +11,11 @@ import json
 import random
 import sys
 import unittest
+from fractions import Fraction
 
 from mzeta.cli import _dumps
+from mzeta.errors import DegreeCutoffError
+from mzeta.rings import MultiPoly, PolynomialRing, plain
 
 # non-ASCII, quotes, backslashes, control characters and the empty string
 _TEXTS = [
@@ -55,8 +59,8 @@ def _random_int(rng):
 
 
 def _random_term(rng):
-    """A polynomial term {"c": str, "e": {str: int, ...}}, which the writer
-    lays out as one string, or one of its near misses."""
+    """A polynomial term {"c": str, "e": {str: int, ...}} as a plain dict,
+    or one of its near misses."""
     exps = {_random_text(rng, _TEXTS): _random_int(rng) for _ in range(rng.randrange(4))}
     term = {"c": _random_text(rng, _VALUES), "e": exps}
     miss = rng.randrange(12)
@@ -104,6 +108,72 @@ def _random_payload(rng, depth):
         return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
     return {
         _random_text(rng, _TEXTS): _random_payload(rng, depth + 1)
+        for _ in range(rng.randrange(4))
+    }
+
+
+# names whose sorted order differs from the order a ring lists them in
+_NAMES = ["L", "J", "c2", "c10", "x_1", "x10", "x2", "c1", "Z", "a", "B", "pk3", "s", "t", "c9", "y"]
+_BIG_EXP = 2**63 - 1
+
+
+def _random_coeff(rng):
+    c = rng.choice([1, -1, rng.randrange(2, 10**6), rng.randrange(10**3999, 10**4000)])
+    return c if rng.random() < 0.5 else -c
+
+
+def _random_poly(rng):
+    """Zero, a constant, or up to 6 terms in 1-16 variables, built on a ring's
+    layout or on the sorted layout of MultiPoly(...)."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return MultiPoly.const(0)
+    if kind == 1:
+        return MultiPoly.const(_random_coeff(rng))
+    names = rng.sample(_NAMES, rng.randint(1, 16))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        chosen = rng.sample(names, rng.randint(0, len(names)))
+        exps = [rng.choice([1, 2, 3, _BIG_EXP, rng.randrange(1, 2**63)]) for _ in chosen]
+        terms[tuple(zip(chosen, exps))] = _random_coeff(rng)
+    if kind == 2:
+        return MultiPoly(terms)
+    ring = PolynomialRing(names)
+    return ring.elem_from_json(
+        {"terms": [{"c": str(c), "e": dict(mono)} for mono, c in terms.items()]}
+    )
+
+
+def _random_fraction(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(_random_coeff(rng))
+    if kind == 2:
+        return Fraction(-rng.randrange(1, 100), rng.randrange(2, 100))
+    return Fraction(_random_coeff(rng), abs(_random_coeff(rng)) + 1)
+
+
+def _random_leaf_payload(rng, depth):
+    """Dicts and lists holding MultiPoly and Fraction leaves among plain
+    values, as report payloads do."""
+    kind = rng.choice(["poly", "poly", "fraction", "str", "int", "none"]
+                      + (["list", "dict", "list", "dict"] if depth < 4 else []))
+    if kind == "poly":
+        return _random_poly(rng)
+    if kind == "fraction":
+        return _random_fraction(rng)
+    if kind == "str":
+        return _random_text(rng, _VALUES)
+    if kind == "int":
+        return _random_int(rng)
+    if kind == "none":
+        return None
+    if kind == "list":
+        return [_random_leaf_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {
+        rng.choice(["num", "den", "coeffs", "e", "terms", "c", ""]): _random_leaf_payload(rng, depth + 1)
         for _ in range(rng.randrange(4))
     }
 
@@ -201,6 +271,52 @@ class WriterMatchesStdlib(unittest.TestCase):
         loop = []
         loop.append(loop)
         self.assertSameError(loop, ValueError)
+
+
+class RingElementLeaves(unittest.TestCase):
+    def assertSameText(self, obj):
+        self.assertEqual(_dumps(obj), json.dumps(plain(obj), indent=2, sort_keys=True))
+
+    def test_random_payloads_with_ring_elements(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            self.assertSameText(_random_leaf_payload(rng, 0))
+
+    def test_single_leaves(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            self.assertSameText(_random_poly(rng))
+            self.assertSameText(_random_fraction(rng))
+        for f in (Fraction(0), Fraction(-5), Fraction(-3, 7), Fraction(10**3999, 3)):
+            self.assertSameText([f, {"q": f}])
+
+    def test_leaves_beside_fallback_values(self):
+        # a float or a tuple sends the payload to json.dumps, which writes
+        # the ring elements as plain() does
+        rng = random.Random(11)
+        for _ in range(50):
+            leaf = rng.choice([_random_poly, _random_fraction])(rng)
+            for obj in ({"x": 1.5, "p": leaf}, [Colour.RED, [leaf]], {"t": (1, 2), "p": [leaf]}):
+                self.assertSameText(obj)
+
+    @unittest.skipUnless(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        "this interpreter has no int-to-str digit limit",
+    )
+    def test_coefficient_over_digit_limit_raises_degree_cutoff(self):
+        too_long = 10 ** sys.get_int_max_str_digits()
+        leaves = [
+            MultiPoly({(("L", 2),): -too_long}),
+            Fraction(too_long, 3),
+            Fraction(3, too_long),
+        ]
+        for leaf in leaves:
+            for obj in ([leaf], {"a": [1, {"b": leaf}]}, {"f": 1.5, "b": leaf}):
+                with self.assertRaises(DegreeCutoffError) as expected:
+                    plain(obj)
+                with self.assertRaises(DegreeCutoffError) as got:
+                    _dumps(obj)
+                self.assertEqual(str(got.exception), str(expected.exception))
 
 
 if __name__ == "__main__":
