@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import DegreeCutoffError, InvalidInputError, ToolkitError
 from .lambda_rings import WittElement, adams, opposite_sigma, witt_lambda, witt_mul
-from .measures import SurfaceData, boundedness_check, irrationality_harness
+from .measures import SurfaceData, irrationality_harness
 from .motivic import MotivicModel, parse_variety, specialize
 from .rationality import (
     GroupSeries,
@@ -342,8 +342,8 @@ def _cmd_measure(args):
         surface, args.n, args.sym_max, args.max_period, args.max_offset
     )
     payload = report.payload()
-    if report.applicable and report.n == 1:
-        payload["boundedness"] = boundedness_check(report.sequence, 1).to_json()
+    if report.boundedness is not None:
+        payload["boundedness"] = report.boundedness.to_json()
     if not args.witness:
         payload.pop("witness", None)
 

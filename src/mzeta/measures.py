@@ -255,6 +255,16 @@ class BoundednessReport:
         pairs = zip(self.leading_values[1:], self.leading_values[2:])
         return all(b > a for a, b in pairs)
 
+    def head(self, n):
+        """The report on the first n entries of the sequence."""
+        return BoundednessReport(
+            self.j,
+            self.values[:n],
+            self.s1_values[:n],
+            self.leading_values[:n],
+            self.degrees[:n],
+        )
+
     def to_json(self):
         return {
             "degree": self.j,
@@ -376,7 +386,11 @@ def _track_certificate(leading, degrees, claim_bound):
 
 
 class HarnessReport(JsonPayload):
-    """Full outcome of the irrationality harness on one surface."""
+    """Full outcome of the irrationality harness on one surface.
+
+    In mode "full", boundedness is the s^1 BoundednessReport of the
+    displayed sequence; it is not part of the payload.
+    """
 
     def __init__(
         self,
@@ -390,6 +404,7 @@ class HarnessReport(JsonPayload):
         witness=None,
         certificate=None,
         tracks=None,
+        boundedness=None,
     ):
         self.surface = surface
         self.n = n
@@ -401,6 +416,7 @@ class HarnessReport(JsonPayload):
         self.witness = witness
         self.certificate = certificate
         self.tracks = tracks
+        self.boundedness = boundedness
 
     def payload(self):
         out = {
@@ -495,6 +511,7 @@ def irrationality_harness(surface, n, M, n_max=4, i0_max=6):
             sequence=display,
             witness=witness,
             certificate=certificate,
+            boundedness=track.head(M + 1),
         )
     # n >= 2: the lambda identity is unavailable; only three tracks are
     # certified and the direct ratio search cannot run.

@@ -26,8 +26,11 @@ readers share the map.  ``cell_profile`` is the map when it has only int
 keys.  ``zeta_series`` multiplies the atom series (symmetric-power
 classes for a curve) and then applies the cell factors in place.
 ``zeta_rational`` writes Z_C(t) as a numerator N_C of degree at most 2g
-over (1 - t)(1 - Lt), and certifies the closed form against the series
-before returning it.  A product of two positive-genus curves has no closed
+over (1 - t)(1 - Lt), keeps the denominator as its list of factors (one
+per unit of exponent), and certifies the closed form against the series
+before returning it: the series, truncated at ``verified_to`` terms, is
+multiplied by each factor in turn and must then equal the numerator mod
+t^verified_to.  A product of two positive-genus curves has no closed
 form here: the ring carries no symbols for symmetric powers of the product
 and they are not determined by the factors, so those raise
 NoClosedFormError beyond the linear term.
@@ -42,7 +45,7 @@ from .errors import (
     PrecisionError,
     VarietySyntaxError,
 )
-from .rationality import _check_images, _eval_poly_at, apply_measure, verify_global
+from .rationality import _check_images, _eval_poly_at, apply_measure
 from .rings import JsonPayload, MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
@@ -507,11 +510,33 @@ class MotivicModel:
         return [model.sym_class(i) for i in range(n)]
 
     def rational_form(self):
-        """Each curve key (C, k) with exponent v becomes N_C(L^k t)^v over
-        ((1 - L^k t)(1 - L^(k+1) t))^v, where N_C, of degree at most 2g, is
-        Z_C(t)(1 - t)(1 - Lt); the cell factors become binomials."""
+        """The closed form num/den of the zeta function, certified as
+        den f = num mod t^verified_to for the zeta series f: f is multiplied
+        by each factor of den in turn, every product truncated at
+        verified_to, so the expanded den never meets the series."""
         ring = self.ring
-        num, den = [ring.one()], [ring.one()]
+        num, den, factors = self._closed_form()
+        verified = (len(num) - 1) + (len(den) - 1) + 2
+        # truncation mod t^verified is a ring map, so this is den f
+        product = self.zeta_series(verified)
+        for factor in factors:
+            product = TruncSeries.from_polynomial(ring, factor, verified).mul(product)
+        if not product.eq(TruncSeries.from_polynomial(ring, num, verified)):
+            raise RuntimeError(
+                "closed form failed verification against the series; "
+                "this is a bug"
+            )
+        return ZetaRationalForm(ring, num, den, verified)
+
+    def _closed_form(self):
+        """(num, den, factors) with den the product of the factors, one per
+        unit of exponent.  Each curve key (C, k) with exponent v becomes
+        N_C(L^k t)^v over ((1 - L^k t)(1 - L^(k+1) t))^v, where N_C, of
+        degree at most 2g, is Z_C(t)(1 - t)(1 - Lt); the cell factors
+        become binomials."""
+        ring = self.ring
+        num = [ring.one()]
+        factors = []
         cells = {}
         numerators = {}
         for key, v in _factors(self.expr).items():
@@ -529,36 +554,27 @@ class MotivicModel:
                 classes = self._sym_classes(curve, 2 * curve.genus + 1)
                 shear = _cell_series(ring, {0: -1, 1: -1}, classes)
                 numerators[atom] = poly_trim(ring, shear.coeffs)
-            piece = numerators[atom]
+            base = numerators[atom]
             if k:
-                piece = poly_scale_t(ring, piece, ring.var("L", k))
-            piece = poly_pow(ring, piece, abs(v))
+                base = poly_scale_t(ring, base, ring.var("L", k))
             if v > 0:
-                num = poly_mul(ring, num, piece)
+                num = poly_mul(ring, num, poly_pow(ring, base, v))
             else:
-                den = poly_mul(ring, den, piece)
+                factors += [base] * -v
             for j in (k, k + 1):
                 cells[j] = cells.get(j, 0) + v
         for k, a in sorted(cells.items()):
             if not a:
                 continue
             binom = [ring.one(), ring.neg(ring.var("L", k))]
-            piece = poly_pow(ring, binom, abs(a))
             if a < 0:
-                num = poly_mul(ring, num, piece)
+                num = poly_mul(ring, num, poly_pow(ring, binom, -a))
             else:
-                den = poly_mul(ring, den, piece)
-        num = poly_trim(ring, num)
-        den = poly_trim(ring, den)
-        verified = (len(num) - 1) + (len(den) - 1) + 2
-        f = self.zeta_series(verified)
-        report = verify_global(f, den, num)
-        if not report.product_ok:
-            raise RuntimeError(
-                "closed form failed verification against the series; "
-                "this is a bug"
-            )
-        return ZetaRationalForm(ring, num, den, verified)
+                factors += [binom] * a
+        den = [ring.one()]
+        for factor in factors:
+            den = poly_mul(ring, den, factor)
+        return poly_trim(ring, num), poly_trim(ring, den), factors
 
 
 class ZetaRationalForm(JsonPayload):

@@ -859,9 +859,6 @@ class Ring:
         """Exact division by a nonzero integer (rings here are torsion-free)."""
         return a.divide_int_exact(n)
 
-    def elem_to_json(self, a):
-        return poly_to_json(a)
-
     def elem_from_json(self, obj):
         a = poly_from_json(obj, self._layout)
         self.validate(a)

@@ -270,6 +270,10 @@ def test_harness_general_type_full_mode():
     assert report.certificate.window == 10
     assert len(report.sequence) == 11
     assert "m=18" in report.note
+    # the harness keeps its s^1 track, cut to the displayed entries
+    want = boundedness_check(report.sequence, 1).to_json()
+    assert report.boundedness.to_json() == want
+    assert len(want["values"]) == 11
 
 
 def test_harness_k3_direct_certificate():
@@ -312,6 +316,7 @@ def test_harness_tracks_mode_for_higher_index():
     assert report.tracks["constant"] == [1] * 9
     assert report.tracks["leading"][:4] == [1, 3, 6, 10]  # P2 = 3
     assert report.tracks["s1"] is None
+    assert report.boundedness is None
     assert "constant, s^1, and leading" in report.note
 
 

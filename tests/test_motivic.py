@@ -350,6 +350,72 @@ def test_closed_forms_hold_past_their_verification_window():
         assert verify_global(f, form.den, form.num).product_ok, str(expr)
 
 
+CERTIFIED_SHAPES = ("P(2)", "Curve(1)", "PB(Curve(1),2)", "Prod(Gm(2),Curve(1))")
+
+
+@pytest.mark.parametrize("text", CERTIFIED_SHAPES)
+def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, text):
+    # rational_form multiplies the series by each factor of den; a change to
+    # any one of the first verified_to coefficients must fail it, the last
+    # one included
+    expr = parse_variety(text)
+    n = zeta_rational(expr).verified_to
+    original = MotivicModel.zeta_series
+    for i in range(n):
+
+        def perturbed(self, terms, i=i):
+            f = original(self, terms)
+            coeffs = list(f.coeffs)
+            if i < len(coeffs):
+                coeffs[i] = f.ring.add(coeffs[i], f.ring.one())
+            return TruncSeries(f.ring, coeffs)
+
+        monkeypatch.setattr(MotivicModel, "zeta_series", perturbed)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            MotivicModel(expr).rational_form()
+
+
+@pytest.mark.parametrize("text", CERTIFIED_SHAPES)
+def test_certificate_rejects_a_missing_denominator_factor(monkeypatch, text):
+    expr = parse_variety(text)
+    model = MotivicModel(expr)
+    num, den, factors = model._closed_form()
+    ring = model.ring
+    product = [ring.one()]
+    for factor in factors:
+        product = poly_mul(ring, product, factor)
+    assert product == den and len(factors) >= 2
+    original = MotivicModel._closed_form
+    for j in range(len(factors)):
+
+        def dropped(self, j=j):
+            num, den, factors = original(self)
+            return num, den, factors[:j] + factors[j + 1:]
+
+        monkeypatch.setattr(MotivicModel, "_closed_form", dropped)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            MotivicModel(expr).rational_form()
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "Prod(Gm(2),Curve(1))",
+        "Prod(Gm(1),Curve(2))",
+        "PB(Curve(1),2)",
+        "Prod(Prod(P(1),P(1)),Curve(1))",
+    ),
+)
+def test_twisted_closed_forms_pass_verify_global(text):
+    # the factor-wise certificate against the expanded denominator
+    expr = parse_variety(text)
+    form = zeta_rational(expr)
+    f = zeta_series(expr, form.verified_to)
+    report = verify_global(f, form.den, form.num)
+    assert report.product_ok and report.uniqueness == "certified"
+    assert report.precision == form.verified_to
+
+
 def test_one_curve_at_opposite_exponents_cancels():
     # C + (L - 1) C = L C, so Z = Z_C(Lt) = N_C(Lt) / ((1 - Lt)(1 - L^2 t));
     # only a library caller can share one Curve node between two places
