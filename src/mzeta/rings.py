@@ -64,6 +64,13 @@ packs straight into the ring's layout.  Every path that takes a variable
 name from its caller (MultiPoly(...), MultiPoly.var, collect, the keys of a
 substitute mapping, JSON) rejects a name that is not [A-Za-z][A-Za-z0-9_]*.
 
+_kronecker_pack applies the ring map v -> 2^b to a polynomial: the terms
+that differ only in v become one term whose coefficient is the integer
+sum c 2^(b e), on the same layout with v's field empty.
+_kronecker_unpack reads such a polynomial back from the balanced base-2^b
+digits of its coefficients; hankel_test (rationality.py) says when that is
+exact.
+
 The top bit of every field is a guard: exponents must stay below 2^63.
 Larger ones raise DegreeCutoffError at construction and JSON load, and each
 product or dot sum ORs its result keys once to test the guard bits of its
@@ -614,6 +621,64 @@ def _dot_met(out, lay, first, rest):
     if lay is not None:
         out = _moved(out, _join(lay, to)[1])
     return _dot([(_onto(x, to), _onto(y, to)) for x, y in pairs], out, to)
+
+
+def _kronecker_groups(p, v):
+    """{key of p with v's field cleared: the top exponent of v among p's
+    keys that clear to it}."""
+    i = p.layout.index.get(v)
+    if i is None:
+        return dict.fromkeys(p.terms, 0)
+    shift = _FIELD * i
+    keep = ~(_FIELD_MASK << shift)
+    top = {}
+    for key in p.terms:
+        rest = key & keep
+        e = key >> shift & _FIELD_MASK
+        if top.get(rest, -1) < e:
+            top[rest] = e
+    return top
+
+
+def _kronecker_pack(p, v, b):
+    """p under the ring map v -> 2^b (Kronecker substitution), on p's
+    layout with v's field empty: each coefficient is the integer sum of
+    c 2^(b e) over the terms c v^e of one group."""
+    i = p.layout.index.get(v)
+    if i is None:
+        return p
+    shift = _FIELD * i
+    keep = ~(_FIELD_MASK << shift)
+    out = {}
+    for key, c in p.terms.items():
+        rest = key & keep
+        out[rest] = out.get(rest, 0) + (c << b * (key >> shift & _FIELD_MASK))
+    return _poly({key: c for key, c in out.items() if c}, p.layout)
+
+
+def _kronecker_unpack(p, v, b):
+    """The polynomial whose image under v -> 2^b is p, read from the
+    balanced base-2^b digits of p's coefficients, which are unique when
+    every coefficient sought lies in [-2^(b-1), 2^(b-1))."""
+    if v not in p.layout.index:
+        # an image whose keys all clear v's field may have met its
+        # operands on a layout without v
+        p = _onto(p, _join(_home(p), _layout_of((v,)))[0])
+    shift = _FIELD * p.layout.index[v]
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    out = {}
+    for rest, c in p.terms.items():
+        key = rest
+        while c:
+            d = c & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                out[key] = d
+            c = (c - d) >> b
+            key += 1 << shift
+    return _poly(out, p.layout)
 
 
 def _accumulate(terms, key, c):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mzeta.errors import (
+    DegreeCutoffError,
     InvalidInputError,
     InvalidMeasureError,
     MissingDataError,
@@ -27,6 +28,7 @@ from mzeta.rationality import (
     PeriodFound,
     QQ,
     _eval_poly_at,
+    _packed_variable,
     apply_measure,
     determinant,
     hankel_test,
@@ -184,7 +186,101 @@ def test_hankel_cells_match_leibniz(name):
             ring.zero() if rng.random() < 0.3 else _random_entry(ring, rng)
             for _ in range(13)
         ]
+        # entries linear in several variables leave too many groups to pack
+        assert _packed_variable(coeffs, ring) is None
         _assert_cells_match_leibniz(TruncSeries(ring, coeffs), 4, 4)
+
+
+def _l_heavy_entry(ring, rng):
+    """One or two monomials u in the variables other than L, each times 3
+    to 6 distinct powers of L below 10 with coefficients of 300 to 320 bits
+    and either sign.  Terms are built on their own layouts and multiplied in
+    either order, so the entries' layouts differ."""
+    others = [v for v in ring.variables if v != "L"]
+    total = MultiPoly.const(0)
+    for _ in range(rng.randint(1, 2)):
+        u = MultiPoly.const(1)
+        for v in others:
+            if rng.random() < 0.5:
+                u = u.mul(MultiPoly.var(v, rng.randint(1, 2)))
+        for e in rng.sample(range(10), rng.randint(3, 6)):
+            c = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(300, 320))
+            term = MultiPoly.var("L", e, c)
+            total = total.add(term.mul(u) if rng.random() < 0.5 else u.mul(term))
+    return total
+
+
+@pytest.mark.parametrize("names", [["L", "J"], ["L", "J", "c1"], ["a", "L"]])
+def test_packed_hankel_cells_match_leibniz(names):
+    # grids that pack L: big entries of both signs, a third of them zero,
+    # gaps between the powers of L and entries on mixed layouts
+    ring = PolynomialRing(names)
+    rng = random.Random("packed:" + ",".join(names))
+    for _ in range(3):
+        coeffs = [
+            ring.zero() if rng.random() < 0.3 else _l_heavy_entry(ring, rng)
+            for _ in range(9)
+        ]
+        assert len({c.layout for c in coeffs if not c.is_zero()}) > 1
+        assert _packed_variable(coeffs, ring) == "L"
+        _assert_cells_match_leibniz(TruncSeries(ring, coeffs), 3, 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_slot_holds_a_tight_single_term_cell(sign):
+    # cell (0, 0) is +-2^200 L, whose l1 bound 2^200 it meets: its slot
+    # needs 201 bits for the magnitude and one for the sign
+    ring = PolynomialRing(["L"])
+    corner = MultiPoly.var("L", 1, sign * 2**200)
+    dense = MultiPoly({(("L", e),): 1 for e in range(3)})
+    f = TruncSeries(ring, [corner, dense])
+    assert _packed_variable(f.coeffs, ring) == "L"
+    report = hankel_test(f, 0, 1)
+    assert report.det(0, 0) == corner
+    assert report.det(0, 1) == dense
+
+
+def test_packing_skips_square_zero_rings():
+    # (c + d x)(1 + y) leaves two groups of two terms when x is packed,
+    # which Z[x, y] packs; but 2^b squared is not zero, so v -> 2^b is no
+    # map out of Z[x, y]/(x^2, y^2)
+    rng = random.Random(79)
+    coeffs = []
+    for _ in range(9):
+        c, d = rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)
+        coeffs.append(MultiPoly({(): c, (("x", 1),): d, (("y", 1),): c, (("x", 1), ("y", 1)): d}))
+    assert _packed_variable(coeffs, PolynomialRing(["x", "y"])) == "x"
+    R = SquareZeroRing(["x", "y"])
+    assert _packed_variable(coeffs, R) is None
+    _assert_cells_match_leibniz(TruncSeries(R, coeffs), 2, 4)
+
+
+def test_packing_skips_far_apart_exponents():
+    # L exponents 10^6 apart would need about 10^6 slots per term; J, whose
+    # exponents are dense, is packed instead when it is there
+    dense = [
+        MultiPoly({(("L", j * 10**6 + k),): k + j + 1 for j in range(6)})
+        for k in range(12)
+    ]
+    assert _packed_variable(dense, PolynomialRing(["L"])) is None
+    ring = PolynomialRing(["L", "J"])
+    with_j = [
+        p.mul(MultiPoly({(("J", e),): e + 1 for e in range(4)})) for p in dense
+    ]
+    assert _packed_variable(with_j, ring) == "J"
+    _assert_cells_match_leibniz(TruncSeries(ring, with_j), 2, 2)
+
+
+def test_packing_skips_an_exponent_at_the_field_limit():
+    # a term L^(2^63 - 1) would need 2^63 slots, so the grid runs unpacked
+    # and its square hits the exponent guard, as it always did
+    ring = PolynomialRing(["L"])
+    dense = MultiPoly({(("L", e),): c for e, c in enumerate([3, -1, 4, 1, -5, 9])})
+    edge = MultiPoly({(("L", 2**63 - 1),): 2, (): 1})
+    f = TruncSeries(ring, [dense, edge, dense, dense])
+    assert _packed_variable(f.coeffs, ring) is None
+    with pytest.raises(DegreeCutoffError, match=r"2\^63 or more"):
+        hankel_test(f, 1, 0)
 
 
 def test_hankel_q_grid_with_mixed_denominators():
