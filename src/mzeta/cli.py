@@ -217,11 +217,15 @@ def _parse_assignment(text):
 def _cmd_zeta(args):
     expr = parse_variety(args.expr)
     model = MotivicModel(expr, increment=args.curve_increment)
-    f = model.zeta_series(args.terms)
-    payload = {"expr": str(expr), "terms": args.terms, "series": f.payload()}
     form = image = None
     if args.rational:
-        form = model.rational_form()
+        # one expansion of the series serves the output and the certificate
+        form = model.rational_form(args.terms)
+        f = form.series.truncate(args.terms)
+    else:
+        f = model.zeta_series(args.terms)
+    payload = {"expr": str(expr), "terms": args.terms, "series": f.payload()}
+    if form is not None:
         payload["rational"] = form.payload()
     if args.specialize:
         assignment = _parse_assignment(args.specialize)

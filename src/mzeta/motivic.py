@@ -43,9 +43,10 @@ from .errors import (
     InvalidInputError,
     NoClosedFormError,
     PrecisionError,
+    ToolkitError,
     VarietySyntaxError,
 )
-from .rationality import _check_images, _eval_poly_at, apply_measure
+from .rationality import _check_images, _eval_poly_at, _product_holds, apply_measure
 from .rings import JsonPayload, MultiPoly, PolynomialRing, _check_int, _json_int
 from .series import TruncSeries, poly_mul, poly_pow, poly_scale_t, poly_str, poly_trim
 
@@ -406,6 +407,12 @@ class CurveModel:
         return self._classes[n]
 
 
+def _check_terms(terms):
+    _check_int(terms, "number of terms")
+    if terms < 1:
+        raise InvalidInputError("need at least one coefficient")
+
+
 class MotivicModel:
     """Ring and curve bookkeeping for one variety expression.
 
@@ -454,9 +461,7 @@ class MotivicModel:
         Curve nodes are matched by object identity, so pass nodes taken from
         the expression the model was built with.
         """
-        _check_int(terms, "number of terms")
-        if terms < 1:
-            raise InvalidInputError("need at least one coefficient")
+        _check_terms(terms)
         return self._zeta(subexpr, terms)
 
     def _zeta(self, e, n):
@@ -509,24 +514,29 @@ class MotivicModel:
             )
         return [model.sym_class(i) for i in range(n)]
 
-    def rational_form(self):
-        """The closed form num/den of the zeta function, certified as
-        den f = num mod t^verified_to for the zeta series f: f is multiplied
-        by each factor of den in turn, every product truncated at
-        verified_to, so the expanded den never meets the series."""
-        ring = self.ring
-        num, den, factors = self._closed_form()
+    def rational_form(self, terms=None):
+        """The closed form num/den of the zeta series f, certified as
+        den f = num mod t^verified_to one factor of den at a time
+        (rationality._product_holds).  f is expanded once, to max(terms,
+        verified_to) coefficients, and kept as the form's series.  Without
+        a closed form, the series to terms coefficients is expanded first,
+        so its own error wins."""
+        if terms is not None:
+            _check_terms(terms)
+        try:
+            num, den, factors = self._closed_form()
+        except ToolkitError:
+            if terms is not None:
+                self.zeta_series(terms)
+            raise
         verified = (len(num) - 1) + (len(den) - 1) + 2
-        # truncation mod t^verified is a ring map, so this is den f
-        product = self.zeta_series(verified)
-        for factor in factors:
-            product = TruncSeries.from_polynomial(ring, factor, verified).mul(product)
-        if not product.eq(TruncSeries.from_polynomial(ring, num, verified)):
+        f = self.zeta_series(max(terms or 0, verified))
+        if not _product_holds(self.ring, f.coeffs[:verified], factors, num):
             raise RuntimeError(
                 "closed form failed verification against the series; "
                 "this is a bug"
             )
-        return ZetaRationalForm(ring, num, den, verified)
+        return ZetaRationalForm(self.ring, num, den, verified, f)
 
     def _closed_form(self):
         """(num, den, factors) with den the product of the factors, one per
@@ -578,13 +588,15 @@ class MotivicModel:
 
 
 class ZetaRationalForm(JsonPayload):
-    """A numerator/denominator pair certified against the zeta series."""
+    """A numerator/denominator pair certified against the zeta series, the
+    first verified_to coefficients of series."""
 
-    def __init__(self, ring, num, den, verified_to):
+    def __init__(self, ring, num, den, verified_to, series):
         self.ring = ring
         self.num = num
         self.den = den
         self.verified_to = verified_to
+        self.series = series
 
     def payload(self):
         return {

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 from operator import mul
 
 from .errors import (
@@ -36,9 +37,7 @@ from .rings import (
     JsonPayload,
     MultiPoly,
     _check_int,
-    _kronecker_groups,
-    _kronecker_pack,
-    _kronecker_unpack,
+    _kronecker,
     frac_from_json,
 )
 from .series import TruncSeries, poly_str, poly_trim
@@ -247,62 +246,6 @@ def _hankel_minors(coeffs, ring):
     return minor
 
 
-# a grid packs v only while its images hold at most this many slots (b-bit
-# digits) per term of the grid
-_SLOTS_PER_TERM = 4
-
-
-def _packed_variable(coeffs, ring):
-    """The variable whose powers a Hankel grid over Z[vars] packs into the
-    integers of its coefficients (see hankel_test), or None.
-
-    Packing v leaves one group per distinct monomial in the other
-    variables of each coefficient, and the image of a group holds one
-    b-bit slot per exponent of v from 0 to its top one.  Among the ring's
-    variables whose images hold at most _SLOTS_PER_TERM slots per term of
-    the grid, the one that leaves the fewest groups is packed, unless it
-    leaves more than half as many groups as there are terms.
-
-    The slot bound keeps out images that would be mostly empty slots or
-    impossibly large.  With the exponents of L spread by L -> L^s on four
-    benchmark series (Python 3.11, 2-vCPU VM), packing was 1.4-10x faster
-    at 1-4 slots per term, 1.1-3.5x faster at 5-11 and slower from 13
-    (2x at 15-22, 7-70x at 50-180), so the bound sits well below the
-    break-even point.  A term L^(2^63 - 1) alone needs 2^63 slots and
-    exponents 10^6 apart about 10^6 slots per term, so such grids run
-    unpacked, exactly as before, and the exponent guard of the products
-    still applies.  A square-zero ring packs nothing, since 2^b squared is
-    not 0.  Entries linear in several variables seldom pack: packing v
-    merges only the terms c and c_v v of c + sum c_v v.
-    """
-    if ring.kind != "poly":
-        return None
-    terms = sum(len(p.terms) for p in coeffs)
-    best = None
-    for v in ring.variables:
-        tops = [_kronecker_groups(p, v) for p in coeffs]
-        groups = sum(map(len, tops))
-        slots = groups + sum(sum(top.values()) for top in tops)
-        if slots <= _SLOTS_PER_TERM * terms and (best is None or groups < best[0]):
-            best = (groups, v)
-    if best is None or 2 * best[0] > terms:
-        return None
-    return best[1]
-
-
-def _slot_bits(coeffs, m_max, offset_max):
-    """A slot width b with 2^(b-1) above every cell's bound: cell (m, i) has
-    l1 norm at most prod over rows r of sum over columns c of |a_{i+r+c}|_1,
-    since |pq|_1 <= |p|_1 |q|_1; the extra bit is the sign of a balanced
-    digit."""
-    norms = [sum(map(abs, p.terms.values())) for p in coeffs]
-    top = 0
-    for m in range(m_max + 1):
-        for i in range(offset_max + 1):
-            top = max(top, math.prod(sum(norms[i + r : i + r + m + 1]) for r in range(m + 1)))
-    return top.bit_length() + 1
-
-
 def hankel_test(f, m_max, offset_max):
     """Shifted Hankel determinants of the series coefficients on a bounded
     grid of orders m <= m_max and offsets i <= offset_max.
@@ -310,25 +253,13 @@ def hankel_test(f, m_max, offset_max):
     Over Z and Q each cell is a determinant (Bareiss on ints).  Over
     Z[vars] and a square-zero quotient one table of minors
     (_hankel_minors) fills the grid.  Over Z[vars] the table usually runs
-    on the images of the coefficients under the ring map phi: v -> 2^b for
-    one variable v (_packed_variable; Kronecker substitution), which
-    turns each group of terms that differ only in v into one Python int,
-    so one int product replaces a product of two groups.  The coefficients
-    are packed once per grid and each cell is decoded once
-    (_kronecker_unpack).  This is exact:
-
-    * phi is a ring homomorphism, so the table's cell is phi(det).
-    * |pq|_1 <= |p|_1 |q|_1 for the l1 norm (the sum of the absolute
-      coefficients), so every coefficient of cell (m, i) has absolute
-      value at most prod over rows r of sum over columns c of
-      |a_{i+r+c}|_1 (_slot_bits).
-    * b is one bit wider than the largest such bound in the grid, the
-      sign bit of a balanced base-2^b digit, so every coefficient of every
-      cell fits its slot and phi(det) has a unique preimage.
-
-    The minors inside the table are never decoded, so they may overflow
-    their slots.  A grid that packs nothing runs the same table on the
-    coefficients themselves.
+    on the images of the coefficients under v -> 2^b for one variable v
+    (rings._kronecker), which turns each group of terms that differ only
+    in v into one Python int, so one int product replaces a product of
+    two groups.  The coefficients are packed once per grid and each cell
+    is decoded once.  The bound on a cell's coefficients is
+    prod over rows r of sum over columns c of |a_{i+r+c}|_1 for cell
+    (m, i), since |pq|_1 <= |p|_1 |q|_1 for the l1 norm.
     """
     _check_int(m_max, "m_max")
     _check_int(offset_max, "offset_max")
@@ -347,15 +278,21 @@ def hankel_test(f, m_max, offset_max):
             return determinant([a[i + r : i + r + m + 1] for r in range(m + 1)], ring)
 
     else:
-        v = _packed_variable(a, ring)
-        if v is not None:
-            b = _slot_bits(a, m_max, offset_max)
-            a = [_kronecker_pack(p, v, b) for p in a]
+
+        def bound(norms):
+            [norm] = norms
+            return max(
+                math.prod(sum(norm[i + r : i + r + m + 1]) for r in range(m + 1))
+                for m in range(m_max + 1)
+                for i in range(offset_max + 1)
+            )
+
+        (a,), unpack = _kronecker(ring, [a], bound)
         minor = _hankel_minors(a, ring)
 
         def cell(m, i):
             det = minor(((1 << (m + 1)) - 1) << i)
-            return det if v is None else _kronecker_unpack(det, v, b)
+            return det if unpack is None else unpack(det)
 
     grid = [[cell(m, i) for i in range(offset_max + 1)] for m in range(m_max + 1)]
     return HankelReport(ring, m_max, offset_max, grid)
@@ -398,6 +335,40 @@ class VerifyGlobalReport:
         )
 
 
+# packing pays from about this many term products per term of f: on the
+# benchmark's closed forms it took 0.5-0.9 of the plain time from 11 on
+# and 1.2-2.2x as long below 8 (Python 3.11, 2-vCPU VM)
+_PACKED_WORK_PER_TERM = 10
+
+
+def _product_holds(ring, f, factors, h):
+    """Whether g_1 ... g_k f = h mod t^n for the coefficient lists f (of
+    length n), h and factors = [g_1, ..., g_k].  f is multiplied by one
+    factor at a time, so the expanded product never meets f.  Over Z[vars]
+    enough work runs on the images of all operands under v -> 2^b
+    (rings._kronecker), compared without decoding, with the bound on the
+    product minus h taken factor by factor: |(g f)_n|_1 <= sum_i |g_i|_1
+    |f_(n-i)|_1, plus |h_n|_1."""
+    n = len(f)
+
+    def bound(norms):
+        norm, h_norm, *factor_norms = norms
+        for g in factor_norms:
+            norm = [sum(map(mul, g[: k + 1], norm[k::-1])) for k in range(n)]
+        return max(map(sum, zip_longest(norm, h_norm, fillvalue=0)))
+
+    if ring.kind == "poly":
+        # g_i meets the terms of f_0 .. f_(n-1-i), prefix[n-i] of them
+        prefix = [0, *accumulate(len(p.terms) for p in f)]
+        work = sum(len(c.terms) * prefix[n - i] for g in factors for i, c in enumerate(g))
+        if work >= _PACKED_WORK_PER_TERM * prefix[n]:
+            f, h, *factors = _kronecker(ring, [f, h, *factors], bound)[0]
+    product = TruncSeries(ring, f)
+    for g in factors:
+        product = TruncSeries.from_polynomial(ring, g, n).mul(product)
+    return product.eq(TruncSeries.from_polynomial(ring, h, n))
+
+
 def verify_global(f, g, h):
     """Check that f solves g(t) x = h(t) and that the solution is unique.
 
@@ -418,9 +389,7 @@ def verify_global(f, g, h):
         )
     if not g:
         raise InvalidInputError("g must have at least one coefficient")
-    gf = TruncSeries.from_polynomial(ring, g, n).mul(f)
-    hs = TruncSeries.from_polynomial(ring, h, n) if h else TruncSeries.zero(ring, n)
-    product_ok = gf.eq(hs)
+    product_ok = _product_holds(ring, f.coeffs, [g], h)
     if ring.kind == "square_zero":
         regular = any(c.constant_term() != 0 for c in g)
     else:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -10,10 +11,10 @@ from contextlib import redirect_stderr
 import pytest
 
 from mzeta import cli
-from mzeta.motivic import Proj, zeta_rational, zeta_series
+from mzeta.motivic import Curve, MotivicModel, Proj, zeta_rational, zeta_series
 from mzeta.oracles import linear_factors
 from mzeta.rationality import QQ, GroupSeries
-from mzeta.rings import IntegerRing, MultiPoly
+from mzeta.rings import IntegerRing, MultiPoly, PolynomialRing
 from mzeta.series import TruncSeries, series_from_json
 
 Z = IntegerRing()
@@ -55,6 +56,41 @@ def test_zeta_rational_and_specialize():
     assert code == 0
     assert "closed form:" in text
     assert "specialized at L=3:" in text
+
+
+def test_curve_by_curve_rational_errors_keep_their_order():
+    # the series of a product of two curves is known to two terms, and it
+    # has no closed form: past two terms the series' own error comes first
+    expr = "Prod(Curve(1),Curve(1))"
+    for terms, want in (
+        ("2", "no closed rational form for a product of two positive-genus curves"),
+        ("3", "the zeta series of a product of two positive-genus curves is not "
+              "determined beyond the linear coefficient"),
+    ):
+        code, payload = run_json(["zeta", expr, "--terms", terms, "--rational"])
+        assert code == 1
+        assert payload["error"] == {"error": "no_closed_form", "message": want}
+
+
+@pytest.mark.parametrize("terms", [3, 6, 9])
+def test_zeta_rational_expands_the_series_once(monkeypatch, terms):
+    # Curve(1) is certified to 6 terms: one expansion, to max(terms, 6)
+    # coefficients, serves both the printed series and the certificate
+    form = zeta_rational(Curve(1))
+    assert form.verified_to == 6
+    calls = []
+    original = MotivicModel.zeta_series
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(MotivicModel, "zeta_series", counted)
+    code, payload = run_json(["zeta", "Curve(1)", "--terms", str(terms), "--rational"])
+    assert code == 0
+    assert calls == [max(terms, 6)]
+    assert series_from_json(payload["series"]).eq(original(MotivicModel(Curve(1)), terms))
+    assert payload["rational"] == form.to_json()
 
 
 def test_zeta_curve_increment_choices():
@@ -619,3 +655,99 @@ def test_closed_output_pipe_exits_quietly(argv, tmp_path):
         code = proc.wait(timeout=120)
     assert (tmp_path / "stderr").read_bytes() == b""
     assert code == 1
+
+
+_JUNK = [
+    None, True, False, 0, -1, 1, 3, 2**64, -(2**70), 2**63, 1.5, "", "x",
+    "L", "-3", "1_0", "7" * 5000, [], {}, [1], {"c": "1", "e": {}},
+    {"L": 2**62}, {"L": -1}, {"kind": "integers"},
+    {"kind": "poly", "vars": ["L", "J"]}, {"kind": "square_zero", "prefix": "x"},
+    {"kind": "fraction", "of": {"kind": "integers"}},
+]
+
+
+def _nodes(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _nodes(value, path + (i,))
+
+
+def _mutated(obj, rng):
+    """A deep copy of obj with one to three random edits: a number or a
+    decimal string changed to another, a node replaced by junk or by a copy
+    of another node, a key or list entry dropped, a list entry doubled, or a
+    key renamed."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_nodes(obj))
+        path = rng.choice(paths[1:])
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        last = path[-1]
+        edit = rng.randrange(6)
+        if edit == 5 and type(parent[last]) is int:
+            parent[last] = rng.choice([0, 1, 2, 5, 9, 2**62])
+        elif edit == 5 and isinstance(parent[last], str):
+            parent[last] = rng.choice(["0", "1", "-2", "6", str(3**60)])
+        elif edit == 0:
+            parent[last] = json.loads(json.dumps(rng.choice(_JUNK)))
+        elif edit == 1:
+            donor = obj
+            for step in rng.choice(paths):
+                donor = donor[step]
+            parent[last] = json.loads(json.dumps(donor))
+        elif edit == 2:
+            del parent[last]
+        elif edit == 3 and isinstance(parent, list):
+            parent.insert(last, json.loads(json.dumps(parent[last])))
+        elif isinstance(parent, dict):
+            parent[rng.choice(["c", "e", "L", "num", "den", "kind", "zz"])] = parent.pop(last)
+    return obj
+
+
+def test_lambda_op_and_witness_survive_mutated_input(tmp_path):
+    # valid argv on damaged files: every call ends in a result or a typed
+    # error (exit 0 or 1), never a traceback
+    L = MultiPoly.var("L")
+    ring = PolynomialRing(["L"])
+    witt = [
+        TruncSeries.from_polynomial(ring, [ring.one(), L, L.mul_int(2)], 5).to_json(),
+        TruncSeries.from_ints(Z, [1, 2, 1, 0, 0]).to_json(),
+        TruncSeries.from_ints(QQ, [1, 3, 0, 0]).to_json(),
+    ]
+    group = GroupSeries.from_polynomials(
+        [MultiPoly.const(1)] + [MultiPoly.var("L", i, i) for i in range(1, 7)]
+    ).to_json()
+    ops = [
+        ["--op", "lambda", "--k", "2"],
+        ["--op", "witt-lambda", "--k", "3"],
+        ["--op", "sigma"],
+        ["--op", "psi", "--k", "2"],
+        ["--op", "witt-mul"],
+    ]
+    rng = random.Random(2026)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    codes = []
+    for i in range(300):
+        fmt = ["--format", rng.choice(["json", "text"])]
+        if i % 3 == 0:
+            a.write_text(json.dumps(_mutated(group, rng)))
+            argv = ["witness", str(a), "--max-period", "2", "--max-offset", "3"]
+        else:
+            op = rng.choice(ops)
+            a.write_text(json.dumps(_mutated(rng.choice(witt), rng)))
+            files = [str(a)]
+            if op[1] == "witt-mul":
+                b.write_text(json.dumps(rng.choice(witt)))
+                files.append(str(b))
+            argv = ["lambda-op"] + op + files
+        code, _ = run_cli(argv + fmt)
+        assert code in (0, 1), argv
+        codes.append(code)
+    # the edits leave some inputs valid and break others
+    assert set(codes) == {0, 1}

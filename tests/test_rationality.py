@@ -28,7 +28,6 @@ from mzeta.rationality import (
     PeriodFound,
     QQ,
     _eval_poly_at,
-    _packed_variable,
     apply_measure,
     determinant,
     hankel_test,
@@ -45,6 +44,8 @@ from mzeta.rings import (
     MultiPoly,
     PolynomialRing,
     SquareZeroRing,
+    _kronecker,
+    _packed_variable,
 )
 from mzeta.series import TruncSeries
 
@@ -238,6 +239,18 @@ def test_packed_slot_holds_a_tight_single_term_cell(sign):
     report = hankel_test(f, 0, 1)
     assert report.det(0, 0) == corner
     assert report.det(0, 1) == dense
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kronecker_reads_back_a_coefficient_at_its_bound(sign):
+    # the caller's bound is met exactly by +-2^200 L: b = 202, and with one
+    # bit less the digit 2^200 would read back as -2^200 carrying 1
+    ring = PolynomialRing(["L"])
+    tight = MultiPoly.var("L", 1, sign * 2**200)
+    dense = MultiPoly({(("L", e),): 1 for e in range(3)})
+    (images,), unpack = _kronecker(ring, [[tight, dense]], lambda norms: max(norms[0]))
+    assert [len(p.terms) for p in images] == [1, 1]
+    assert [unpack(p) for p in images] == [tight, dense]
 
 
 def test_packing_skips_square_zero_rings():
@@ -469,6 +482,61 @@ def test_verify_global_square_zero_past_twelve_variables():
     assert report.product_ok
     assert report.uniqueness == "fails"
     assert not report
+
+
+def test_packed_product_check_bounds_the_numerator():
+    # g f = 1 + L + ... + L^11 has l1 norm 12, and at L = 2^5, the slot a
+    # bound without |h|_1 would give, it maps to h = 1 + 32 + ... + 32^11;
+    # the bound with |h|_1 widens the slots, so h is rejected.  g's twelve
+    # terms per term of f make the check pack
+    ring = PolynomialRing(["L"])
+    g = [MultiPoly({(("L", e),): 1 for e in range(12)})]
+    f = TruncSeries(ring, [ring.one()])
+    h = [ring.from_int(sum(32**e for e in range(12)))]
+    assert _packed_variable([*f.coeffs, *g, *h], ring) == "L"
+    assert not verify_global(f, g, h).product_ok
+    assert verify_global(f, g, g)
+
+
+def test_packed_product_check_matches_the_plain_product():
+    # random L-heavy f and g over Z[L, J]; h is g f mod t^n, once as is and
+    # once with one coefficient moved by one term
+    ring = PolynomialRing(["L", "J"])
+    rng = random.Random(2026)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        f = TruncSeries(ring, [_l_heavy_entry(ring, rng) for _ in range(n)])
+        g = [_l_heavy_entry(ring, rng) for _ in range(rng.randint(1, n))]
+        # ten more terms in g_0, which meets every term of f, make it pack
+        g[0] = ring.add(g[0], MultiPoly({(("J", 5), ("L", e)): 1 for e in range(10)}))
+        h = list(TruncSeries.from_polynomial(ring, g, n).mul(f).coeffs)
+        assert _packed_variable([*f.coeffs, *g, *h], ring) == "L"
+        assert verify_global(f, g, h)
+        k = rng.randrange(n)
+        term = MultiPoly.var(rng.choice(["L", "J"]), rng.randint(0, 9), rng.choice([-1, 1]))
+        h[k] = ring.add(h[k], term)
+        assert not verify_global(f, g, h).product_ok
+
+
+@functools.cache
+def _genus_two_twist():
+    return zeta_rational(parse_variety("Prod(Gm(2),Curve(2))"))
+
+
+@pytest.mark.parametrize("delta", ["1", "L^3", "J"])
+def test_verify_global_rejects_each_perturbed_twist_coefficient(delta):
+    # the closed form of Prod(Gm(2),Curve(2)) against its series with one
+    # coefficient moved by delta, each coefficient in turn
+    form = _genus_two_twist()
+    ring = form.ring
+    f = form.series
+    assert verify_global(f, form.den, form.num)
+    step = {"1": ring.one(), "L^3": ring.var("L", 3), "J": ring.var("J")}[delta]
+    for i in range(f.precision):
+        coeffs = list(f.coeffs)
+        coeffs[i] = ring.add(coeffs[i], step)
+        report = verify_global(TruncSeries(ring, coeffs), form.den, form.num)
+        assert not report.product_ok, i
 
 
 def test_solve_linear_basics():
