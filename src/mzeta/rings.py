@@ -43,16 +43,16 @@ sorted layout of the names it uses, and MultiPoly.const the empty layout.
 So a key is as wide as the fields of its own variables, whatever names the
 rest of the process has seen.
 
-Operands that share a layout, tested by identity, run the plain loops.
-Where two layouts meet (add, dot, substitute, ==), the operand that lacks
-names moves into the other's layout, or both into their union: the first
-layout's names, then the second's new names in their order.  A layout that
-extends the other as a prefix, and a constant, moves without touching a
-key; any other move re-packs each key once.  The meeting of each pair of
-layouts is worked out once and kept.  Like sys.intern, a layout fixes only
-how a monomial is stored: no value, output order or error depends on it,
-because equality compares keys on one layout, and everything that leaves the
-process (JSON, str, sorting, error messages) decodes keys back to names.
+Operands that share a layout, tested by identity, run the plain loops, and
+a constant on the empty layout fits every layout as it is.  Otherwise two
+layouts meet (add, dot, substitute, ==) by one rule, _union: in the layout
+that already holds the other's names, or else in the first layout's names
+followed by the second's new ones.  An operand whose layout is a prefix of
+the meeting layout keeps its keys; any other re-packs each key once.  Like
+sys.intern, a layout fixes only how a monomial is stored: no value, output
+order or error depends on it, because equality compares keys on one layout,
+and everything that leaves the process (JSON, str, sorting, error messages)
+decodes keys back to names.
 Layouts are kept for the life of the process, so they suit the name sets of
 a computation, not an unbounded stream of fresh names.
 
@@ -168,48 +168,34 @@ def _layout_of(names):
 
 _EMPTY = _layout_of(())
 
-_joins = {}
+def _union(la, lb):
+    """The layout where operands of layouts la and lb meet: la or lb when it
+    holds the other's names (a constant's empty layout is held by every
+    layout), else la's names followed by lb's new ones."""
+    if la is lb or lb is _EMPTY:
+        return la
+    if la is _EMPTY:
+        return lb
+    if la.index.keys() >= lb.index.keys():
+        return la
+    if lb.index.keys() >= la.index.keys():
+        return lb
+    return _layout_of(la.names + tuple(v for v in lb.names if v not in la.index))
 
 
-def _join(la, lb):
-    """(layout, moves of a, moves of b): the layout where operands of layouts
-    la and lb meet, and for each operand None when its keys stay as they
-    are, else the shift in that layout of each of its fields.  Worked out
-    once per pair of layouts."""
-    j = _joins.get((la, lb))
-    if j is None:
-        a, b = la.names, lb.names
-        if b[: len(a)] == a:
-            j = (lb, None, None)
-        elif a[: len(b)] == b:
-            j = (la, None, None)
-        else:
-            if lb.index.keys() >= la.index.keys():
-                to = lb
-            elif la.index.keys() >= lb.index.keys():
-                to = la
-            else:
-                to = _layout_of(a + tuple(v for v in b if v not in la.index))
-            j = (to, _moves(la, to), _moves(lb, to))
-        j = _joins.setdefault((la, lb), j)
-    return j
-
-
-def _moves(src, dst):
-    if dst.names[: len(src.names)] == src.names:
-        return None
-    return tuple(_FIELD * dst.index[v] for v in src.names)
-
-
-def _moved(terms, moves):
-    """terms re-packed: field i of every key goes to shift moves[i].  Names
-    are distinct, so no two keys meet and no field sums."""
-    if moves is None:
+def _moved(terms, src, dst):
+    """terms, packed with field i for the name src[i], on layout dst, which
+    holds every name their keys use.  A key stays as it is when src is a
+    prefix of dst's names; otherwise each key is re-packed once.  Names are
+    distinct, so no two keys meet and no field sums."""
+    if dst.names[: len(src)] == src:
         return terms
+    # a name no key uses moves nowhere: its field is zero in every key
+    shifts = [_FIELD * dst.index.get(v, 0) for v in src]
     out = {}
     for key, c in terms.items():
         new = 0
-        for s in moves:
+        for s in shifts:
             if not key:
                 break
             new += (key & _FIELD_MASK) << s
@@ -218,45 +204,11 @@ def _moved(terms, moves):
     return out
 
 
-def _home(p):
-    """p's layout, or the empty one for a constant, which fits every layout."""
-    return p.layout if any(p.terms) else _EMPTY
-
-
-def _meet(p, q):
-    """(layout, p's terms, q's terms) on the layout where p and q meet."""
-    if q.layout is _EMPTY:
-        return p.layout, p.terms, q.terms
-    if p.layout is _EMPTY:
-        return q.layout, p.terms, q.terms
-    lay, mp, mq = _join(p.layout, q.layout)
-    if mp is not None or mq is not None:
-        lay, mp, mq = _join(_home(p), _home(q))
-    return lay, _moved(p.terms, mp), _moved(q.terms, mq)
-
-
-def _widened(lay, x, y):
-    """The layout where lay (None for none yet), x's and y's layouts meet
-    when none of them moves a key (each is a prefix of it, as a constant's
-    empty layout is of every layout), else None."""
-    for p in (x, y):
-        other = p.layout
-        if other is lay or other is _EMPTY:
-            continue
-        if lay is None or lay is _EMPTY:
-            lay = other
-            continue
-        lay, ml, mp = _join(lay, other)
-        if ml is not None or mp is not None:
-            return None
-    return lay or _EMPTY
-
-
 def _onto(p, lay):
     """p on layout lay, which holds every name p uses."""
     if p.layout is lay:
         return p
-    return _poly(_moved(p.terms, _join(_home(p), lay)[1]), lay)
+    return _poly(_moved(p.terms, p.layout.names, lay), lay)
 
 
 def _check_name(v):
@@ -270,10 +222,7 @@ def _own_layout(terms, names):
     acc = reduce(or_, terms, 0)
     used = tuple(sorted(v for i, v in enumerate(names) if (acc >> (_FIELD * i)) & _FIELD_MASK))
     lay = _layout_of(used)
-    if tuple(names[: len(used)]) == used:
-        return terms, lay
-    # a name no key uses moves nowhere: its field is zero in every key
-    return _moved(terms, tuple(_FIELD * lay.index.get(v, 0) for v in names)), lay
+    return _moved(terms, tuple(names), lay), lay
 
 
 def _exponent_cutoff():
@@ -426,7 +375,8 @@ class MultiPoly:
         lay = self.layout
         a, b = self.terms, other.terms
         if other.layout is not lay:
-            lay, a, b = _meet(self, other)
+            lay = _union(lay, other.layout)
+            a, b = _onto(self, lay).terms, _onto(other, lay).terms
         out = dict(a)
         for key, c in b.items():
             s = out.get(key, 0) + c
@@ -471,8 +421,7 @@ class MultiPoly:
             vals[v] = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
         # self and every image on one layout
         for val in vals.values():
-            if val.layout is not lay:
-                lay = _join(lay, _home(val))[0]
+            lay = _union(lay, val.layout)
         terms = _onto(self, lay).terms
         images = {_FIELD * lay.index[v]: _onto(val, lay) for v, val in vals.items()}
         moved = 0
@@ -525,8 +474,8 @@ class MultiPoly:
             return self.terms == other.terms
         if len(self.terms) != len(other.terms):
             return False
-        _, a, b = _meet(self, other)
-        return a == b
+        lay = _union(self.layout, other.layout)
+        return _onto(self, lay).terms == _onto(other, lay).terms
 
     __hash__ = None
 
@@ -568,30 +517,33 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
-def _dot(pairs, out=None, lay=None):
+def _dot(pairs):
     """Sum of the products a*b over (a, b) pairs of MultiPolys, gathered in
     one dict: the one term-product loop of the module.
 
-    The loop runs on one layout, which widens without a move while each new
-    operand's layout is a prefix of it or it of theirs; an operand that
-    needs a move hands the rest of the sum, and what is gathered so far, to
-    _dot_met.  Every key of the sum is the sum of two
-    keys whose fields lie below 2^63, so one guard test at the end catches
-    any field that overflowed."""
-    if out is None:
-        out = {}
+    The loop runs on one layout.  A pair that arrives on another layout
+    widens it in place to the _union of it and the pair's layouts, and the
+    pair's terms and the terms gathered so far move onto the union; a move
+    keeps every key when the old layout is a prefix of the new one, as a
+    constant's empty layout is of every layout.  Every key of the sum is
+    the sum of two keys whose fields lie below 2^63, so one guard test at
+    the end catches any field that overflowed."""
+    out = {}
     get = out.get
-    pairs = iter(pairs)
+    lay = None
     for x, y in pairs:
+        a, b = x.terms, y.terms
         if x.layout is not lay or y.layout is not lay:
             if lay is None and x.layout is y.layout:
                 lay = x.layout
             else:
-                wide = _widened(lay, x, y)
-                if wide is None:
-                    return _dot_met(out, lay, (x, y), pairs)
+                wide = _union(_union(lay or _EMPTY, x.layout), y.layout)
+                if out:
+                    out = _moved(out, lay.names, wide)
+                    get = out.get
+                a = _moved(a, x.layout.names, wide)
+                b = _moved(b, y.layout.names, wide)
                 lay = wide
-        a, b = x.terms, y.terms
         if len(a) > len(b):
             a, b = b, a
         b = b.items()
@@ -607,21 +559,6 @@ def _dot(pairs, out=None, lay=None):
         return _poly(out, _EMPTY)
     _check_guard(out, lay)
     return _poly(out, lay)
-
-
-def _dot_met(out, lay, first, rest):
-    """_dot from the pair first on, with out gathered so far on layout lay
-    (None before the first pair): every operand left moves onto the layout
-    where they all meet, and the sum goes on there."""
-    pairs = [first, *rest]
-    to = lay or _EMPTY
-    for pair in pairs:
-        for p in pair:
-            if p.layout is not to:
-                to = _join(to, _home(p))[0]
-    if lay is not None:
-        out = _moved(out, _join(lay, to)[1])
-    return _dot([(_onto(x, to), _onto(y, to)) for x, y in pairs], out, to)
 
 
 # a computation packs v only while its images hold at most this many slots
@@ -742,7 +679,7 @@ def _kronecker_unpack(p, v, b):
     if v not in p.layout.index:
         # an image whose keys all clear v's field may have met its
         # operands on a layout without v
-        p = _onto(p, _join(_home(p), _layout_of((v,)))[0])
+        p = _onto(p, _union(p.layout, _layout_of((v,))))
     shift = _FIELD * p.layout.index[v]
     mask = (1 << b) - 1
     half = 1 << (b - 1)
@@ -1008,14 +945,6 @@ class Ring:
         self.validate(a)
         return a
 
-    def _mask_in(self, lay):
-        """The ring's membership mask for elements on layout lay, worked out
-        once per layout."""
-        m = self._masks.get(lay)
-        if m is None:
-            m = self._masks[lay] = self._mask_of(lay)
-        return m
-
     def elem_str(self, a):
         return str(a)
 
@@ -1076,7 +1005,6 @@ class PolynomialRing(Ring):
         self.variables = _check_var_names(variables)
         self._varset = set(self.variables)
         self._layout = _layout_of(self.variables)
-        self._masks = {}
 
     def var(self, name, exp=1):
         if name not in self._varset:
@@ -1094,7 +1022,7 @@ class PolynomialRing(Ring):
         # the ring's own layout is in the ring
         if a.layout is self._layout:
             return
-        mask = self._mask_in(a.layout)
+        mask = self._mask_of(a.layout)
         if reduce(or_, a.terms, mask) != mask:
             extra = a.variables() - self._varset
             raise RingMismatchError("variables %s not in ring %s" % (sorted(extra), list(self.variables)))
@@ -1126,7 +1054,6 @@ class SquareZeroRing(Ring):
         if prefix is not None and not _VAR_RE.match(prefix):
             raise InvalidInputError("bad variable prefix %r" % prefix)
         self.prefix = prefix
-        self._masks = {}
         if variables is not None:
             self.variables = _check_var_names(variables)
             self._varset = set(self.variables)
@@ -1179,7 +1106,7 @@ class SquareZeroRing(Ring):
             raise RingMismatchError("expected a polynomial element")
         # a key ORs into the ones bits iff its variables are the ring's and
         # every exponent is 1
-        ones = self._mask_in(a.layout)
+        ones = self._mask_of(a.layout)
         if reduce(or_, a.terms, ones) == ones:
             return
         # the decoded check names the offending variable

@@ -62,10 +62,6 @@ class TruncSeries(JsonPayload):
         return cls.from_ints(ring, [int(i == 0) for i in range(precision)])
 
     @classmethod
-    def zero(cls, ring, precision):
-        return cls.from_ints(ring, [0] * precision)
-
-    @classmethod
     def geometric(cls, ring, c, precision):
         """1 + c t + c^2 t^2 + ..."""
         out = [ring.one()] if precision >= 1 else []

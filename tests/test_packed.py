@@ -465,6 +465,94 @@ def test_operations_agree_with_tuple_reference_across_layouts():
         assert str(pa) == str(MultiPoly(a))
 
 
+def _repacks(monkeypatch):
+    """A list that records (src names, dst names) of each _moved call that
+    re-packs its keys."""
+    repacked = []
+    real = rings._moved
+
+    def spy(terms, src, dst):
+        out = real(terms, src, dst)
+        if out is not terms:
+            repacked.append((src, dst.names))
+        return out
+
+    monkeypatch.setattr(rings, "_moved", spy)
+    return repacked
+
+
+def test_dot_meets_layouts_in_their_union(monkeypatch):
+    repacked = _repacks(monkeypatch)
+    lj = PolynomialRing(["L", "J"])
+    ljc = PolynomialRing(["L", "J", "c1"])
+    jcl = PolynomialRing(["J", "c1", "L"])
+    jc = PolynomialRing(["J", "c1"])
+    a = {(("L", 2),): 3, (("J", 1), ("L", 1)): -2, (): 5}
+    b = {(("J", 2),): 1, (("L", 1),): 4}
+    c = {(("L", 1), ("c1", 1)): 2, (("J", 1),): -1}
+    d = {(("c1", 2),): 1, (): -3}
+    e = {(("J", 1), ("c1", 1)): 2, (("J", 2),): -1}
+
+    def on(ring, p):
+        # JSON packs straight into the ring's layout
+        return ring.elem_from_json({"terms": [{"c": c, "e": dict(m)} for m, c in p.items()]})
+
+    def want(*pairs, square_zero=False):
+        out = {}
+        for p, q in pairs:
+            out = oracles.tuple_poly_add(out, oracles.tuple_poly_mul(p, q, square_zero))
+        return out
+
+    # a layout that extends the sum's as a prefix: no key re-packs
+    got = ljc.dot([(on(lj, a), on(lj, b)), (on(ljc, c), on(ljc, d))])
+    assert as_tuple(got) == want((a, b), (c, d)) and got.layout is ljc._layout
+    assert repacked == []
+    # a layout that holds the sum's names in another order arrives after the
+    # sum holds terms: the gathered terms move onto it
+    got = ljc.dot([(on(lj, a), on(lj, b)), (on(jcl, c), on(jcl, d))])
+    assert as_tuple(got) == want((a, b), (c, d)) and got.layout is jcl._layout
+    assert repacked == [(("L", "J"), ("J", "c1", "L"))]
+    repacked.clear()
+    # neither holds the other's names: the sum's names, then the new ones;
+    # only the arriving pair re-packs
+    got = ljc.dot([(on(lj, a), on(lj, b)), (on(jc, e), on(jc, d)), (on(lj, b), on(lj, b))])
+    assert as_tuple(got) == want((a, b), (e, d), (b, b))
+    assert got.layout.names == ("L", "J", "c1")
+    assert [src for src, _ in repacked] == [("J", "c1"), ("J", "c1")]
+    repacked.clear()
+    # a constant on a ring's layout meets a foreign layout
+    seven = lj.from_int(7)
+    x = MultiPoly.var("x2")
+    got = lj.dot([(seven, x), (on(lj, a), on(lj, b)), (x, x)])
+    assert as_tuple(got) == want(({(): 7}, {(("x2", 1),): 1}), (a, b), ({(("x2", 1),): 1},) * 2)
+    assert as_tuple(seven.add(x)) == {(): 7, (("x2", 1),): 1}
+    assert seven == MultiPoly.const(7) and seven.add(x) == x.add(MultiPoly.const(7))
+    assert seven != on(jc, {(): 7, (("c1", 1),): 1})
+    repacked.clear()
+    # a constant on the empty layout fits every layout as it is
+    got = ljc.dot([(MultiPoly.const(2), on(ljc, c)), (on(ljc, d), MultiPoly.const(-1))])
+    assert as_tuple(got) == want(({(): 2}, c), (d, {(): -1})) and got.layout is ljc._layout
+    assert repacked == []
+    # a prefix square-zero ring whose layout grows between two pairs
+    sz = SquareZeroRing(prefix="q")
+    q1 = {(("q1", 1),): 1}
+    q2 = {(("q2", 1),): 1}
+
+    def pairs():
+        v1 = sz.var("q1")
+        yield v1, sz.one().add(v1)
+        v2 = sz.var("q2")
+        assert sz._layout.names == ("q1", "q2")
+        yield v2, v1.add(v2)
+
+    got = sz.dot(pairs())
+    want_sz = want((q1, oracles.tuple_poly_add({(): 1}, q1)), (q2, oracles.tuple_poly_add(q1, q2)),
+                   square_zero=True)
+    assert as_tuple(got) == want_sz == {(("q1", 1),): 1, (("q1", 1), ("q2", 1)): 1}
+    assert got.layout is sz._layout
+    assert repacked == []
+
+
 def test_ring_layout_does_not_depend_on_names_seen_before():
     for i in range(200):
         MultiPoly.var("unrelated%d" % i)
