@@ -26,7 +26,16 @@ from .rationality import (
     pade_reconstruct,
     periodic_ratio_test,
 )
-from .rings import _VAR_RE, MultiPoly, _json_int, _json_terms, int_str, plain
+from .rings import (
+    _EXP_LIMIT,
+    _FIELD,
+    _FIELD_MASK,
+    _VAR_RE,
+    MultiPoly,
+    _json_int,
+    int_str,
+    plain,
+)
 from .series import series_from_json
 from .symfunc import (
     newton_polynomial,
@@ -39,27 +48,99 @@ _MAX_N = 8
 _MAX_MN = 10
 
 
-def _poly_text(p, nl):
+def _term_texts(lay, nl):
+    """The memo of _poly_text for layout lay at indent nl: a dict from a
+    key's upper part u = key >> 64 (every field but field 0) to its entry,
+    and the function that works out, stores and returns a missing entry.
+
+    An entry is (base, shift, text, skey0, text0).  A term whose key has
+    upper part u and e0 > 0 in field 0 has sort key base | e0 << shift and
+    text text % (c, e0), for its coefficient c; with e0 = 0 they are skey0
+    and text0 % c.  The sort key reads the fields in name order, the first
+    name most significant: a nonzero exponent as itself, a zero one before
+    the last nonzero field as 2^63 and a trailing zero as 0.  That is the
+    order _json_terms defines, where a skipped name lets the next (name,
+    exponent) pair, with a later name, sort after any pair at the skipped
+    name, and a monomial that has ended sorts before any pair.  Variable
+    names need no JSON escaping and hold no %."""
+    k = len(lay.names)
+    i3 = nl + "      "
+    i4 = i3 + "  "
+    head = "{" + i3 + '"c": "%d",' + i3 + '"e": '
+    tail = nl + "    }"
+    # field i's slot in the sort key and its pair text at this indent
+    slots = [None] * k
+    for r, (v, s) in enumerate(lay.decode):
+        slots[s // _FIELD] = (_FIELD * (k - 1 - r), i4 + '"%s": ' % v)
+    uppers = {}
+
+    def form(pairs):
+        # sort key and text of a monomial from its (slot, exponent, pair
+        # text) triples: 2^63 in every slot down to the last name's, then
+        # each exponent in place of its 2^63
+        if not pairs:
+            return 0, head + "{}" + tail
+        pairs.sort(reverse=True)
+        skey = lay.guard >> pairs[-1][0] << pairs[-1][0]
+        for s, e, _ in pairs:
+            skey ^= (_EXP_LIMIT | e) << s
+        return skey, head + "{" + ",".join([t for _, _, t in pairs]) + i3 + "}" + tail
+
+    def entry(u):
+        pairs = []
+        rest = u
+        for s, label in slots[1:]:
+            if not rest:
+                break
+            e = rest & _FIELD_MASK
+            if e:
+                pairs.append((s, e, label + str(e)))
+            rest >>= _FIELD
+        skey0, text0 = form(list(pairs))
+        base = shift = text = None
+        if k:
+            shift, label = slots[0]
+            # field 0 reads 0 in base, and its exponent goes in the %d
+            base, text = form(pairs + [(shift, 0, label + "%d")])
+        out = uppers[u] = (base, shift, text, skey0, text0)
+        return out
+
+    return uppers, entry
+
+
+def _poly_text(p, nl, memo):
     """poly_to_json(p) as json.dumps lays it out at indent nl, built from
-    p's terms with no term dicts.  Variable names need no escaping."""
+    p's terms with no term dicts.  memo, made by _dumps for one payload,
+    holds one _term_texts per (layout, indent), so a term costs one lookup
+    of its upper part.  Terms go out in the order of their sort keys, which
+    reproduces the order _json_terms defines; tests/test_json_writer.py
+    pins the two together."""
     i1 = nl + "  "
-    terms = _json_terms(p)
+    terms = p.terms
     if not terms:
         return "{" + i1 + '"terms": []' + nl + "}"
+    texts = memo.get((p.layout, nl))
+    if texts is None:
+        texts = memo[p.layout, nl] = _term_texts(p.layout, nl)
+    uppers, new = texts
+    get = uppers.get
+    rows = {}
+    try:
+        for key, c in terms.items():
+            entry = get(key >> _FIELD) or new(key >> _FIELD)
+            e0 = key & _FIELD_MASK
+            if e0:
+                rows[entry[0] | e0 << entry[1]] = entry[2] % (c, e0)
+            else:
+                rows[entry[3]] = entry[4] % c
+    except ValueError:
+        # a coefficient past the interpreter's digit limit
+        for c in terms.values():
+            int_str(c)
+        raise
     i2 = i1 + "  "
-    i3 = i2 + "  "
-    i4 = i3 + "  "
-    head = "{" + i3 + '"c": "'
-    mid = '",' + i3 + '"e": {' + i4
-    end = i3 + "}" + i2 + "}"
-    const = '",' + i3 + '"e": {}' + i2 + "}"
-    sep = "," + i4
-    texts = [
-        head + int_str(c) + mid + sep.join([f'"{v}": {e}' for v, e in mono]) + end
-        if mono else head + int_str(c) + const
-        for mono, c in terms
-    ]
-    return "{" + i1 + '"terms": [' + i2 + ("," + i2).join(texts) + i1 + "]" + nl + "}"
+    body = ("," + i2).join([rows[k] for k in sorted(rows)])
+    return "{" + i1 + '"terms": [' + i2 + body + i1 + "]" + nl + "}"
 
 
 @functools.cache
@@ -68,12 +149,12 @@ def _fraction_texts(nl):
     one that takes the denominator and numerator digits, and one for a zero
     numerator."""
     i1 = nl + "  "
-    const = _poly_text(MultiPoly.const(1), i1).replace('"1"', '"%s"')
+    const = _poly_text(MultiPoly.const(1), i1, {}).replace('"1"', '"%s"')
     head = "{" + i1 + '"den": ' + const + "," + i1 + '"num": '
-    return head + const + nl + "}", head + _poly_text(MultiPoly.const(0), i1) + nl + "}"
+    return head + const + nl + "}", head + _poly_text(MultiPoly.const(0), i1, {}) + nl + "}"
 
 
-def _write(o, append, nl):
+def _write(o, append, nl, memo):
     t = type(o)
     if t is dict:
         if not o:
@@ -93,7 +174,7 @@ def _write(o, append, nl):
                 append(head + int.__repr__(v))
             else:
                 append(head)
-                _write(v, append, inner)
+                _write(v, append, inner, memo)
             sep = "," + inner
         append(nl + "}")
     elif t is str:
@@ -106,11 +187,11 @@ def _write(o, append, nl):
         sep = "[" + inner
         for v in o:
             append(sep)
-            _write(v, append, inner)
+            _write(v, append, inner, memo)
             sep = "," + inner
         append(nl + "]")
     elif t is MultiPoly:
-        append(_poly_text(o, nl))
+        append(_poly_text(o, nl, memo))
     elif t is Fraction:
         full, zero = _fraction_texts(nl)
         n = o.numerator
@@ -145,9 +226,10 @@ def _dumps(obj):
     writer lays out dicts, lists, str, int, bool and None itself, with the C
     string encoder; a str or int value of a dict goes out in one piece with
     its key.  Ring elements reach it as values: a MultiPoly is written from
-    its terms, in the order poly_to_json uses, and a Fraction from one
-    template per indent, both through int_str, so a coefficient past the
-    interpreter's digit limit raises DegreeCutoffError as plain() does.
+    its terms by _poly_text, in the order _json_terms defines, through a
+    memo of term texts that lives for this one call, and a Fraction from
+    one template per indent.  A coefficient past the interpreter's digit
+    limit raises DegreeCutoffError as plain() does.
     A payload holding any other value (a float, a tuple, an int or str
     subclass, a key that is not a str) or a circular reference goes whole
     to json.dumps, which writes ring elements through plain(), so neither
@@ -155,7 +237,7 @@ def _dumps(obj):
     """
     parts = []
     try:
-        _write(obj, parts.append, "\n")
+        _write(obj, parts.append, "\n", {})
     except (TypeError, RecursionError):
         return json.dumps(obj, cls=_LeafEncoder, indent=2, sort_keys=True)
     return "".join(parts)

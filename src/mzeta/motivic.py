@@ -37,7 +37,6 @@ NoClosedFormError beyond the linear term.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InvalidInputError,
@@ -57,15 +56,64 @@ def _check_param(value, what):
         raise InvalidInputError("%s must be nonnegative" % what)
 
 
-@dataclass(frozen=True)
-class Point:
+class _Node:
+    """An expression node: immutable, equal to a node of its own type with
+    equal fields, hashed as the tuple of its fields and shown as
+    Type(field=value, ...).  A subclass lists its fields in __slots__, in
+    the order its constructor takes them, and checks them in
+    __post_init__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                "%s() takes %d field values, got %d"
+                % (type(self).__name__, len(self.__slots__), len(values))
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Point(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "point"
 
 
-@dataclass(frozen=True)
-class Affine:
-    n: int
+class Affine(_Node):
+    __slots__ = ("n",)
 
     def __post_init__(self):
         _check_param(self.n, "affine dimension")
@@ -74,9 +122,8 @@ class Affine:
         return "A(%d)" % self.n
 
 
-@dataclass(frozen=True)
-class Proj:
-    n: int
+class Proj(_Node):
+    __slots__ = ("n",)
 
     def __post_init__(self):
         _check_param(self.n, "projective dimension")
@@ -85,9 +132,8 @@ class Proj:
         return "P(%d)" % self.n
 
 
-@dataclass(frozen=True)
-class Torus:
-    d: int
+class Torus(_Node):
+    __slots__ = ("d",)
 
     def __post_init__(self):
         _check_param(self.d, "torus rank")
@@ -96,9 +142,8 @@ class Torus:
         return "Gm(%d)" % self.d
 
 
-@dataclass(frozen=True)
-class Curve:
-    genus: int
+class Curve(_Node):
+    __slots__ = ("genus",)
 
     def __post_init__(self):
         _check_param(self.genus, "genus")
@@ -107,28 +152,22 @@ class Curve:
         return "Curve(%d)" % self.genus
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: object
-    right: object
+class Prod(_Node):
+    __slots__ = ("left", "right")
 
     def __str__(self):
         return "Prod(%s,%s)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Disjoint:
-    left: object
-    right: object
+class Disjoint(_Node):
+    __slots__ = ("left", "right")
 
     def __str__(self):
         return "Disj(%s,%s)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class VectorBundle:
-    base: object
-    rank: int
+class VectorBundle(_Node):
+    __slots__ = ("base", "rank")
 
     def __post_init__(self):
         _check_param(self.rank, "bundle rank")
@@ -137,10 +176,8 @@ class VectorBundle:
         return "VB(%s,%d)" % (self.base, self.rank)
 
 
-@dataclass(frozen=True)
-class ProjBundle:
-    base: object
-    rank: int
+class ProjBundle(_Node):
+    __slots__ = ("base", "rank")
 
     def __post_init__(self):
         _check_param(self.rank, "bundle rank")
@@ -278,7 +315,7 @@ def cell_profile(e):
 
 class _Atom:
     """A curve-bearing node as half of a factor key, compared by identity:
-    the frozen dataclasses make two separate Curve(1) nodes equal."""
+    node equality makes two separate Curve(1) nodes equal."""
 
     __slots__ = ("node",)
 

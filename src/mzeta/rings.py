@@ -95,8 +95,8 @@ JSON encodings round-trip bit-exactly (over QQ, once in lowest terms):
 A report's payload() is its JSON shape with each ring element left as a
 value: a MultiPoly or a Fraction, and a FractionElem as {"num": p, "den": q}.
 Its to_json() is plain(payload()), which puts the forms above in their place;
-the CLI writes payload() itself, each element straight from its terms in the
-order _json_terms defines, to the same text.
+the CLI writes payload() itself to the same text, ordering each element's
+terms by an integer key that its tests pin to the order _json_terms defines.
 """
 
 from __future__ import annotations
@@ -734,7 +734,7 @@ def power(x, n, mul, one):
 
 def _json_terms(p):
     """p's terms in JSON order, the one definition of it: sorted by monomial,
-    whose (name, exponent) pairs are sorted by name."""
+    its pairs by name.  The CLI's sort key reproduces it, as its tests check."""
     return sorted(p.items())
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mzeta.cli import _dumps
 from mzeta.errors import DegreeCutoffError
-from mzeta.rings import MultiPoly, PolynomialRing, plain
+from mzeta.rings import MultiPoly, PolynomialRing, SquareZeroRing, plain
 
 # non-ASCII, quotes, backslashes, control characters and the empty string
 _TEXTS = [
@@ -317,6 +317,95 @@ class RingElementLeaves(unittest.TestCase):
                 with self.assertRaises(DegreeCutoffError) as got:
                     _dumps(obj)
                 self.assertEqual(str(got.exception), str(expected.exception))
+
+
+
+class SharedUpperParts(unittest.TestCase):
+    """Payloads whose polynomials share layouts and upper parts (every field
+    of a key but field 0), placed at several indents, so that one entry of
+    _dumps's per-payload memo writes many terms.  Field 0's name sorts
+    first, in the middle or last among its layout's names."""
+
+    MOTIVIC = ["L", "J"] + ["c%d" % i for i in range(1, 12)]
+
+    def assertSameText(self, obj):
+        self.assertEqual(_dumps(obj), json.dumps(plain(obj), indent=2, sort_keys=True))
+
+    def products(self, rng, ring, names, count, powers):
+        """count products of four small elements, each with a term in a
+        power of field 0, so that upper parts repeat with many powers of
+        it; powers(v) is the element v^e for some e."""
+        def small():
+            out = ring.from_int(rng.choice([1, -1, rng.randrange(2, 1000)]))
+            out = ring.add(out, ring.mul(ring.from_int(rng.randrange(-9, 10)), powers(names[0])))
+            for _ in range(rng.randint(1, 3)):
+                term = ring.from_int(rng.choice([1, -1, rng.randrange(2, 10**30)]))
+                for v in rng.sample(names, rng.randint(1, 2)):
+                    term = ring.mul(term, powers(v))
+                out = ring.add(out, term)
+            return out
+
+        return [
+            ring.mul(ring.mul(small(), small()), ring.mul(small(), small()))
+            for _ in range(count)
+        ]
+
+    def edges(self, ring, names):
+        """Every single name and every pair of names at exponents 1 and
+        2^63 - 1, a constant term, and keys whose field 0 is zero with and
+        without later names beside it."""
+        terms = [{"c": "-3", "e": {}}]
+        for i, v in enumerate(names):
+            for e in (1, _BIG_EXP):
+                terms.append({"c": str(i + 1), "e": {v: e}})
+                for w in names[i + 1:]:
+                    terms.append({"c": str(-e), "e": {v: e, w: _BIG_EXP - e + 1}})
+        return ring.elem_from_json({"terms": terms})
+
+    def payload(self, polys, extra):
+        return {
+            "flat": polys,
+            "nested": {"grid": [[p, {"p": p}] for p in polys[::-1]], "zero": MultiPoly.const(0)},
+            "extra": extra,
+            "consts": [MultiPoly.const(-7), MultiPoly.const(10**40), MultiPoly.const(0)],
+        }
+
+    def test_field_zero_sorts_first_middle_and_last(self):
+        rng = random.Random(28)
+        cases = [
+            ["a", "b", "m", "y"],
+            self.MOTIVIC,
+            ["z", "a", "m"],
+        ]
+        for names in cases:
+            with self.subTest(names=names):
+                ring = PolynomialRing(names)
+                polys = self.products(rng, ring, names, 6, lambda v: ring.var(v, rng.randint(1, 3)))
+                self.assertGreaterEqual(max(len(p.terms) for p in polys), 100)
+                self.assertSameText(self.payload(polys, [self.edges(ring, names), ring.one()]))
+
+    def test_many_layouts_in_one_payload(self):
+        rng = random.Random(2028)
+        prefix = SquareZeroRing(prefix="x")
+        xs = ["x%d" % i for i in range(1, 13)]
+        polys = self.products(rng, prefix, xs, 4, prefix.var)
+        self.assertGreaterEqual(max(len(p.terms) for p in polys), 100)
+        # MultiPoly(...) builds on the sorted layout of the names it uses
+        def plain_poly():
+            monos = [
+                tuple((v, rng.randint(1, 4)) for v in rng.sample("LJab", rng.randint(0, 3)))
+                for _ in range(30)
+            ]
+            return MultiPoly({mono: rng.randint(-5, 5) for mono in monos})
+
+        plain_polys = [plain_poly() for _ in range(4)]
+        mixed = []
+        for names in (self.MOTIVIC, ["z", "a", "m"], self.MOTIVIC[::-1]):
+            ring = PolynomialRing(names)
+            mixed += self.products(rng, ring, names, 2, lambda v: ring.var(v, rng.randint(1, 2)))
+            mixed.append(self.edges(ring, names))
+        self.assertSameText(self.payload(polys + mixed, plain_polys))
+        self.assertSameText([self.payload(mixed, polys), {"x": self.payload(polys, mixed)}])
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -50,6 +51,25 @@ def test_parse_basics():
     assert parse_variety(" Disj( Gm(2) , VB( A(1) , 3 ) ) ") == Disjoint(
         Torus(2), VectorBundle(Affine(1), 3)
     )
+
+
+def test_nodes_are_immutable_values():
+    e = parse_variety("PB(Disj(Prod(Curve(2),A(1)),point),2)")
+    again = parse_variety(str(e))
+    assert e == again and e is not again and hash(e) == hash(again)
+    assert hash(Affine(3)) == hash((3,)) and hash(Point()) == hash(())
+    assert Affine(1) != Proj(1) and Affine(1) != Affine(2)
+    assert repr(e) == (
+        "ProjBundle(base=Disjoint(left=Prod(left=Curve(genus=2), right=Affine(n=1)), "
+        "right=Point()), rank=2)"
+    )
+    assert pickle.loads(pickle.dumps(e)) == e
+    with pytest.raises(AttributeError):
+        e.rank = 3
+    with pytest.raises(AttributeError):
+        del e.base
+    with pytest.raises(InvalidInputError):
+        VectorBundle(Point(), -1)
 
 
 def test_parse_round_trip():
