@@ -427,21 +427,12 @@ def _cmd_measure(args):
     report = irrationality_harness(
         surface, args.n, args.sym_max, args.max_period, args.max_offset
     )
+    if not args.witness:
+        report.witness = None
     payload = report.payload()
     if report.boundedness is not None:
         payload["boundedness"] = report.boundedness.to_json()
-    if not args.witness:
-        payload.pop("witness", None)
-
-    def render():
-        text = str(report)
-        if args.witness:
-            return text
-        return "\n".join(
-            line for line in text.splitlines() if "witness search" not in line
-        )
-
-    return _emit(args, payload, render)
+    return _emit(args, payload, report.__str__)
 
 
 def _cmd_suite(args):

@@ -38,7 +38,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import PolynomialRing, _check_int, eval_poly
+from .rings import Numbers, PolynomialRing, _check_int, eval_poly
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
 from .symfunc import universal_P, universal_Q
 
@@ -301,20 +301,9 @@ class LambdaRule:
         return str(a)
 
 
-class _IntegerCarrier(LambdaRule):
-    """Plain Python ints as the carrier; subclasses choose lam."""
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
+class _IntegerCarrier(Numbers, LambdaRule):
+    """Plain Python ints as the carrier, with the arithmetic of the number
+    table rings.Numbers; subclasses choose lam."""
 
 
 class BinomialIntegers(_IntegerCarrier):
@@ -349,18 +338,7 @@ class LineMonomials(LambdaRule):
 
     def __init__(self, ring):
         self.ring = ring
-
-    def from_int(self, n):
-        return self.ring.from_int(n)
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def eq(self, a, b):
-        return self.ring.eq(a, b)
+        self.from_int, self.add, self.mul, self.eq = ring.from_int, ring.add, ring.mul, ring.eq
 
     def lam(self, n, x):
         if n == 0:
@@ -487,47 +465,38 @@ def check_special(rule, x, y, nmax, mmax):
     truncated carrier cannot decide are flagged "insufficient".
     """
     entries = []
-    xy = rule.mul(x, y)
-    for n in range(1, nmax + 1):
+
+    def record(kind, indices, sides):
+        # sides() computes lambda of the left side, the lambda-values and
+        # the universal polynomial, in that order; a truncated carrier may
+        # raise PrecisionError on the way
         try:
-            lhs = rule.lam(n, xy)
-            values = {}
-            for i in range(1, n + 1):
-                values["e%d" % i] = rule.lam(i, x)
-                values["f%d" % i] = rule.lam(i, y)
-            rhs = eval_poly(universal_P(n), values, rule)
+            lhs, values, universal = sides()
+            rhs = eval_poly(universal, values, rule)
             if rule.meaningful(lhs, rhs):
                 status = "holds" if rule.eq(lhs, rhs) else "fails"
             else:
                 status = "insufficient"
             entry = IdentityCheck(
-                "product", (n,), status, rule.describe(lhs), rule.describe(rhs)
+                kind, indices, status, rule.describe(lhs), rule.describe(rhs)
             )
         except PrecisionError:
-            entry = IdentityCheck("product", (n,), "insufficient")
+            entry = IdentityCheck(kind, indices, "insufficient")
         entries.append(entry)
+
+    def lams(n, *args):
+        # e1, f1, e2, f2, ...: lambda^i of x (and of y)
+        return {"%s%d" % (name, i): rule.lam(i, z)
+                for i in range(1, n + 1) for name, z in zip("ef", args)}
+
+    xy = rule.mul(x, y)
+    for n in range(1, nmax + 1):
+        record("product", (n,), lambda: (
+            rule.lam(n, xy), lams(n, x, y), universal_P(n)))
     for m in range(1, mmax + 1):
         for n in range(1, mmax // m + 1):
-            try:
-                lhs = rule.lam(m, rule.lam(n, x))
-                values = {
-                    "e%d" % i: rule.lam(i, x) for i in range(1, m * n + 1)
-                }
-                rhs = eval_poly(universal_Q(m, n), values, rule)
-                if rule.meaningful(lhs, rhs):
-                    status = "holds" if rule.eq(lhs, rhs) else "fails"
-                else:
-                    status = "insufficient"
-                entry = IdentityCheck(
-                    "composition",
-                    (m, n),
-                    status,
-                    rule.describe(lhs),
-                    rule.describe(rhs),
-                )
-            except PrecisionError:
-                entry = IdentityCheck("composition", (m, n), "insufficient")
-            entries.append(entry)
+            record("composition", (m, n), lambda: (
+                rule.lam(m, rule.lam(n, x)), lams(m * n, x), universal_Q(m, n)))
     return SpecialReport(entries)
 
 

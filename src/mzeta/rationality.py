@@ -28,16 +28,17 @@ from operator import mul
 from .errors import (
     InvalidInputError,
     InvalidMeasureError,
-    MissingDataError,
     PrecisionError,
 )
 from .rings import (
+    NUMBERS,
     QQ,
     FractionElem,
     JsonPayload,
     MultiPoly,
     _check_int,
     _kronecker,
+    eval_poly,
     frac_from_json,
 )
 from .series import TruncSeries, poly_str, poly_trim
@@ -537,38 +538,13 @@ def _check_images(assignment):
 
 
 def _eval_poly_at(poly, assignment):
-    """poly at the checked images of its variables, in lowest terms.
-
-    With each image n_v / d_v and top_v the largest exponent of v in poly,
-    D = prod d_v^top_v is a common denominator: the term c prod v^e adds
-    c prod n_v^e (D / prod d_v^e) to an integer numerator, so a term that
-    lacks v is still scaled by d_v^top_v.
-    """
-    terms = poly.items()
-    top = {}
-    for key, _ in terms:
-        for v, e in key:
-            if v not in top:
-                if v not in assignment and "*" not in assignment:
-                    raise MissingDataError("measure does not cover variable %r" % v)
-                top[v] = e
-            elif e > top[v]:
-                top[v] = e
-    images = {}
-    common = 1
-    for v, t in top.items():
-        x = assignment[v] if v in assignment else assignment["*"]
-        images[v] = x.as_integer_ratio()
-        common *= images[v][1] ** t
-    total = 0
-    for key, c in terms:
-        scale = common
-        for v, e in key:
-            n, d = images[v]
-            c *= n**e
-            scale //= d**e
-        total += c * scale
-    return Fraction(total, common)
+    """poly at the checked images of its variables, a Fraction in lowest
+    terms: "*" stands for every variable the assignment does not list, and
+    rings.eval_poly sums the terms in NUMBERS."""
+    if "*" in assignment:
+        default = assignment["*"]
+        assignment = {v: assignment.get(v, default) for v in poly.variables()}
+    return Fraction(eval_poly(poly, assignment, NUMBERS))
 
 
 def apply_measure(f, assignment):
@@ -578,9 +554,8 @@ def apply_measure(f, assignment):
     The assignment maps variable names to ints or Fractions, and anything
     else (a bool, a float, a string) is an InvalidMeasureError; the key "*"
     supplies a default for unlisted variables.  Each coefficient is
-    evaluated over a common denominator in integers and becomes a Fraction
-    once.  Homomorphisms out of a square-zero quotient must kill every
-    variable.
+    evaluated by rings.eval_poly in Python numbers.  Homomorphisms out of a
+    square-zero quotient must kill every variable.
     """
     _check_images(assignment)
     ring = f.ring

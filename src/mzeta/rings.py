@@ -103,6 +103,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -114,6 +115,7 @@ from .errors import (
     ExactDivisionError,
     InvalidElementError,
     InvalidInputError,
+    MissingDataError,
     NotInvertibleError,
     RingMismatchError,
 )
@@ -1284,19 +1286,45 @@ def ring_from_json(obj):
     raise InvalidInputError("unknown ring kind %r" % kind)
 
 
-def eval_poly(expr, mapping, ops):
-    """Evaluate a MultiPoly by substituting ring (or rule) elements.
+class Numbers:
+    """Python ints and Fractions as an operation table (from_int, add, mul,
+    eq): eval_poly's ops for images that are numbers, and the arithmetic of
+    the integer lambda carriers."""
 
-    ops must provide from_int, add, mul, and pow-compatible mul; used for
-    universal polynomial evaluation over rings, Witt rings, and lambda rules.
+    __slots__ = ()
+    from_int = staticmethod(int)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    eq = staticmethod(operator.eq)
+
+
+NUMBERS = Numbers()
+
+
+def eval_poly(expr, mapping, ops):
+    """expr with each variable v replaced by mapping[v], computed in the
+    operation table ops (from_int, add, mul): a Ring, a LambdaRule, or
+    NUMBERS.  This is the one evaluator of a polynomial at values: the
+    universal polynomials over rings, Witt rings and lambda carriers, and a
+    measure's images in Q.
+
+    The first variable the mapping does not cover (or maps to None), in
+    term order, is a MissingDataError.  Terms are summed in stored order;
+    every table is exact and commutative, so the order changes no value.
+    Exponents are read from the packed keys, field by field in the order of
+    items().
     """
+    add, mul = ops.add, ops.mul
+    fields = [(s, v, mapping.get(v)) for v, s in expr.layout.used(expr.terms)]
     total = ops.from_int(0)
-    for mono, c in sorted(expr.items()):
+    for key, c in expr.terms.items():
         term = ops.from_int(c)
-        for v, e in mono:
-            if v not in mapping:
-                raise InvalidInputError("no value supplied for %r" % v)
-            # e >= 1 in a monomial, so power never needs a unit
-            term = ops.mul(term, power(mapping[v], e, ops.mul, None))
-        total = ops.add(total, term)
+        for s, v, x in fields:
+            e = (key >> s) & _FIELD_MASK
+            if e:
+                if x is None:
+                    raise MissingDataError("measure does not cover variable %r" % v)
+                # e >= 1, so power never needs a unit
+                term = mul(term, x if e == 1 else power(x, e, mul, None))
+        total = add(total, term)
     return total

@@ -69,6 +69,7 @@ from .rationality import (
     verify_global,
 )
 from .rings import (
+    NUMBERS,
     FractionElem,
     IntegerRing,
     MultiPoly,
@@ -173,7 +174,6 @@ def run_checks(names=None, seed=DEFAULT_SEED):
 
 
 _ZZ = IntegerRing()
-_INTS = BinomialIntegers()
 
 
 def _int(n):
@@ -448,7 +448,7 @@ def _symfunc_P2(rng):
 @check("symfunc_P2_binomial_value")
 def _symfunc_P2_binomial(rng):
     values = {"e1": 2, "e2": 1, "f1": 2, "f2": 1}
-    got = eval_poly(universal_P(2), values, _INTS)
+    got = eval_poly(universal_P(2), values, NUMBERS)
     _require(got == 6, "P_2 at the rank-two data must be C(4,2) = 6")
 
 
@@ -469,7 +469,7 @@ def _symfunc_Q22(rng):
     _require(universal_Q(2, 2) == expected, "Q_{2,2} = e1 e3 - e4")
     values = {"e%d" % i: math.comb(4, i) for i in range(1, 5)}
     _require(
-        eval_poly(universal_Q(2, 2), values, _INTS) == 15,
+        eval_poly(universal_Q(2, 2), values, NUMBERS) == 15,
         "Q_{2,2} at dimension 4 must be C(6,2) = 15",
     )
 
@@ -483,7 +483,7 @@ def _symfunc_Q_binomial(rng):
             q = universal_Q(m, n)
             for r in range(7):
                 values = {"e%d" % i: math.comb(r, i) for i in range(1, m * n + 1)}
-                got = eval_poly(q, values, _INTS)
+                got = eval_poly(q, values, NUMBERS)
                 want = math.comb(math.comb(r, n), m)
                 _require(
                     got == want,
@@ -707,7 +707,7 @@ def _special_sigma_failure(rng):
     _require(rule.lam(2, 4) == 10, "sigma^2(4) = 10")
     values = {"e1": 2, "e2": 3, "f1": 2, "f2": 3}
     _require(
-        eval_poly(universal_P(2), values, _INTS) == 6,
+        eval_poly(universal_P(2), values, NUMBERS) == 6,
         "the product polynomial evaluates to 6",
     )
 
@@ -1397,7 +1397,7 @@ def _acceptance_2(rng):
                     values["e%d" % i] = math.comb(r, i)
                     values["f%d" % i] = math.comb(r2, i)
                 _require(
-                    eval_poly(universal_P(n), values, _INTS)
+                    eval_poly(universal_P(n), values, NUMBERS)
                     == math.comb(r * r2, n),
                     "P_%d binomial oracle at (%d,%d)" % (n, r, r2),
                 )
@@ -1414,7 +1414,7 @@ def _acceptance_2(rng):
                     "e%d" % i: math.comb(r, i) for i in range(1, m * n + 1)
                 }
                 _require(
-                    eval_poly(universal_Q(m, n), values, _INTS)
+                    eval_poly(universal_Q(m, n), values, NUMBERS)
                     == math.comb(math.comb(r, n), m),
                     "Q_{%d,%d} binomial oracle at r=%d" % (m, n, r),
                 )
@@ -1432,7 +1432,7 @@ def _acceptance_2(rng):
         for r in range(7):
             values = {"e%d" % i: math.comb(r, i) for i in range(1, n + 1)}
             _require(
-                eval_poly(newton_polynomial(n), values, _INTS) == r,
+                eval_poly(newton_polynomial(n), values, NUMBERS) == r,
                 "p_%d of r unit roots is r" % n,
             )
 

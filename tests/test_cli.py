@@ -115,12 +115,19 @@ def test_zeta_bad_assignment():
         ("L=3_0", "invalid_input"),
         ("L=+3", "invalid_input"),
         ("L=\u0663", "invalid_input"),
+        (",", "invalid_input"),
     ]
     for text, error in cases:
         code, payload = run_json(["zeta", "P(1)", "--terms", "3", "--specialize", text])
         assert code == 1, text
         assert payload["error"]["error"] == error, text
         assert len(payload["error"]["message"]) < 200, text
+    # a well-formed assignment that leaves a variable of the series out
+    code, text = run_cli(["zeta", "Curve(1)", "--terms", "3", "--specialize", "L=2",
+                          "--format", "json"])
+    assert code == 1
+    assert json.loads(text) == {"error": {
+        "error": "missing_data", "message": "measure does not cover variable 'c1'"}}
 
 
 def test_hankel_from_file(tmp_path):
@@ -235,6 +242,9 @@ def test_lambda_op_witt_mul(tmp_path):
     )
     assert code == 0
     assert series_from_json(payload).eq(sq)
+    code, payload = run_json(["lambda-op", "--op", "witt-mul", str(a)])
+    assert code == 1
+    assert payload["error"]["error"] == "invalid_input"
 
 
 def test_lambda_op_witt_lambda(tmp_path):
@@ -248,6 +258,9 @@ def test_lambda_op_witt_lambda(tmp_path):
     assert got.coefficient(0) == MultiPoly.const(1)
     assert got.coefficient(1) == MultiPoly.const(1)
     assert got.is_zero_beyond(1)
+    code, payload = run_json(["lambda-op", "--op", "lambda", "--k", "2", str(path), str(path)])
+    assert code == 1
+    assert payload["error"]["error"] == "invalid_input"
 
 
 def test_lambda_op_needs_k():
@@ -283,9 +296,10 @@ def test_universal_cutoff_and_force():
     )
     assert code == 0
     assert payload["text"].startswith("e1^9")
-    code, payload = run_json(["universal", "--which", "Q", "--n", "2"])
-    assert code == 1
-    assert payload["error"]["error"] == "invalid_input"
+    for args in (["Q", "--n", "2"], ["Q", "--m", "0", "--n", "1"], ["P", "--n", "0"]):
+        code, payload = run_json(["universal", "--which"] + args)
+        assert code == 1, args
+        assert payload["error"]["error"] == "invalid_input", args
 
 
 def test_universal_writes_no_files(tmp_path, monkeypatch):
@@ -320,6 +334,22 @@ def test_measure_text_and_witness_flag():
     assert "witness search" not in text
     code, text = run_cli(base + ["--witness"])
     assert "witness search" in text
+    # a found witness: without --witness the text keeps the certificate,
+    # whose conclusion names the witness search, as the JSON does
+    found = ["measure", "--surface", "q=0,pg=0,P=0,1,0,1", "--sym-max", "8"]
+    certificate = ("  certificate (found, does not hold): the sequence admits the "
+                   "periodic ratio exhibited by the witness search")
+    code, text = run_cli(found)
+    assert code == 0
+    assert text.splitlines()[1:] == [
+        "  mode: full (full measure sequence computed through m=18)", certificate]
+    code, payload = run_json(found)
+    assert "witness" not in payload
+    assert payload["certificate"]["argument"] == "found"
+    code, text = run_cli(found + ["--witness"])
+    assert code == 0
+    assert text.splitlines()[2:] == [
+        "  witness search: period 1 from offset 0 with ratios {i=0 (mod 1): 1}", certificate]
 
 
 def test_measure_tracks_mode():

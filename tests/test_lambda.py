@@ -278,6 +278,108 @@ def test_check_special_sigma_failure():
     assert not rep.all_hold
 
 
+class _BinomialToOrderTwo(BinomialIntegers):
+    """binom(x, n) for n <= 2, and PrecisionError past it: a carrier that
+    knows only part of its lambda data."""
+
+    def lam(self, n, x):
+        if n > 2:
+            raise PrecisionError("lambda^%d past the carrier's order" % n)
+        return super().lam(n, x)
+
+
+def _special_case(which):
+    if which == "sigma-integers":
+        return check_special(SigmaIntegers(), 2, 3, 2, 2)
+    if which == "binomial-integers":
+        return check_special(BinomialIntegers(), 3, -2, 2, 2)
+    if which == "big-witt-precision-3":
+        ZL = PolynomialRing(["L"])
+        x = WittElement(TruncSeries(ZL, [ZL.one(), ZL.var("L"), ZL.from_int(2)]))
+        y = WittElement(TruncSeries(ZL, [ZL.one(), ZL.from_int(-1), ZL.var("L")]))
+        return check_special(BigWitt(ZL, 3), x, y, 3, 3)
+    return check_special(_BinomialToOrderTwo(), 4, -1, 3, 3)
+
+
+_XY = "1 + (-L)*t + (L^3 - 4*L + 2)*t^2 + O(t^3)"
+_XY2 = "1 + (L^3 - 4*L + 2)*t + O(t^2)"
+_TOP = "1 + O(t^1)"
+
+# each entry: (identity, indices, status, lhs, rhs); lhs is None where
+# the carrier raised PrecisionError
+_SPECIAL_CASES = {
+    "sigma-integers": (False, [
+        ("lambda^1(x*y)", [1], "holds", "6", "6"),
+        ("lambda^2(x*y)", [2], "fails", "21", "15"),
+        ("lambda^1(lambda^1(x))", [1, 1], "holds", "2", "2"),
+        ("lambda^1(lambda^2(x))", [1, 2], "holds", "3", "3"),
+        ("lambda^2(lambda^1(x))", [2, 1], "holds", "3", "3"),
+    ]),
+    "binomial-integers": (True, [
+        ("lambda^1(x*y)", [1], "holds", "-6", "-6"),
+        ("lambda^2(x*y)", [2], "holds", "21", "21"),
+        ("lambda^1(lambda^1(x))", [1, 1], "holds", "3", "3"),
+        ("lambda^1(lambda^2(x))", [1, 2], "holds", "3", "3"),
+        ("lambda^2(lambda^1(x))", [2, 1], "holds", "3", "3"),
+    ]),
+    # lambda^3 of a precision-3 element has precision 1, too short for
+    # meaningful to let the comparison count
+    "big-witt-precision-3": (False, [
+        ("lambda^1(x*y)", [1], "holds", _XY, _XY),
+        ("lambda^2(x*y)", [2], "holds", _XY2, _XY2),
+        ("lambda^3(x*y)", [3], "insufficient", _TOP, _TOP),
+        ("lambda^1(lambda^1(x))", [1, 1], "holds",
+         "1 + (L)*t + (2)*t^2 + O(t^3)", "1 + (L)*t + (2)*t^2 + O(t^3)"),
+        ("lambda^1(lambda^2(x))", [1, 2], "holds", "1 + (2)*t + O(t^2)", "1 + (2)*t + O(t^2)"),
+        ("lambda^1(lambda^3(x))", [1, 3], "insufficient", _TOP, _TOP),
+        ("lambda^2(lambda^1(x))", [2, 1], "holds", "1 + (2)*t + O(t^2)", "1 + (2)*t + O(t^2)"),
+        ("lambda^3(lambda^1(x))", [3, 1], "insufficient", _TOP, _TOP),
+    ]),
+    "raises-past-order-2": (False, [
+        ("lambda^1(x*y)", [1], "holds", "-4", "-4"),
+        ("lambda^2(x*y)", [2], "holds", "10", "10"),
+        ("lambda^3(x*y)", [3], "insufficient", None, None),
+        ("lambda^1(lambda^1(x))", [1, 1], "holds", "4", "4"),
+        ("lambda^1(lambda^2(x))", [1, 2], "holds", "6", "6"),
+        ("lambda^1(lambda^3(x))", [1, 3], "insufficient", None, None),
+        ("lambda^2(lambda^1(x))", [2, 1], "holds", "6", "6"),
+        ("lambda^3(lambda^1(x))", [3, 1], "insufficient", None, None),
+    ]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_SPECIAL_CASES))
+def test_check_special_entries_json_and_text(which):
+    all_hold, rows = _SPECIAL_CASES[which]
+    rep = _special_case(which)
+    assert rep.all_hold is all_hold
+    assert [(e.label, list(e.indices), e.status, e.lhs, e.rhs) for e in rep.entries] == [
+        tuple(row) for row in rows
+    ]
+    checks = []
+    for label, indices, status, lhs, rhs in rows:
+        entry = {
+            "identity": label,
+            "kind": "product" if len(indices) == 1 else "composition",
+            "indices": indices,
+            "status": status,
+        }
+        if lhs is not None:
+            entry.update(lhs=lhs, rhs=rhs)
+        checks.append(entry)
+    assert rep.to_json() == {"all_hold": all_hold, "checks": checks}
+    assert [e.to_json() for e in rep.entries] == checks
+    lines = []
+    for label, _, status, lhs, rhs in rows:
+        line = label.ljust(28) + " " + status
+        lines.append(line + ("  (%s vs %s)" % (lhs, rhs) if status == "fails" else ""))
+    assert str(rep) == "\n".join(lines)
+    if which == "sigma-integers":
+        assert str(rep).splitlines()[1] == "lambda^2(x*y)                fails  (21 vs 15)"
+    if which == "raises-past-order-2":
+        assert str(rep).splitlines()[5] == "lambda^1(lambda^3(x))        insufficient"
+
+
 def test_check_special_line_monomials():
     R = PolynomialRing(["a", "b"])
     rule = LineMonomials(R)
