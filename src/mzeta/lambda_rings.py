@@ -38,7 +38,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import Numbers, PolynomialRing, _check_int, eval_poly
+from .rings import Numbers, PolynomialRing, _check_int, eval_poly, power
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums, series_from_json
 from .symfunc import universal_P, universal_Q
 
@@ -272,8 +272,9 @@ class LambdaRule:
     """A lambda structure on some carrier: ring operations plus lam(n, x).
 
     Instances double as the operation table for evaluating the universal
-    polynomials (from_int / add / mul), so identity checks can run over any
-    carrier: integers, polynomial rings, or the big Witt ring itself.
+    polynomials (from_int / add / mul / pow), so identity checks can run
+    over any carrier: integers, polynomial rings, or the big Witt ring
+    itself.
     """
 
     name = "abstract"
@@ -289,6 +290,12 @@ class LambdaRule:
 
     def eq(self, a, b):
         raise NotImplementedError
+
+    def pow(self, x, n):
+        """x**n for n >= 0, by repeated squaring with mul."""
+        if n == 0:
+            return self.from_int(1)
+        return power(x, n, self.mul, None)
 
     def lam(self, n, x):
         raise NotImplementedError
@@ -388,16 +395,29 @@ class BigWitt(LambdaRule):
 
 
 class IdentityCheck:
-    """One verified identity: what was compared and how it went."""
+    """One verified identity: what was compared and how it went.
 
-    __slots__ = ("kind", "indices", "status", "lhs", "rhs")
+    sides, when given, is (describe, lhs, rhs): the compared values and
+    the function that renders each as text, which runs on the first read
+    of the lhs or rhs property (None without sides).
+    """
 
-    def __init__(self, kind, indices, status, lhs=None, rhs=None):
+    __slots__ = ("kind", "indices", "status", "_sides")
+
+    def __init__(self, kind, indices, status, sides=None):
         self.kind = kind
         self.indices = tuple(indices)
         self.status = status
-        self.lhs = lhs
-        self.rhs = rhs
+        self._sides = sides
+
+    def _text(self, i):
+        if self._sides is not None and len(self._sides) == 3:
+            describe, lhs, rhs = self._sides
+            self._sides = (describe(lhs), describe(rhs))
+        return None if self._sides is None else self._sides[i]
+
+    lhs = property(lambda self: self._text(0))
+    rhs = property(lambda self: self._text(1))
 
     @property
     def label(self):
@@ -412,7 +432,7 @@ class IdentityCheck:
             "indices": list(self.indices),
             "status": self.status,
         }
-        if self.lhs is not None:
+        if self._sides is not None:
             out["lhs"] = self.lhs
             out["rhs"] = self.rhs
         return out
@@ -477,9 +497,7 @@ def check_special(rule, x, y, nmax, mmax):
                 status = "holds" if rule.eq(lhs, rhs) else "fails"
             else:
                 status = "insufficient"
-            entry = IdentityCheck(
-                kind, indices, status, rule.describe(lhs), rule.describe(rhs)
-            )
+            entry = IdentityCheck(kind, indices, status, (rule.describe, lhs, rhs))
         except PrecisionError:
             entry = IdentityCheck(kind, indices, "insufficient")
         entries.append(entry)

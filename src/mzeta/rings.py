@@ -227,6 +227,28 @@ def _own_layout(terms, names):
     return _moved(terms, tuple(names), lay), lay
 
 
+def _block_fields(lay, names):
+    """(shifts, keep) for reading the exponents of names from keys on layout
+    lay: (key >> shifts[i]) & _FIELD_MASK is the exponent of names[i], and
+    key & keep clears every field of names.  Each name is checked; a name
+    outside the layout reads the field past its last one, which is zero in
+    every key."""
+    index = lay.index
+    past = _FIELD * len(index)
+    shifts = []
+    for v in names:
+        i = index.get(v) if isinstance(v, str) else None
+        if i is None:
+            _check_name(v)
+            shifts.append(past)
+        else:
+            shifts.append(_FIELD * i)
+    block = 0
+    for s in shifts:
+        block |= _FIELD_MASK << s
+    return shifts, ~block
+
+
 def _exponent_cutoff():
     return DegreeCutoffError("an exponent is 2^63 or more, the limit of a monomial field")
 
@@ -351,22 +373,7 @@ class MultiPoly:
     def collect(self, names):
         """Group the terms by their exponent vector on names: a dict from the
         vector to its coefficient, a polynomial in the other variables."""
-        index = self.layout.index
-        # a name outside the layout reads the field past its last one,
-        # which is zero in every key
-        past = _FIELD * len(index)
-        shifts = []
-        for v in names:
-            i = index.get(v) if isinstance(v, str) else None
-            if i is None:
-                _check_name(v)
-                shifts.append(past)
-            else:
-                shifts.append(_FIELD * i)
-        block = 0
-        for s in shifts:
-            block |= _FIELD_MASK << s
-        keep = ~block
+        shifts, keep = _block_fields(self.layout, names)
         groups = {}
         for key, c in self.terms.items():
             vec = tuple((key >> s) & _FIELD_MASK for s in shifts)
@@ -1288,13 +1295,14 @@ def ring_from_json(obj):
 
 class Numbers:
     """Python ints and Fractions as an operation table (from_int, add, mul,
-    eq): eval_poly's ops for images that are numbers, and the arithmetic of
-    the integer lambda carriers."""
+    pow, eq): eval_poly's ops for images that are numbers, and the
+    arithmetic of the integer lambda carriers."""
 
     __slots__ = ()
     from_int = staticmethod(int)
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
+    pow = staticmethod(pow)
     eq = staticmethod(operator.eq)
 
 
@@ -1303,7 +1311,7 @@ NUMBERS = Numbers()
 
 def eval_poly(expr, mapping, ops):
     """expr with each variable v replaced by mapping[v], computed in the
-    operation table ops (from_int, add, mul): a Ring, a LambdaRule, or
+    operation table ops (from_int, add, mul, pow): a Ring, a LambdaRule, or
     NUMBERS.  This is the one evaluator of a polynomial at values: the
     universal polynomials over rings, Witt rings and lambda carriers, and a
     measure's images in Q.
@@ -1312,9 +1320,9 @@ def eval_poly(expr, mapping, ops):
     term order, is a MissingDataError.  Terms are summed in stored order;
     every table is exact and commutative, so the order changes no value.
     Exponents are read from the packed keys, field by field in the order of
-    items().
+    items(), and each power is the table's own pow: the builtin on numbers.
     """
-    add, mul = ops.add, ops.mul
+    add, mul, pow_ = ops.add, ops.mul, ops.pow
     fields = [(s, v, mapping.get(v)) for v, s in expr.layout.used(expr.terms)]
     total = ops.from_int(0)
     for key, c in expr.terms.items():
@@ -1324,7 +1332,6 @@ def eval_poly(expr, mapping, ops):
             if e:
                 if x is None:
                     raise MissingDataError("measure does not cover variable %r" % v)
-                # e >= 1, so power never needs a unit
-                term = mul(term, x if e == 1 else power(x, e, mul, None))
+                term = mul(term, x if e == 1 else pow_(x, e))
         total = add(total, term)
     return total

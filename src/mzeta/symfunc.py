@@ -18,6 +18,11 @@ available as an independent cross-check: they express the same
 coefficients by expanding the root products literally and rewriting the
 symmetric result in elementary symmetric polynomials.
 
+The rewrite works on orbits of the symmetric group on a block of roots
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2): is_symmetric
+finds each orbit complete with one coefficient in one pass, the
+elimination reads dominant terms only, and back-substitution certifies it.
+
 The three tables are computed on demand and memoized for the life of the
 process, since the lambda-ring checks ask for the same ones again and again;
 nothing is written to disk.
@@ -25,11 +30,15 @@ nothing is written to disk.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
+import operator
+import struct
 
 from .errors import InvalidInputError, NonSymmetricError
-from .rings import MultiPoly, PolynomialRing
+from .rings import _FIELD_MASK, MultiPoly, PolynomialRing, _block_fields, _check_int
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums
 
 
@@ -54,56 +63,119 @@ def elementary_symmetric(k, names):
     return esym_of_elements(k, [ring.var(v) for v in names])
 
 
-def _swap_vars(p, u, v):
-    return p.substitute({u: MultiPoly.var(v), v: MultiPoly.var(u)})
+def _orbit_size(exps):
+    """k!/prod(mult!): the number of distinct rearrangements of exps."""
+    size = math.factorial(len(exps))
+    for mult in collections.Counter(exps).values():
+        size //= math.factorial(mult)
+    return size
 
 
 def is_symmetric(p, block):
-    """True when p is invariant under all permutations of the block.
+    """True when p is invariant under every permutation of the block's
+    variables.  A name given twice is one variable, and a name p does not
+    use is a variable p holds to degree 0; a bad name is an
+    InvalidElementError.
 
-    Adjacent transpositions generate the full symmetric group, so checking
-    len(block) - 1 swaps is a complete test.
+    One pass over p's packed keys, by orbits (I. G. Macdonald, Symmetric
+    Functions and Hall Polynomials, 2nd ed., 1995, I.2).  A term's orbit is
+    named by its key with the block's fields cleared and its sorted block
+    exponents.  p is symmetric exactly when every orbit it meets holds
+    k!/prod(mult!) terms, for k block variables and the multiplicities of
+    the sorted exponents, all with the same coefficient.
     """
-    for i in range(len(block) - 1):
-        if _swap_vars(p, block[i], block[i + 1]) != p:
+    block = list(block)
+    shifts, keep = _block_fields(p.layout, block)
+    # one shift per distinct name, once every name has been checked
+    shifts = list(dict(zip(block, shifts)).values())
+    if len(shifts) < 2:
+        return True
+    orbits = {}
+    for key, c in p.terms.items():
+        orbit = (key & keep, tuple(sorted([(key >> s) & _FIELD_MASK for s in shifts])))
+        seen = orbits.get(orbit)
+        if seen is None:
+            orbits[orbit] = [c, 1]
+        elif seen[0] != c:
+            return False
+        else:
+            seen[1] += 1
+    sizes = {}
+    for (_, exps), (_, count) in orbits.items():
+        size = sizes.get(exps)
+        if size is None:
+            size = sizes[exps] = _orbit_size(exps)
+        if count != size:
             return False
     return True
 
 
-def _eliminate_block(p, block, symbols, ring):
-    """Rewrite p (symmetric in block) using the block's elementary polys.
+def _dominant(vec):
+    """Whether an exponent vector is weakly decreasing: a partition."""
+    return all(map(operator.ge, vec, vec[1:]))
 
-    Classical leading-term elimination: repeatedly locate the lex-largest
-    exponent vector on the block, peel off a matching product of elementary
-    symmetric polynomials, and record it in the fresh symbol variables.
-    Variables outside the block ride along as coefficients.  ring holds
-    every name, so all the work runs on its layout.
+
+class _DominantParts(dict):
+    """{lam: part}, each part computed on first use: the terms of
+    prod_i e_i^(lam_i - lam_(i+1)) in len(lam) variables at the partitions
+    mu other than lam, as {mu: integer coefficient}.  The product's
+    leading term is x^lam, with coefficient 1."""
+
+    def __missing__(self, lam):
+        k = len(lam)
+        names = ["x%d" % j for j in range(1, k + 1)]
+        product = MultiPoly.const(1)
+        for i in range(k):
+            step = lam[i] - (lam[i + 1] if i + 1 < k else 0)
+            if step:
+                product = product.mul(elementary_symmetric(i + 1, names).pow(step))
+        # the k 64-bit fields of a key: field j holds the exponent of names[j]
+        unpack = struct.Struct("<%dQ" % k).unpack
+        part = self[lam] = {}
+        for key, c in product.terms.items():
+            mu = unpack(key.to_bytes(8 * k, "little"))
+            if mu != lam and _dominant(mu):
+                part[mu] = c
+        return part
+
+
+def _eliminate_block(p, block, symbols, ring, dominant_parts):
+    """Rewrite p, symmetric in block, through the block's elementary
+    polynomials, named symbols.
+
+    Leading-term elimination on the dominant terms only.  A symmetric
+    polynomial is fixed by its coefficients at the weakly decreasing
+    exponent vectors on the block (partitions), one per orbit, so p is
+    collected once and only those coefficients, polynomials in the other
+    variables, are kept.  Each step takes the lex-largest partition lam,
+    with coefficient q, records q * prod symbols[i]^(lam_i - lam_(i+1)),
+    and subtracts q times dominant_parts[lam] from the smaller partitions.
+    No other term of p is read: rewrite_in_elementaries checks symmetry
+    first and certifies the result by back-substitution.  ring holds every
+    name, so the result is on its layout.
     """
     k = len(block)
-    roots = [ring.var(v) for v in block]
-    elems = [None] + [esym_of_elements(i, roots) for i in range(1, k + 1)]
-    acc = MultiPoly.const(0)
-    while True:
-        groups = p.collect(block)
-        best = max((vec for vec in groups if any(vec)), default=None)
-        if best is None:
-            break
-        if any(best[i] < best[i + 1] for i in range(k - 1)):
-            raise NonSymmetricError(
-                "leading exponents %r are not weakly decreasing; polynomial is "
-                "not symmetric in %r" % (list(best), list(block))
-            )
-        q = groups[best]
-        mono = MultiPoly.const(1)
-        expansion = MultiPoly.const(1)
-        for i in range(k):
-            step = best[i] - (best[i + 1] if i + 1 < k else 0)
+    one = MultiPoly.const(1)
+    groups = p.collect(block)
+    rest = groups.pop((0,) * k, None)
+    pairs = [] if rest is None else [(rest, one)]
+    # partition -> (coefficient, factor) pairs whose products sum to its
+    # coefficient in what is left of p
+    todo = {lam: [(q, one)] for lam, q in groups.items() if _dominant(lam)}
+    while todo:
+        lam = max(todo)
+        q = ring.dot(todo.pop(lam))
+        if q.is_zero():
+            continue
+        mono = one
+        for i, name in enumerate(symbols):
+            step = lam[i] - (lam[i + 1] if i + 1 < k else 0)
             if step:
-                mono = mono.mul(ring.var(symbols[i], step))
-                expansion = expansion.mul(elems[i + 1].pow(step))
-        acc = acc.add(q.mul(mono))
-        p = p.sub(q.mul(expansion))
-    return acc.add(p)
+                mono = mono.mul(ring.var(name, step))
+        pairs.append((q, mono))
+        for mu, c in dominant_parts[lam].items():
+            todo.setdefault(mu, []).append((q, MultiPoly.const(-c)))
+    return ring.dot(pairs)
 
 
 def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
@@ -144,8 +216,10 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
             )
     ring = PolynomialRing(sorted(taken) + [name for names in symbols for name in names])
     out = p
+    # shared by the blocks, so two blocks of one length read each part once
+    dominant_parts = _DominantParts()
     for block, names in zip(blocks, symbols):
-        out = _eliminate_block(out, block, names, ring)
+        out = _eliminate_block(out, block, names, ring, dominant_parts)
     back = {}
     for block, names in zip(blocks, symbols):
         roots = [ring.var(v) for v in block]
@@ -220,8 +294,15 @@ def universal_P_from_roots(n, extra=0):
     Expands n + extra formal roots per factor, takes e_n of all pairwise
     products, and rewrites in the elementary symmetric polynomials of the
     two root blocks.  Values of extra above 0 confirm stability: the answer
-    must not depend on the number of roots once it is at least n.
+    must not depend on the number of roots once it is at least n; a
+    negative extra is an InvalidInputError.
     """
+    _check_int(n, "coefficient index")
+    _check_int(extra, "extra roots")
+    if n < 0:
+        raise InvalidInputError("negative coefficient index")
+    if extra < 0:
+        raise InvalidInputError("negative number of extra roots")
     size = n + extra
     avars = ["a%d" % i for i in range(1, size + 1)]
     bvars = ["b%d" % i for i in range(1, size + 1)]
@@ -236,7 +317,15 @@ def universal_Q_from_roots(m, n, extra=0):
 
     Expands m*n + extra formal roots, takes e_m of the products over all
     n-element root subsets, and rewrites in elementary symmetric polynomials.
+    A negative extra is an InvalidInputError, as in universal_P_from_roots.
     """
+    _check_int(m, "exterior power index")
+    _check_int(n, "exterior power index")
+    _check_int(extra, "extra roots")
+    if m < 0 or n < 0:
+        raise InvalidInputError("negative exterior power parameters")
+    if extra < 0:
+        raise InvalidInputError("negative number of extra roots")
     size = m * n + extra
     avars = ["a%d" % i for i in range(1, size + 1)]
     ring = PolynomialRing(avars)

@@ -278,6 +278,37 @@ def test_check_special_sigma_failure():
     assert not rep.all_hold
 
 
+def test_rule_pow_is_repeated_mul():
+    rule = BigWitt(Z, 5)
+    x = random_witt(random.Random(77), Z, 5)
+    assert rule.eq(rule.pow(x, 0), rule.from_int(1))
+    assert rule.eq(rule.pow(x, 3), rule.mul(rule.mul(x, x), x))
+    R = PolynomialRing(["a"])
+    assert LineMonomials(R).pow(R.var("a"), 4) == R.var("a", 4)
+    assert SigmaIntegers().pow(-3, 3) == -27
+
+
+def test_check_special_renders_sides_when_read():
+    class Counted(SigmaIntegers):
+        calls = 0
+
+        def describe(self, a):
+            Counted.calls += 1
+            return super().describe(a)
+
+    rep = check_special(Counted(), 2, 2, 2, 2)
+    assert Counted.calls == 0
+    # an entry renders both its sides on the first read, and only then
+    entry = rep.find("product", 2)
+    assert (entry.rhs, entry.lhs, entry.rhs) == ("6", "10", "6")
+    assert Counted.calls == 2
+    assert str(rep) == str(check_special(SigmaIntegers(), 2, 2, 2, 2))
+    assert rep.to_json() == check_special(SigmaIntegers(), 2, 2, 2, 2).to_json()
+    assert Counted.calls == 2 * len(rep.entries)
+    with pytest.raises(AttributeError):
+        entry.lhs = "0"
+
+
 class _BinomialToOrderTwo(BinomialIntegers):
     """binom(x, n) for n <= 2, and PrecisionError past it: a carrier that
     knows only part of its lambda data."""

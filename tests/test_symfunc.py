@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mzeta.errors import NonSymmetricError, InvalidInputError
+from mzeta.errors import InvalidElementError, InvalidInputError, NonSymmetricError
 from mzeta.oracles import binom
 from mzeta import rings
 from mzeta.rings import IntegerRing, MultiPoly
@@ -245,3 +245,140 @@ def test_tables_are_memoized_and_bad_indices_raise_every_time():
         for _ in range(2):
             with pytest.raises(InvalidInputError):
                 fn(*args)
+
+
+def symmetric_by_transpositions(p, block):
+    """The definition is_symmetric replaces: p is fixed by every swap of
+    adjacent block entries, which generate the whole symmetric group."""
+    for u, v in zip(block, block[1:]):
+        if p.substitute({u: MultiPoly.var(v), v: MultiPoly.var(u)}) != p:
+            return False
+    return True
+
+
+def random_poly(rng, exponents, terms):
+    """A sum of terms random integer times prod v^e, e drawn from
+    exponents[v]."""
+    p = MultiPoly.const(0)
+    for _ in range(terms):
+        term = MultiPoly.const(rng.choice((-3, -2, -1, 1, 2, 3)))
+        for v, top in exponents.items():
+            term = term.mul(MultiPoly.var(v, rng.randint(0, top)))
+        p = p.add(term)
+    return p
+
+
+def symmetrized(p, block):
+    """The sum of p over every permutation of the block."""
+    out = MultiPoly.const(0)
+    for perm in itertools.permutations(block):
+        out = out.add(p.substitute({a: MultiPoly.var(b) for a, b in zip(block, perm)}))
+    return out
+
+
+def test_is_symmetric_agrees_with_transpositions():
+    # symmetrized, then perturbed by a term or by one coefficient; blocks
+    # with names p lacks, a name given twice, and x, y riding along
+    rng = random.Random(3011)
+    kinds = {"symmetric": 0, "not": 0, "absent": 0, "repeated": 0, "one_off": 0}
+    for _ in range(600):
+        sym_block = rng.sample(["a", "b", "c"], rng.randint(2, 3))
+        exps = {"a": 2, "b": 2, "c": 2, "x": rng.randint(0, 1), "y": 1}
+        p = symmetrized(random_poly(rng, exps, rng.randint(1, 3)), sym_block)
+        how = rng.random()
+        if how < 0.3 and p.terms:
+            # a complete orbit with one coefficient off
+            (mono, c), = rng.sample(p.items(), 1)
+            p = p.add(MultiPoly({mono: rng.choice((-1, 1))}))
+            kinds["one_off"] += 1
+        elif how < 0.6:
+            p = p.add(random_poly(rng, exps, 1))
+        block = list(sym_block)
+        if rng.random() < 0.3:
+            block.append(rng.choice(["d", "z"]))
+        if rng.random() < 0.3:
+            block.insert(rng.randint(0, len(block)), rng.choice(block))
+        rng.shuffle(block)
+        want = symmetric_by_transpositions(p, block)
+        assert is_symmetric(p, block) == want, (str(p), block)
+        kinds["symmetric" if want else "not"] += 1
+        kinds["absent"] += not set(block) <= p.variables()
+        kinds["repeated"] += len(set(block)) < len(block)
+    # every kind of case is met often
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_is_symmetric_orbit_edge_cases():
+    x, y, z, t = (MultiPoly.var(v) for v in "xyzt")
+    # a complete orbit whose coefficients differ in one term
+    off = x.mul(y.pow(2)).add(y.mul(x.pow(2))).add(x.mul(z.pow(2))).add(z.mul(x.pow(2)))
+    off = off.add(y.mul(z.pow(2))).add(z.mul(y.pow(2)).mul_int(2))
+    assert not is_symmetric(off, ["x", "y", "z"])
+    assert not is_symmetric(x.pow(2).add(y.pow(2)).mul(t).add(z.pow(2)), ["x", "y", "z"])
+    assert is_symmetric(x.pow(2).add(y.pow(2)).add(z.pow(2)).mul(t), ["x", "y", "z"])
+    # a name given twice is one variable, and x alone is symmetric in it
+    assert is_symmetric(x.pow(3), ["x", "x"])
+    assert is_symmetric(x.add(y), ["x", "y", "x"])
+    assert not is_symmetric(x.add(y.mul_int(2)), ["x", "x", "y"])
+    # names the polynomial lacks: a variable it holds to degree 0
+    assert is_symmetric(t.add(MultiPoly.const(5)), ["u", "v"])
+    assert not is_symmetric(x.add(y), ["x", "y", "w"])
+    assert is_symmetric(MultiPoly.const(0), ["x", "y"])
+    assert not is_symmetric(x.add(y.mul_int(2)), iter(["x", "y"]))
+    for bad in ("1x", "a b", 5, None, ["x"]):
+        with pytest.raises(InvalidElementError, match="^bad variable name "):
+            is_symmetric(x.add(y), ["x", bad])
+        with pytest.raises(InvalidElementError, match="^bad variable name "):
+            is_symmetric(x.add(y), [bad, "y", "x"])
+
+
+def test_rewrite_two_blocks_random():
+    # symmetric in a and in b separately, with t riding along; the result
+    # is unique, so rewriting the blocks in the other order gives it too
+    rng = random.Random(4127)
+    a, b = ["a1", "a2", "a3"], ["b1", "b2"]
+    for _ in range(12):
+        exps = dict.fromkeys(a + b, 2)
+        exps["t"] = 1
+        raw = random_poly(rng, exps, rng.randint(1, 4))
+        p = symmetrized(symmetrized(raw, a), b)
+        out = rewrite_in_elementaries(p, [a, b])
+        assert out.variables() <= {"e1", "e2", "e3", "f1", "f2", "t"}
+        swapped = rewrite_in_elementaries(p, [b, a], prefixes=("f", "e"))
+        assert swapped == out
+        back = {"e%d" % i: elementary_symmetric(i, a) for i in (1, 2, 3)}
+        back.update({"f%d" % i: elementary_symmetric(i, b) for i in (1, 2)})
+        assert out.substitute(back) == p
+        if rng.random() < 0.5:
+            with pytest.raises(NonSymmetricError):
+                rewrite_in_elementaries(p.add(MultiPoly.var("a1")), [a, b])
+
+
+def test_root_expansions_match_ghost_tables():
+    for n in range(1, 6):
+        assert universal_P_from_roots(n) == universal_P(n), n
+    for m in range(1, 10):
+        for n in range(1, 9 // m + 1):
+            assert universal_Q_from_roots(m, n) == universal_Q(m, n), (m, n)
+
+
+def test_root_expansions_reject_bad_counts():
+    # a negative extra once dropped roots: P_3 came out 0 and Q_{2,2}
+    # lost its e4 term
+    for call in (lambda: universal_P_from_roots(3, extra=-2),
+                 lambda: universal_P_from_roots(2, extra=-1),
+                 lambda: universal_Q_from_roots(2, 2, extra=-1),
+                 lambda: universal_P_from_roots(-1),
+                 lambda: universal_Q_from_roots(-1, 2),
+                 lambda: universal_Q_from_roots(2, -1)):
+        with pytest.raises(InvalidInputError, match="^negative "):
+            call()
+    for call in (lambda: universal_P_from_roots(2, extra=1.5),
+                 lambda: universal_P_from_roots(2.0),
+                 lambda: universal_P_from_roots(2, extra=True),
+                 lambda: universal_Q_from_roots(2, 2, extra="1"),
+                 lambda: universal_Q_from_roots(2.0, 2),
+                 lambda: universal_Q_from_roots(2, None)):
+        with pytest.raises(InvalidInputError, match="must be an integer$"):
+            call()
+    assert universal_Q_from_roots(2, 2, extra=0) == universal_Q(2, 2)
