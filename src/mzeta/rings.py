@@ -25,7 +25,8 @@ from a series) and each ring's elem_from_json.  The arithmetic (add, neg,
 sub, mul, dot, eq, pow, invert) trusts its operands, so an element of a
 foreign ring is rejected where it enters, not by the operation that meets it.
 dot(pairs) is the sum of a*b over a list of pairs, gathered into one dict
-by the module's one term-product loop; MultiPoly.mul is its one-pair case.
+by the module's one term-product loop; MultiPoly.mul is its one-pair case,
+and MultiPoly.substitute is one collect plus one dot.
 Over Z, whose elements are constants, dot and mul are one integer sum.
 
 Monomials are packed integers (the packed exponent vectors of Monagan and
@@ -45,8 +46,8 @@ rest of the process has seen.
 
 Operands that share a layout, tested by identity, run the plain loops, and
 a constant on the empty layout fits every layout as it is.  Otherwise two
-layouts meet (add, dot, substitute, ==) by one rule, _union: in the layout
-that already holds the other's names, or else in the first layout's names
+layouts meet (add, dot, ==) by one rule, _union: in the layout that already
+holds the other's names, or else in the first layout's names
 followed by the second's new ones.  An operand whose layout is a prefix of
 the meeting layout keeps its keys; any other re-packs each key once.  Like
 sys.intern, a layout fixes only how a monomial is stored: no value, output
@@ -253,11 +254,6 @@ def _exponent_cutoff():
     return DegreeCutoffError("an exponent is 2^63 or more, the limit of a monomial field")
 
 
-def _check_guard(terms, lay):
-    if reduce(or_, terms, 0) & lay.guard:
-        raise _exponent_cutoff()
-
-
 def _poly(terms, layout, new=object.__new__):
     """MultiPoly over an already packed dict with nonzero coefficients."""
     p = new(MultiPoly)
@@ -266,23 +262,23 @@ def _poly(terms, layout, new=object.__new__):
     return p
 
 
+def _integer(n, what, *args):
+    """n when it is an int and not a bool; else an InvalidElementError that
+    names it by what % args."""
+    if isinstance(n, int) and not isinstance(n, bool):
+        return n
+    raise InvalidElementError("%s must be an integer, not %s" % (what % args, type(n).__name__))
+
+
 def _var(lay, name, exp, coeff):
     """coeff * name^exp on layout lay, which holds name."""
-    if coeff == 0 or exp < 0:
+    if _integer(exp, "the exponent of %r", name) < 0:
+        raise InvalidElementError("negative exponent on %r" % name)
+    if _integer(coeff, "the coefficient of %r", name) == 0:
         return _poly({}, lay)
     if exp >= _EXP_LIMIT:
         raise _exponent_cutoff()
     return _poly({exp << (_FIELD * lay.index[name]): coeff}, lay)
-
-
-def _bare_var_field(p):
-    """Field index when p is a single variable to the first power, else None."""
-    if len(p.terms) != 1:
-        return None
-    (key, c), = p.terms.items()
-    if c != 1 or not key or key & (key - 1) or key.bit_length() % _FIELD != 1:
-        return None
-    return key.bit_length() // _FIELD
 
 
 def _natural_key(name):
@@ -341,7 +337,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c):
-        return _poly({0: int(c)} if c else {}, _EMPTY)
+        return _poly({0: c} if _integer(c, "a constant") else {}, _EMPTY)
 
     @classmethod
     def var(cls, name, exp=1, coeff=1):
@@ -416,52 +412,31 @@ class MultiPoly:
         return power(self, n, MultiPoly.mul, MultiPoly.const(1))
 
     def substitute(self, mapping):
-        """Replace variables by MultiPoly (or int) values; others stay.
+        """p with every variable v of mapping replaced by mapping[v], a
+        MultiPoly or an int, all at once; the other variables stay.
 
-        When every value is a bare variable this is a rename of fields, with
-        no polynomial product."""
-        lay = self.layout
-        vals = {}
-        for v, val in mapping.items():
-            if v not in lay.index:
-                # a name outside the layout occurs in no key
-                _check_name(v)
-                continue
-            vals[v] = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-        # self and every image on one layout
-        for val in vals.values():
-            lay = _union(lay, val.layout)
-        terms = _onto(self, lay).terms
-        images = {_FIELD * lay.index[v]: _onto(val, lay) for v, val in vals.items()}
-        moved = 0
-        for shift in images:
-            moved |= _FIELD_MASK << shift
-        keep = ~moved
-        out = {}
-        targets = {shift: _bare_var_field(val) for shift, val in images.items()}
-        # distinct targets: each field then sums at most two exponents below
-        # 2^63, which cannot carry past the guard bit
-        renames = None not in targets.values() and len(set(targets.values())) == len(targets)
-        if renames:
-            for key, c in terms.items():
-                new = key & keep
-                for shift, i in targets.items():
-                    new += ((key >> shift) & _FIELD_MASK) << (_FIELD * i)
-                _accumulate(out, new, c)
-            _check_guard(out, lay)
-            return _poly(out, lay)
+        One collect groups p's terms by their exponents on the mapped names
+        (a name p does not use is checked and reads 0), each power of an
+        image is formed once, and the result is one dot of every group with
+        the product of its image powers."""
+        images = [
+            val if isinstance(val, MultiPoly)
+            else MultiPoly.const(_integer(val, "a non-polynomial image of %r", v))
+            for v, val in mapping.items()
+        ]
         powers = {}
-        for key, c in terms.items():
-            term = _poly({key & keep: c}, lay)
-            for shift, val in images.items():
-                e = (key >> shift) & _FIELD_MASK
+
+        def product(vec):
+            out = None
+            for i, e in enumerate(vec):
                 if e:
-                    if (shift, e) not in powers:
-                        powers[shift, e] = val.pow(e)
-                    term = term.mul(powers[shift, e])
-            for k, tc in term.terms.items():
-                _accumulate(out, k, tc)
-        return _poly(out, lay)
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i].pow(e)
+                    out = powers[i, e] if out is None else out.mul(powers[i, e])
+            return MultiPoly.const(1) if out is None else out
+
+        # a generator, so the dot holds one group's product at a time
+        return _dot((group, product(vec)) for vec, group in self.collect(list(mapping)).items())
 
     def divide_int_exact(self, n):
         if n == 0:
@@ -566,7 +541,8 @@ def _dot(pairs):
                     del out[key]
     if lay is None:
         return _poly(out, _EMPTY)
-    _check_guard(out, lay)
+    if reduce(or_, out, 0) & lay.guard:
+        raise _exponent_cutoff()
     return _poly(out, lay)
 
 
@@ -910,7 +886,7 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n):
-        return _poly({0: int(n)} if n else {}, self._layout)
+        return _poly({0: n} if _integer(n, "a ring constant") else {}, self._layout)
 
     def add(self, a, b):
         return a.add(b)

@@ -184,7 +184,8 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
     blocks is one or two lists of variable names; p must be symmetric in
     each block separately (NonSymmetricError otherwise).  Block number i
     gets symbols prefixes[i] + "1", "2", ...; the result is verified by
-    substituting the elementary polynomials back in.
+    substituting the elementary polynomials back in.  An empty block has no
+    elementary polynomials, so there p is its own rewrite.
     """
     blocks = [list(b) for b in blocks]
     if not blocks or len(blocks) > len(prefixes):
@@ -193,8 +194,6 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
         )
     seen = set()
     for block in blocks:
-        if not block:
-            raise InvalidInputError("empty variable block")
         for v in block:
             if v in seen:
                 raise InvalidInputError("variable %r appears in two blocks" % v)

@@ -7,6 +7,7 @@ variable names were first seen."""
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -73,8 +74,20 @@ def test_arithmetic_matches_tuple_reference():
         assert as_tuple(pa.pow(n)) == want
 
 
+def _check_substitute(p, images, make=MultiPoly):
+    """p.substitute against the tuple oracle, with p and every polynomial
+    image built by make; an int image goes in as it is."""
+    want = oracles.tuple_poly_substitute(
+        p, {v: img if isinstance(img, dict) else ({(): img} if img else {}) for v, img in images.items()}
+    )
+    got = make(p).substitute({v: img if isinstance(img, int) else make(img) for v, img in images.items()})
+    assert as_tuple(got) == want
+
+
 def test_substitute_matches_tuple_reference():
     rng = random.Random(7)
+    reversed_ring = PolynomialRing(NAMES[::-1])
+    prefix_ring = SquareZeroRing(prefix="pk")
     for _ in range(150):
         names = rng.sample(NAMES, rng.randint(2, 6))
         p = rand_tuple_poly(rng, names)
@@ -84,8 +97,45 @@ def test_substitute_matches_tuple_reference():
             images = {v: {((rng.choice(NAMES), 1),): 1} for v in targets}
         else:
             images = {v: rand_tuple_poly(rng, names, max_terms=3, max_exp=2) for v in targets}
-        got = MultiPoly(p).substitute({v: MultiPoly(img) for v, img in images.items()})
-        assert as_tuple(got) == oracles.tuple_poly_substitute(p, images)
+        _check_substitute(p, images)
+        # int images, 0 and negatives among them
+        _check_substitute(p, {v: (0, -2, 3, -1)[i % 4] for i, v in enumerate(targets)})
+        # every variable, to ints and polynomials
+        _check_substitute(
+            p, {v: rng.choice([rng.randint(-2, 2), rand_tuple_poly(rng, names, max_terms=2)]) for v in names}
+        )
+        _check_substitute(p, {})
+        # an image that reuses a name p keeps, and a simultaneous swap
+        x, y = rng.sample(names, 2)
+        _check_substitute(p, {x: {((y, 1),): 1}})
+        _check_substitute(p, {x: {((y, 1),): 1}, y: {((x, 1),): 1}})
+        # on a reversed-order ring layout, and on a prefix square-zero
+        # ring's layout, which grows in the order its variables are met
+        _check_substitute(p, images, lambda a: _build(reversed_ring.var, reversed_ring.one(), a))
+        q = rand_tuple_poly(rng, names, square_free=True)
+        square_free = {v: rand_tuple_poly(rng, names, max_terms=3, square_free=True) for v in targets}
+        _check_substitute(q, square_free, lambda a: _build(prefix_ring.var, prefix_ring.one(), a))
+
+
+def test_substitute_forms_each_image_power_once(monkeypatch):
+    # the 64 terms x^i y^j z^k (i, j, k < 4) need x's and y's images to
+    # the powers 1, 2 and 3
+    p = {
+        tuple((v, e) for v, e in zip("xyz", exps) if e): 1 + sum(exps)
+        for exps in itertools.product(range(4), repeat=3)
+    }
+    images = {"x": {(("y", 1),): 1, (): 2}, "y": {(("x", 1),): 1, (("z", 1),): -1}}
+    calls = []
+    pow_ = MultiPoly.pow
+
+    def spy(self, n):
+        calls.append((id(self), n))
+        return pow_(self, n)
+
+    monkeypatch.setattr(MultiPoly, "pow", spy)
+    _check_substitute(p, images)
+    assert len(calls) == len(set(calls)) == 6
+    assert sorted(n for _, n in calls) == [1, 1, 2, 2, 3, 3]
 
 
 def test_square_zero_product_matches_tuple_reference():

@@ -253,6 +253,49 @@ def test_coefficients_exceed_machine_ints():
     assert poly_from_json(blob).as_int() == 10**80
 
 
+def test_substitute_images_are_polynomials_or_ints():
+    p = MultiPoly.var("x").add(MultiPoly.const(1))
+    assert p.substitute({"x": 2}) == MultiPoly.const(3)
+    assert p.substitute({"x": -1}).is_zero()
+    # 2.7 gave 3, "3" gave 4 and Fraction(1, 2) a bare KeyError
+    for bad in (2.7, "3", Fraction(1, 2), True, None):
+        with pytest.raises(InvalidElementError, match="image of 'x' must be an integer"):
+            p.substitute({"x": bad})
+    # a name p does not use is ignored, but its image is still checked
+    with pytest.raises(InvalidElementError, match="image of 'y' must be an integer"):
+        p.substitute({"y": 0.5})
+
+
+def test_constants_are_ints():
+    # each stored the term {0: 0}, a zero value that is_zero() denied
+    for call in (
+        lambda: MultiPoly.const(Fraction(1, 2)),
+        lambda: ZL.from_int(0.5),
+        lambda: MultiPoly.const(True),
+        lambda: SQ.from_int("1"),
+    ):
+        with pytest.raises(InvalidElementError, match="constant must be an integer"):
+            call()
+    assert ZL.from_int(0).is_zero() and MultiPoly.const(-4).as_int() == -4
+
+
+def test_var_exponents_and_coefficients_are_ints():
+    # a negative exponent gave 0
+    for call in (lambda: MultiPoly.var("x", -1), lambda: ZXY.var("x", -2)):
+        with pytest.raises(InvalidElementError, match="^negative exponent on 'x'$"):
+            call()
+    # 1.5 raised a bare TypeError, and a coefficient 0.5 was stored
+    for call in (
+        lambda: MultiPoly.var("x", 1.5),
+        lambda: MultiPoly.var("x", 1, 0.5),
+        lambda: ZXY.var("x", True),
+    ):
+        with pytest.raises(InvalidElementError, match="of 'x' must be an integer"):
+            call()
+    assert MultiPoly.var("x", 0, 5) == MultiPoly.const(5)
+    assert MultiPoly.var("x", 3, 0).is_zero()
+
+
 def test_power_by_squaring_product_count():
     count = [0]
 

@@ -382,3 +382,15 @@ def test_root_expansions_reject_bad_counts():
         with pytest.raises(InvalidInputError, match="must be an integer$"):
             call()
     assert universal_Q_from_roots(2, 2, extra=0) == universal_Q(2, 2)
+
+
+def test_empty_blocks_rewrite_to_themselves():
+    # with no roots there are no elementary polynomials, so each edge is
+    # its own rewrite and equals the table
+    assert universal_P_from_roots(0) == universal_P(0) == MultiPoly.const(1)
+    assert universal_Q_from_roots(0, 2) == universal_Q(0, 2) == MultiPoly.const(1)
+    assert universal_Q_from_roots(2, 0) == universal_Q(2, 0) == MultiPoly.const(0)
+    assert universal_Q_from_roots(0, 0) == universal_Q(0, 0) == MultiPoly.const(1)
+    p = MultiPoly.var("x", 2).add(MultiPoly.var("y").mul_int(-3))
+    assert rewrite_in_elementaries(p, [[]]) == p
+    assert rewrite_in_elementaries(p, [[], ["x"]]) == p.substitute({"x": MultiPoly.var("f1")})
