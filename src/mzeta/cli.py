@@ -469,12 +469,19 @@ def _cmd_suite(args):
 
 
 def build_parser():
+    """The mzeta argument parser.  Its commands attribute maps each
+    subcommand name to that subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="mzeta",
         description="Zeta series, lambda operations, and rationality tests "
         "over exact coefficient rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def add_command(name, **kwargs):
+        parser.commands[name] = p = sub.add_parser(name, **kwargs)
+        return p
 
     def add_format(p):
         p.add_argument(
@@ -482,7 +489,7 @@ def build_parser():
             help="output encoding (default text)",
         )
 
-    p = sub.add_parser(
+    p = add_command(
         "zeta",
         help="zeta series of a variety expression",
         description="Grammar: point | A(n) | P(n) | Gm(d) | Curve(g) | "
@@ -502,14 +509,14 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("hankel", help="shifted Hankel determinant grid of a series")
+    p = add_command("hankel", help="shifted Hankel determinant grid of a series")
     p.add_argument("series", help="series JSON file, or zeta --format json output")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--offset-max", type=int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_hankel)
 
-    p = sub.add_parser("pade", help="rational reconstruction over a field")
+    p = add_command("pade", help="rational reconstruction over a field")
     p.add_argument(
         "series", help="series JSON file over the rationals, or zeta --format json output"
     )
@@ -517,14 +524,14 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_pade)
 
-    p = sub.add_parser("witness", help="periodic-ratio witness search")
+    p = add_command("witness", help="periodic-ratio witness search")
     p.add_argument("series", help="group-series JSON file")
     p.add_argument("--max-period", type=int, required=True)
     p.add_argument("--max-offset", type=int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser(
+    p = add_command(
         "lambda-op",
         help="Witt-ring and lambda operations on series files",
         description="Every op reads each file as a Witt element (a series with "
@@ -540,7 +547,7 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_lambda_op)
 
-    p = sub.add_parser("universal", help="universal symmetric-function polynomials")
+    p = add_command("universal", help="universal symmetric-function polynomials")
     p.add_argument("--which", required=True, choices=("P", "Q", "newton", "witt"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="first index of Q")
@@ -551,7 +558,7 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_universal)
 
-    p = sub.add_parser("measure", help="surface measure sequence and harness")
+    p = add_command("measure", help="surface measure sequence and harness")
     p.add_argument("--surface", help='compact form, e.g. "q=2,pg=1,P=1,1,1,1"')
     p.add_argument("--surface-file", help="surface data as a JSON file")
     p.add_argument("--n", type=int, default=1, help="measure index (default 1)")
@@ -565,7 +572,7 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("suite", help="named self-checks from the documentation")
+    p = add_command("suite", help="named self-checks from the documentation")
     p.add_argument("--list", action="store_true", help="list check names")
     p.add_argument("--only", action="append", metavar="NAME", help="run one check")
     p.add_argument("--seed", type=int, default=1729, help="randomized-check seed")
@@ -582,11 +589,26 @@ def _parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    """The namespace of argv.  When argv[0] names a subcommand, the rest is
+    parsed by that subcommand's parser alone, as the full parser would hand
+    it over; if anything is left, the full parser parses argv again, so
+    that its own "unrecognized arguments" error is the one printed."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None, out=None):
     """Parse argv, execute, and return the exit code (0 ok, 1 domain, 2 usage)."""
     out = sys.stdout if out is None else out
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     args.out = out

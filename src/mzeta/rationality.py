@@ -56,17 +56,32 @@ def _scaled_ints(values):
     return [n * (scale // d) for n, d in ratios], scale
 
 
+def _bareiss_step(m, r, c, prev):
+    """One fraction-free elimination step (Bareiss 1968) on a matrix of
+    Python ints, in place: clear column c below the pivot m[r][c], where
+    prev is the pivot of the step before (1 at the first).  Each entry right
+    of c below row r becomes the minor on the pivot rows and columns so far
+    plus its own row and column, so the division by prev is exact.  Returns
+    the pivot."""
+    pivot_row = m[r]
+    pivot = pivot_row[c]
+    width = len(pivot_row)
+    # column c below the pivot is left stale: nothing reads it again
+    for row in m[r + 1 :]:
+        a = row[c]
+        for j in range(c + 1, width):
+            row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+    return pivot
+
+
 def _int_echelon(m, n_cols):
-    """Fraction-free row echelon form (Bareiss 1968) of a matrix of Python
-    ints, in place, pivoting on the first n_cols columns.  A column with no
-    nonzero entry at or below the current row is skipped.  After each step
-    an entry below the pivots is the minor on the pivot rows and columns
-    plus its own row and column, so every division by the previous pivot is
-    exact, and each pivot is the leading minor on the pivot columns.
-    Returns the pivots as (row, column) pairs and the sign of the row
-    permutation."""
+    """Fraction-free row echelon form of a matrix of Python ints, in place,
+    pivoting on the first n_cols columns by _bareiss_step.  A column with no
+    nonzero entry at or below the current row is skipped, and a zero pivot
+    is exchanged for the first nonzero entry below it, so each pivot is the
+    leading minor on the pivot columns of the permuted rows.  Returns the
+    pivots as (row, column) pairs and the sign of the row permutation."""
     n_rows = len(m)
-    width = len(m[0]) if m else 0
     pivots = []
     sign = 1
     prev = 1
@@ -82,14 +97,7 @@ def _int_echelon(m, n_cols):
         if i != r:
             m[r], m[i] = m[i], m[r]
             sign = -sign
-        pivot_row = m[r]
-        pivot = pivot_row[c]
-        # column c below the pivot is left stale: nothing reads it again
-        for row in m[r + 1:]:
-            a = row[c]
-            for j in range(c + 1, width):
-                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
-        prev = pivot
+        prev = _bareiss_step(m, r, c, prev)
         pivots.append((r, c))
         r += 1
     return pivots, sign
@@ -110,10 +118,11 @@ def determinant(rows, ring):
     Bareiss elimination (_int_echelon) runs on plain ints: a Q matrix is
     first scaled by the lcm of its denominators, and its determinant
     becomes a Fraction once, at the end.  Other rings raise
-    InvalidInputError; a Hankel grid over Z[vars] or a square-zero quotient
-    is filled from its own table of minors (_hankel_minors), which needs no
-    division, and over Z[vars] it mostly multiplies integers: hankel_test
-    packs one variable into the coefficients first.
+    InvalidInputError.  hankel_test does not call this: over Z and Q it
+    scales a grid's coefficients once and reads each offset's cells off one
+    elimination (_hankel_dets), and over Z[vars] or a square-zero quotient
+    it fills the grid from its own table of minors (_hankel_minors), which
+    needs no division.
     """
     if ring.kind not in ("integers", "fraction"):
         raise InvalidInputError("determinant needs entries in Z or Q")
@@ -247,12 +256,36 @@ def _hankel_minors(coeffs, ring):
     return minor
 
 
+def _hankel_dets(ints, i, size):
+    """The determinants of the Hankel blocks a_{i+r+c} of orders 1..size,
+    for Python ints a, from one fraction-free elimination of the block of
+    order size without row exchanges: its k-th pivot is the leading minor
+    of order k + 1, which is the block of that order.  The pivots are read
+    up to the first zero one, s; past it a pivot would need an exchange and
+    would no longer be a leading minor, so each larger block is its own
+    determinant (_int_det)."""
+    block = [ints[i + r : i + r + size] for r in range(size)]
+    dets = []
+    prev = 1
+    for k in range(size):
+        dets.append(block[k][k])
+        if not dets[-1]:
+            break
+        prev = _bareiss_step(block, k, k, prev)
+    for k in range(len(dets) + 1, size + 1):
+        dets.append(_int_det([ints[i + r : i + r + k] for r in range(k)]))
+    return dets
+
+
 def hankel_test(f, m_max, offset_max):
     """Shifted Hankel determinants of the series coefficients on a bounded
     grid of orders m <= m_max and offsets i <= offset_max.
 
-    Over Z and Q each cell is a determinant (Bareiss on ints).  Over
-    Z[vars] and a square-zero quotient one table of minors
+    Over Z and Q the coefficients are scaled to ints once per grid, by the
+    lcm D of their denominators, and each offset's column of cells comes
+    from one fraction-free elimination (_hankel_dets); a Q cell of order
+    m + 1 is that integer minor over D^(m+1).  Over Z[vars] and a
+    square-zero quotient one table of minors
     (_hankel_minors) fills the grid.  Over Z[vars] the table usually runs
     on the images of the coefficients under v -> 2^b for one variable v
     (rings._kronecker), which turns each group of terms that differ only
@@ -274,9 +307,16 @@ def hankel_test(f, m_max, offset_max):
     ring = f.ring
     a = [f.coefficient(k) for k in range(need)]
     if ring.kind in ("integers", "fraction"):
+        if ring.kind == "integers":
+            ints, dens = [c.as_int() for c in a], None
+        else:
+            ints, scale = _scaled_ints(a)
+            dens = [scale ** (m + 1) for m in range(m_max + 1)]
+        columns = [_hankel_dets(ints, i, m_max + 1) for i in range(offset_max + 1)]
 
         def cell(m, i):
-            return determinant([a[i + r : i + r + m + 1] for r in range(m + 1)], ring)
+            det = columns[i][m]
+            return ring.from_int(det) if dens is None else Fraction(det, dens[m])
 
     else:
 

@@ -16,7 +16,8 @@ arithmetic.  Ring holds the MultiPoly arithmetic once; subclasses define
 membership (validate), and FractionField overrides it with Fraction rules.
 FractionElem, an unreduced quotient of two MultiPolys, is no ring's element:
 it holds a group series' coefficients and the periodic-ratio witness's
-ratios.  QQ writes its fraction JSON form directly and reads it with
+ratios.  QQ writes its fraction JSON form directly and reads that form
+straight into a Fraction (_const_int); any other form goes through
 _fraction_parts, the parser of frac_from_json.
 
 Every ring checks membership once, where an element enters: in TruncSeries
@@ -314,11 +315,11 @@ class MultiPoly:
         index = {}
         if terms:
             for pairs, coeff in terms.items():
-                if coeff == 0:
+                if _integer(coeff, "a coefficient") == 0:
                     continue
                 key = 0
                 for v, e in pairs:
-                    if e < 0:
+                    if _integer(e, "the exponent of %r", v) < 0:
                         raise InvalidElementError("negative exponent on %r" % v)
                     if e:
                         if e >= _EXP_LIMIT:
@@ -402,12 +403,12 @@ class MultiPoly:
         return _dot(((self, other),))
 
     def mul_int(self, n):
-        if n == 0:
+        if _integer(n, "a multiplier") == 0:
             return MultiPoly.const(0)
         return _poly({key: c * n for key, c in self.terms.items()}, self.layout)
 
     def pow(self, n):
-        if n < 0:
+        if _integer(n, "an exponent") < 0:
             raise InvalidElementError("negative power of a polynomial")
         return power(self, n, MultiPoly.mul, MultiPoly.const(1))
 
@@ -439,7 +440,7 @@ class MultiPoly:
         return _dot((group, product(vec)) for vec, group in self.collect(list(mapping)).items())
 
     def divide_int_exact(self, n):
-        if n == 0:
+        if _integer(n, "a divisor") == 0:
             raise ExactDivisionError("division by zero")
         out = {}
         for key, c in self.terms.items():
@@ -862,6 +863,26 @@ def frac_to_json(f):
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 
+def _const_int(p):
+    """The int in a constant's JSON form as the writers emit it, {"terms":
+    []} or {"terms": [{"c": decimal, "e": {}}]}; None for any other form and
+    past the interpreter's digit limit, which poly_from_json then reads."""
+    terms = p.get("terms") if type(p) is dict else None
+    if type(terms) is not list or len(terms) > 1:
+        return None
+    if not terms:
+        return 0
+    t = terms[0]
+    if type(t) is dict and type(t.get("e")) is dict and not t["e"]:
+        c = t.get("c")
+        if type(c) is str and _DECIMAL_RE.match(c):
+            try:
+                return int(c)
+            except ValueError:
+                pass
+    return None
+
+
 def _fraction_parts(obj):
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise InvalidInputError("expected a fraction object with 'num' and 'den'")
@@ -914,7 +935,7 @@ class Ring:
         return a.is_zero()
 
     def pow(self, a, n):
-        if n < 0:
+        if _integer(n, "an exponent") < 0:
             raise NotInvertibleError("negative ring power")
         return power(a, n, self.mul, self.one())
 
@@ -1148,7 +1169,7 @@ class FractionField(Ring):
         return "QQ"
 
     def from_int(self, n):
-        return Fraction(n)
+        return Fraction(_integer(n, "a ring constant"))
 
     def add(self, a, b):
         return a + b
@@ -1166,7 +1187,7 @@ class FractionField(Ring):
         return sum((a * b for a, b in pairs), Fraction(0))
 
     def mul_int(self, a, n):
-        return a * n
+        return a * _integer(n, "a multiplier")
 
     def eq(self, a, b):
         return a == b
@@ -1184,7 +1205,7 @@ class FractionField(Ring):
         return 1 / a
 
     def divide_exact(self, a, n):
-        if n == 0:
+        if _integer(n, "a divisor") == 0:
             raise ExactDivisionError("division by zero")
         return a / n
 
@@ -1196,6 +1217,11 @@ class FractionField(Ring):
         return {"num": {"terms": num}, "den": {"terms": [{"c": int_str(a.denominator), "e": {}}]}}
 
     def elem_from_json(self, obj):
+        # the canonical form directly; any other goes through the parser
+        if type(obj) is dict:
+            n, d = _const_int(obj.get("num")), _const_int(obj.get("den"))
+            if n is not None and d:
+                return Fraction(n, d)
         num, den = _fraction_parts(obj)
         if not den.terms:
             raise InvalidElementError("zero denominator")

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr
+from fractions import Fraction
 
 import pytest
 
@@ -468,6 +469,85 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     captured = capsys.readouterr()
     assert "usage: mzeta zeta" in captured.err
     assert "suite" in captured.out and "--curve-increment" in captured.out
+
+
+def _dispatch_table(tmp_path):
+    """(argv, exit code, a line of stderr) for run: a valid call per
+    subcommand, help, and each kind of usage error."""
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(TruncSeries.from_ints(Z, [1, 2, 4, 8, 16, 32]).to_json()))
+    rationals = tmp_path / "q.json"
+    rationals.write_text(json.dumps(TruncSeries(QQ, [Fraction(1, 2 ** k) for k in range(6)]).to_json()))
+    group = tmp_path / "group.json"
+    polys = [MultiPoly.const(1)] + [MultiPoly.var("L", i) for i in range(1, 8)]
+    group.write_text(json.dumps(GroupSeries.from_polynomials(polys).to_json()))
+    unknown = "mzeta: error: argument command: invalid choice: %r"
+    return [
+        (["zeta", "P(1)", "--terms", "3", "--rational"], 0, ""),
+        (["hankel", str(ints), "--m-max", "1", "--offset-max", "2", "--format", "json"], 0, ""),
+        (["pade", str(rationals), "--den-deg", "1"], 0, ""),
+        (["witness", str(group), "--max-period", "2", "--max-offset", "2"], 0, ""),
+        (["lambda-op", "--op", "lambda", "--k", "2", str(ints)], 0, ""),
+        (["universal", "--which", "newton", "--n", "2"], 0, ""),
+        (["measure", "--surface", "q=0,pg=0,P=0,1,0,1", "--sym-max", "3"], 0, ""),
+        (["suite", "--list"], 0, ""),
+        # help
+        (["-h"], 0, ""),
+        (["--help"], 0, ""),
+        (["zeta", "-h"], 0, ""),
+        (["hankel", str(ints), "--help"], 0, ""),
+        # not a subcommand
+        ([], 2, "mzeta: error: the following arguments are required: command"),
+        (["no-such-command"], 2, unknown % "no-such-command"),
+        (["zet", "P(1)", "--terms", "3"], 2, unknown % "zet"),
+        (["--format", "json", "zeta", "P(1)", "--terms", "3"], 2, unknown % "json"),
+        # the subcommand's own errors
+        (["zeta", "P(1)"], 2, "mzeta zeta: error: the following arguments are required: --terms"),
+        (["zeta", "P(1)", "--terms", "x"], 2, "mzeta zeta: error: argument --terms: invalid int value: 'x'"),
+        (["zeta", "--", "P(1)", "--terms", "3"], 2, "mzeta zeta: error: the following arguments are required: --terms"),
+        (["universal", "--which", "R", "--n", "2"], 2, "mzeta universal: error: argument --which: invalid choice: 'R'"),
+        (["measure", "--surface", "q=0,pg=0,P=0,1", "--sym-max", "3", "--max", "2"], 2,
+         "mzeta measure: error: ambiguous option: --max could match --max-period, --max-offset"),
+        # left over, reported by mzeta itself
+        (["zeta", "P(1)", "--terms", "3", "extra"], 2, "mzeta: error: unrecognized arguments: extra"),
+        (["suite", "--list", "--bogus", "x"], 2, "mzeta: error: unrecognized arguments: --bogus x"),
+        (["hankel", str(ints), "--m-max", "1", "--offset-max", "2", "-x"], 2,
+         "mzeta: error: unrecognized arguments: -x"),
+        # abbreviated long options
+        (["zeta", "P(1)", "--ter", "3", "--form", "json"], 0, ""),
+        (["universal", "--wh", "P", "--n", "2"], 0, ""),
+        (["measure", "--surface", "q=0,pg=0,P=0,1,0,1", "--sym", "3", "--max-p", "2", "--wit"], 0, ""),
+    ]
+
+
+def _run_captured(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    # a call that names its subcommand first is parsed by that subcommand's
+    # parser alone; exit codes, output, help and usage errors must be those
+    # of the full parser
+    table = _dispatch_table(tmp_path)
+    fast = [_run_captured(capsys, argv) for argv, _, _ in table]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    for (argv, code, err), got in zip(table, fast):
+        want = _run_captured(capsys, argv)
+        assert got == want, argv
+        assert want[0] == code, argv
+        if code == 0:
+            assert want[1] and not want[2], argv
+        else:
+            assert err in want[2].splitlines()[-1], argv
+
+
+def test_dispatch_gives_the_full_parsers_namespace(tmp_path):
+    for argv, code, _ in _dispatch_table(tmp_path):
+        if code == 0 and "-h" not in argv and "--help" not in argv:
+            want = vars(cli.build_parser().parse_args(argv))
+            assert vars(cli._parse_args(argv)) == want, argv
 
 
 def _specialized_file(tmp_path, expr, terms, q):

@@ -7,6 +7,7 @@ exponents."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,92 @@ def test_q_reader_matches_the_reference():
             values += 1
             assert type(got[1]) is Fraction
     assert 100 < values < 300
+
+
+def parser_q_from_json(obj):
+    """QQ.elem_from_json without its canonical path: every form through
+    _fraction_parts."""
+    num, den = rings._fraction_parts(obj)
+    if not den.terms:
+        raise InvalidElementError("zero denominator")
+    IntegerRing().validate(num)
+    IntegerRing().validate(den)
+    return Fraction(num.constant_term(), den.constant_term())
+
+
+def _poly(*terms):
+    return {"terms": list(terms)}
+
+
+def _term(c, e=None):
+    return {"c": c, "e": {} if e is None else e}
+
+
+_ONE = _poly(_term("1"))
+_DIGITS = sys.get_int_max_str_digits()
+
+# the form QQ writes, and shapes it accepts through the parser alone
+CANONICAL_FRACTIONS = {
+    "zero": {"num": _poly(), "den": _ONE},
+    "integer": {"num": _poly(_term("-12")), "den": _ONE},
+    "reduced": {"num": _poly(_term("5")), "den": _poly(_term("3"))},
+    "unreduced, negative denominator": {"num": _poly(_term("6")), "den": _poly(_term("-4"))},
+    "leading zeros": {"num": _poly(_term("007")), "den": _poly(_term("0021"))},
+    "minus zero": {"num": _poly(_term("-0")), "den": _poly(_term("5"))},
+    "zero term": {"num": _poly(_term("0")), "den": _ONE},
+    "big": {"num": _poly(_term(str(10**200 + 1))), "den": _poly(_term(str(3**300)))},
+    "at the digit limit": {"num": _poly(_term("-" + "7" * _DIGITS)), "den": _ONE},
+    "extra keys": {"num": {"terms": [dict(_term("2"), note=1)], "x": 0}, "den": _ONE, "y": None},
+}
+OTHER_FRACTIONS = {
+    "int c": {"num": _poly(_term(5)), "den": _ONE},
+    "int c in den": {"num": _ONE, "den": _poly(_term(-3))},
+    "bool c": {"num": _poly(_term(True)), "den": _ONE},
+    "float c": {"num": _poly(_term(1.5)), "den": _ONE},
+    "plus sign": {"num": _poly(_term("+5")), "den": _ONE},
+    "space": {"num": _ONE, "den": _poly(_term(" 5"))},
+    "separator": {"num": _poly(_term("5_0")), "den": _ONE},
+    "other digits": {"num": _poly(_term("٣")), "den": _ONE},
+    "empty c": {"num": _poly(_term("")), "den": _ONE},
+    "zero exponent": {"num": _poly(_term("4", {"x": 0})), "den": _ONE},
+    "a variable": {"num": _poly(_term("4", {"x": 1})), "den": _ONE},
+    "bad name": {"num": _poly(_term("4", {"1x": 0})), "den": _ONE},
+    "no e": {"num": {"terms": [{"c": "3"}]}, "den": _ONE},
+    "e a list": {"num": _poly(_term("3", [])), "den": _ONE},
+    "several terms": {"num": _poly(_term("1"), _term("2")), "den": _poly(_term("3"), _term("4"))},
+    "cancelling denominator": {"num": _ONE, "den": _poly(_term("2"), _term("-2"))},
+    "zero denominator": {"num": _ONE, "den": _poly(_term("0"))},
+    "empty denominator": {"num": _poly(_term("3")), "den": _poly()},
+    "past the digit limit": {"num": _poly(_term("1" * (_DIGITS + 1))), "den": _ONE},
+    "denominator past the digit limit": {"num": _ONE, "den": _poly(_term("9" * (_DIGITS + 1)))},
+    "bad numerator before a long denominator": {
+        "num": _poly(_term("1", {"1x": 1})), "den": _poly(_term("9" * (_DIGITS + 1)))},
+    "terms a tuple": {"num": {"terms": (_term("1"),)}, "den": _ONE},
+    "terms a string": {"num": {"terms": "1"}, "den": _ONE},
+    "no terms": {"num": {}, "den": _ONE},
+    "term not an object": {"num": _poly("1"), "den": _ONE},
+    "numerator None": {"num": None, "den": _ONE},
+    "no denominator": {"num": _ONE},
+    "not an object": [_ONE, _ONE],
+    "None": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FRACTIONS) + sorted(OTHER_FRACTIONS))
+def test_q_reader_matches_the_parser(name):
+    obj = CANONICAL_FRACTIONS.get(name, OTHER_FRACTIONS.get(name))
+    got = outcome(QQ.elem_from_json, obj)
+    assert got == outcome(parser_q_from_json, obj)
+    assert got[0] != "value" or type(got[1]) is Fraction
+    # the canonical forms, and only they, skip the parser
+    parts = [rings._const_int(obj.get(k)) for k in ("num", "den")] if isinstance(obj, dict) else [None]
+    assert (None not in parts and bool(parts[-1])) == (name in CANONICAL_FRACTIONS)
+
+
+def test_q_reader_corpus_holds_values_and_errors():
+    kinds = [outcome(parser_q_from_json, obj)[0] for obj in OTHER_FRACTIONS.values()]
+    assert kinds.count("value") == 5
+    assert {DegreeCutoffError, InvalidElementError, InvalidInputError} <= set(kinds)
 
 
 def random_tuple_poly(rng, names):

@@ -314,6 +314,83 @@ def test_hankel_z_grid_with_big_entries_and_negative_pivots():
     _assert_cells_match_leibniz(f, 5, 3)
 
 
+def _assert_cells_match_determinant(f, m_max, offset_max):
+    """Every cell of the grid against its own determinant; returns the
+    number of cells that follow a zero cell of lower order at their offset,
+    where the one elimination per offset cannot read them as pivots."""
+    ring = f.ring
+    report = hankel_test(f, m_max, offset_max)
+    a = f.coeffs
+    past_zero = 0
+    for i in range(offset_max + 1):
+        zero_seen = False
+        for m in range(m_max + 1):
+            rows = [a[i + r : i + r + m + 1] for r in range(m + 1)]
+            assert ring.eq(report.det(m, i), determinant(rows, ring)), (m, i)
+            past_zero += zero_seen
+            zero_seen = zero_seen or ring.is_zero(report.det(m, i))
+    return past_zero
+
+
+def _rational_ints(rng, n):
+    """n coefficients of h/g for random small g (g_0 = 1) and h, so the
+    grid vanishes from m = deg g on past a small offset."""
+    g = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+    h = [rng.randint(-3, 3) for _ in range(rng.randint(0, len(g) + 1))]
+    a = []
+    for k in range(n):
+        a.append((h[k] if k < len(h) else 0) - sum(g[j] * a[k - j] for j in range(1, min(k, len(g) - 1) + 1)))
+    return a
+
+
+@pytest.mark.parametrize("name", ["Z", "Q"])
+def test_hankel_pass_matches_per_cell_determinants(name):
+    # random series with a_0 = 0, small entries that make zero leading
+    # minors mid-grid, and rational series whose grids vanish
+    ring = RINGS[name]
+    rng = random.Random("hankel-pass-" + name)
+    past_zero = 0
+    for trial in range(60):
+        m_max, offset_max = rng.randint(0, 6), rng.randint(0, 5)
+        n = offset_max + 2 * m_max + 1
+        if trial % 3 == 2:
+            ints = _rational_ints(rng, n)
+        else:
+            ints = [0 if rng.random() < 0.3 else rng.randint(-2, 2) for _ in range(n)]
+        if trial % 2 == 0:
+            ints[0] = 0
+        if ring == QQ:
+            coeffs = [q(x, rng.choice([1, 2, 3, 5, 7])) for x in ints]
+        else:
+            coeffs = [ring.from_int(x) for x in ints]
+        past_zero += _assert_cells_match_determinant(TruncSeries(ring, coeffs), m_max, offset_max)
+    assert past_zero > 20
+
+
+def test_hankel_pass_with_distinct_denominators_and_vanishing_windows():
+    # h/g with each coefficient over its own denominator, whose grid need
+    # not vanish, and h/g over one common denominator, whose grid does
+    rng = random.Random(79)
+    for _ in range(10):
+        ints = _rational_ints(rng, 14)
+        dens = [rng.choice([1, 2, 3, 4, 9, 11, 2**31 - 1]) for _ in ints]
+        assert len(set(dens)) > 2
+        _assert_cells_match_determinant(TruncSeries(QQ, [q(x, d) for x, d in zip(ints, dens)]), 5, 3)
+        common = rng.choice([6, 35, 2**40 + 15])
+        f = TruncSeries(QQ, [q(x, common) for x in ints])
+        _assert_cells_match_determinant(f, 5, 3)
+        assert hankel_test(f, 5, 3).found
+
+
+def test_hankel_pass_on_projective_space_at_three():
+    # the CI grid: 1/((1-t)(1-3t)(1-9t)(1-27t)), whose cells vanish from
+    # m = 4, so every larger cell at every offset is its own determinant
+    image, ints = _projective_at(3, 3, 40)
+    for f in (image, ints):
+        assert _assert_cells_match_determinant(f, 15, 8) == 9 * 11
+        assert hankel_test(f, 15, 8).summary == (4, 0)
+
+
 @pytest.mark.parametrize(
     "text, terms", [("Curve(2)", 16), ("Disj(Curve(1),Curve(1))", 14)]
 )

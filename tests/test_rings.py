@@ -296,6 +296,54 @@ def test_var_exponents_and_coefficients_are_ints():
     assert MultiPoly.var("x", 3, 0).is_zero()
 
 
+# each took a non-integer: mul_int stored the float coefficient 0.5,
+# divide_int_exact gave 2.0, pow (of a polynomial or in a ring) and the
+# constructor raised a bare TypeError and QQ.from_int gave Fraction(1, 2)
+def test_mul_int_takes_integers():
+    x = MultiPoly.var("x")
+    for call in (lambda: x.mul_int(0.5), lambda: ZL.mul_int(ZL.var("L"), Fraction(1, 2)),
+                 lambda: QQ.mul_int(Fraction(1, 3), 0.5), lambda: x.mul_int(True)):
+        with pytest.raises(InvalidElementError, match="^a multiplier must be an integer, not "):
+            call()
+    assert x.mul_int(-3) == MultiPoly.var("x", 1, -3) and x.mul_int(0).is_zero()
+
+
+def test_divide_int_exact_takes_integers():
+    x6 = MultiPoly.var("x", 1, 6)
+    for call in (lambda: x6.divide_int_exact(0.5), lambda: Z.divide_exact(Z.from_int(4), 2.0),
+                 lambda: QQ.divide_exact(Fraction(1), 0.5)):
+        with pytest.raises(InvalidElementError, match="^a divisor must be an integer, not float$"):
+            call()
+    assert x6.divide_int_exact(-2) == MultiPoly.var("x", 1, -3)
+    with pytest.raises(ExactDivisionError, match="division by zero"):
+        x6.divide_int_exact(0)
+
+
+def test_pow_takes_integers():
+    x = MultiPoly.var("x")
+    for bad in (1.5, Fraction(2), "2", None):
+        for call in (lambda: x.pow(bad), lambda: ZL.pow(ZL.var("L"), bad),
+                     lambda: QQ.pow(Fraction(2), bad)):
+            with pytest.raises(InvalidElementError, match="^an exponent must be an integer, not "):
+                call()
+    assert x.pow(3) == MultiPoly.var("x", 3) and x.pow(0) == MultiPoly.const(1)
+
+
+def test_constructor_takes_integer_exponents_and_coefficients():
+    with pytest.raises(InvalidElementError, match="^the exponent of 'x' must be an integer, not float$"):
+        MultiPoly({(("x", 1.5),): 1})
+    with pytest.raises(InvalidElementError, match="^a coefficient must be an integer, not float$"):
+        MultiPoly({(("x", 1),): 0.5})
+    assert MultiPoly({(("x", 2),): 3, (("x", 0),): 0}) == MultiPoly.var("x", 2, 3)
+
+
+def test_qq_from_int_takes_integers():
+    for bad in (0.5, Fraction(1, 2), True, "1"):
+        with pytest.raises(InvalidElementError, match="^a ring constant must be an integer, not "):
+            QQ.from_int(bad)
+    assert QQ.from_int(-4) == Fraction(-4) and type(QQ.one()) is Fraction
+
+
 def test_power_by_squaring_product_count():
     count = [0]
 

@@ -272,8 +272,9 @@ def _rand_list(ring, rng, n):
 
 def _with_constant(ring, rng, a, unit):
     """a with its constant coefficient set to unit plus, in a square-zero
-    quotient, a nilpotent (still a unit there)."""
-    c = ring.from_int(unit)
+    quotient, a nilpotent (still a unit there).  Over Q unit is a Fraction,
+    already an element."""
+    c = unit if ring.kind == "fraction" else ring.from_int(unit)
     if ring.kind == "square_zero":
         c = ring.add(c, ring.sub(a[0], ring.from_int(a[0].constant_term())))
     return [c] + a[1:]
