@@ -72,7 +72,10 @@ computation over Z[vars] once through v -> 2^b for one variable v: the
 terms that differ only in v become one term with coefficient the integer
 sum c 2^(b e).  Results are decoded from balanced base-2^b digits or
 compared as images, exactly, since b comes from the caller's bound on
-the coefficients it reads (the argument is in _kronecker).
+the coefficients it reads (the argument is in _kronecker).  The cell
+passes of the zeta series (motivic._cell_series) call its pack and
+unpack steps directly, always with v = L, and take b from their own
+norm bound.
 
 The top bit of every field is a guard: exponents must stay below 2^63.
 Larger ones raise DegreeCutoffError at construction and JSON load, and each
@@ -661,25 +664,31 @@ def _kronecker_pack(p, v, b):
 def _kronecker_unpack(p, v, b):
     """The polynomial whose image under v -> 2^b is p, read from the
     balanced base-2^b digits of p's coefficients, which are unique when
-    every coefficient sought lies in [-2^(b-1), 2^(b-1))."""
+    every coefficient sought lies in [-2^(b-1), 2^(b-1)).
+
+    Each coefficient is read one digit at a time, up to its top nonzero
+    digit, and each step shifts what is left of it: a coefficient of s
+    slots costs s Python steps and O(s^2 b) bit operations, even where
+    most of its digits are 0."""
     if v not in p.layout.index:
         # an image whose keys all clear v's field may have met its
         # operands on a layout without v
         p = _onto(p, _union(p.layout, _layout_of((v,))))
-    shift = _FIELD * p.layout.index[v]
-    mask = (1 << b) - 1
-    half = 1 << (b - 1)
+    step = 1 << _FIELD * p.layout.index[v]
+    full = 1 << b
+    mask = full - 1
+    half = full >> 1
     out = {}
     for rest, c in p.terms.items():
         key = rest
         while c:
             d = c & mask
             if d >= half:
-                d -= mask + 1
+                d -= full
             if d:
                 out[key] = d
             c = (c - d) >> b
-            key += 1 << shift
+            key += step
     return _poly(out, p.layout)
 
 
@@ -1088,6 +1097,7 @@ class SquareZeroRing(Ring):
     def var_by_index(self, i):
         if self.prefix is None:
             raise InvalidInputError("ring has a fixed variable list")
+        _check_int(i, "variable index")
         if i < 1:
             raise InvalidInputError("variable index must be >= 1")
         return self.var("%s%d" % (self.prefix, i))

@@ -34,7 +34,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .rings import JsonPayload, power, ring_from_json
+from .rings import JsonPayload, _check_int, _integer, power, ring_from_json
 
 
 class TruncSeries(JsonPayload):
@@ -64,6 +64,7 @@ class TruncSeries(JsonPayload):
     @classmethod
     def geometric(cls, ring, c, precision):
         """1 + c t + c^2 t^2 + ..."""
+        _check_int(precision, "precision")
         out = [ring.one()] if precision >= 1 else []
         for _ in range(precision - 1):
             out.append(ring.mul(out[-1], c))
@@ -83,6 +84,7 @@ class TruncSeries(JsonPayload):
         return self.coeffs[i]
 
     def truncate(self, precision):
+        _check_int(precision, "precision")
         if precision < 1:
             raise PrecisionError("cannot truncate to precision %d" % precision)
         if precision > self.precision:
@@ -117,7 +119,7 @@ class TruncSeries(JsonPayload):
         return TruncSeries(r, [r.dot(zip(a[: k + 1], b[k::-1])) for k in range(n)])
 
     def pow(self, n):
-        if n < 0:
+        if _integer(n, "an exponent") < 0:
             return self.inverse().pow(-n)
         return power(self, n, TruncSeries.mul, TruncSeries.one(self.ring, self.precision))
 

@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from mzeta.motivic import (
     ProjBundle,
     Torus,
     VectorBundle,
+    _cell_series,
     cell_profile,
     parse_variety,
     specialize,
@@ -170,7 +172,7 @@ def test_zeta_genus_zero_is_projective_line():
 
 def dense_cell_series(ring, profile, n):
     """prod_k (1 - L^k t)^(-a_k) from dense geometric series, products and
-    inverses: the reference for the in-place recurrence of zeta_series."""
+    inverses: the reference for the cell passes of zeta_series."""
     out = TruncSeries.one(ring, n)
     for k, a in profile.items():
         out = out.mul(TruncSeries.geometric(ring, MultiPoly.var("L", k), n).pow(a))
@@ -182,10 +184,47 @@ def test_torus_recursion_matches_closed_form():
     exprs = [Torus(d) for d in (1, 2, 3)]
     exprs += [parse_variety(text) for text in CELL_CORPUS]
     exprs += [random_expr(rng, 2, False) for _ in range(30)]
-    for expr in exprs:
-        f = zeta_series(expr, 12)
-        want = dense_cell_series(f.ring, cell_profile(expr), 12)
+    cases = [(expr, 12) for expr in exprs]
+    # packed: dense profiles, negative exponents, images of mostly empty
+    # slots, and L-degree bounds 120 (packed) and 128 (past the bound, so
+    # sparse); sparse by fewer than three units: A(k), VB(P(1),1), Gm(1)
+    cases += [(parse_variety(text), n) for text, n in (
+        ("P(2)", 24), ("Gm(4)", 16), ("Prod(Gm(2),P(2))", 14), ("Prod(P(2),A(30))", 4),
+        ("P(8)", 16), ("P(8)", 17),
+        ("Prod(P(1),A(12))", 12), ("A(5)", 20), ("VB(P(1),1)", 20), ("Gm(1)", 20),
+    )]
+    for expr, n in cases:
+        f = zeta_series(expr, n)
+        want = dense_cell_series(f.ring, cell_profile(expr), n)
         assert f.coeffs == want.coeffs, str(expr)
+    # the passes on given coefficients: 500 units of one cell give the single
+    # term C(510, 11) (74 bits, equal to its norm), and the curve-bearing
+    # starts pack one int sequence per monomial in J, c1, ...
+    profiles = [{0: 500}, {0: 40, 1: -30, 2: 25}, {0: 1, 1: 1}, {0: 1, 1: -2, 2: 1},
+                {0: 2, 1: 3, 2: 1}, {3: 1}, {0: -1, 1: -1}]
+    for text in ("point", "VB(Curve(2),2)", "Prod(Gm(2),Curve(1))"):
+        start = zeta_series(parse_variety(text), 12)
+        for profile in profiles:
+            got = _cell_series(start.ring, profile, list(start.coeffs))
+            want = start.mul(dense_cell_series(start.ring, profile, 12))
+            assert got.coeffs == want.coeffs, (text, profile)
+
+
+def test_sparse_cell_passes_build_no_huge_images():
+    # the images of A(10^8) would hold 2 10^8 slots, about 25 MB each
+    for text in ("A(100000000)", "VB(P(2),100000000)"):
+        tracemalloc.start()
+        try:
+            f = zeta_series(parse_variety(text), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, (text, peak)
+    assert str(zeta_series(Affine(10**8), 3)) == (
+        "1 + (L^100000000)*t + (L^200000000)*t^2 + O(t^3)"
+    )
+    twist = MultiPoly.var("L", 2 * 10**8)
+    assert f.coefficient(2) == zeta_series(Proj(2), 3).coefficient(2).mul(twist)
 
 
 @pytest.mark.parametrize("g", [1, 2])

@@ -337,6 +337,14 @@ def test_constructor_takes_integer_exponents_and_coefficients():
     assert MultiPoly({(("x", 2),): 3, (("x", 0),): 0}) == MultiPoly.var("x", 2, 3)
 
 
+def test_var_by_index_takes_integers():
+    ring = SquareZeroRing(prefix="x")
+    for bad in (1.5, True, "1"):
+        with pytest.raises(InvalidInputError, match="^variable index must be an integer$"):
+            ring.var_by_index(bad)
+    assert ring.var_by_index(2) == ring.var("x2")
+
+
 def test_qq_from_int_takes_integers():
     for bad in (0.5, Fraction(1, 2), True, "1"):
         with pytest.raises(InvalidElementError, match="^a ring constant must be an integer, not "):

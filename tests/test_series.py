@@ -11,12 +11,14 @@ import pytest
 
 from mzeta.errors import (
     ExactDivisionError,
+    InvalidElementError,
     InvalidInputError,
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
 )
 from mzeta.rings import (
+    QQ,
     FractionField,
     IntegerRing,
     PolynomialRing,
@@ -50,6 +52,22 @@ def test_truncate_below_one_is_a_precision_error():
     assert f.truncate(1).eq(TruncSeries.from_ints(Z, [1]))
 
 
+# each took a non-integer: truncate(1.5) and geometric(..., 2.5) raised a
+# bare TypeError, and truncate(True) and pow(True) were taken as 1
+def test_truncate_takes_integers():
+    f = TruncSeries.from_ints(Z, [1, 2, 3, 4])
+    for bad in (1.5, True, Fraction(2), "2"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            f.truncate(bad)
+
+
+def test_geometric_takes_integer_precision():
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            TruncSeries.geometric(QQ, QQ.one(), bad)
+    assert TruncSeries.geometric(QQ, Fraction(1, 2), 3).coeffs == (1, Fraction(1, 2), Fraction(1, 4))
+
+
 def test_mul_truncates_to_min_precision():
     a = TruncSeries.from_ints(Z, [1, 1, 1, 1, 1])
     b = TruncSeries.from_ints(Z, [1, 2, 3])
@@ -66,6 +84,13 @@ def test_pow_matches_repeated_product():
         assert f.pow(n).eq(expected)
         assert f.pow(-n).mul(expected).eq(TruncSeries.one(Z, 6))
         expected = expected.mul(f)
+
+
+def test_pow_takes_integers():
+    f = TruncSeries.from_ints(Z, [1, 2, -1])
+    for bad in (1.5, True, Fraction(2), None):
+        with pytest.raises(InvalidElementError, match="^an exponent must be an integer, not "):
+            f.pow(bad)
 
 
 def test_point_zeta_squared():
