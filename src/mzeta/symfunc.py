@@ -19,9 +19,19 @@ coefficients by expanding the root products literally and rewriting the
 symmetric result in elementary symmetric polynomials.
 
 The rewrite works on orbits of the symmetric group on a block of roots
-(Macdonald, Symmetric Functions and Hall Polynomials, I.2): is_symmetric
-finds each orbit complete with one coefficient in one pass, the
-elimination reads dominant terms only, and back-substitution certifies it.
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2): the symmetry
+test finds each orbit complete with one coefficient in one pass and keeps
+its dominant term, the one with weakly decreasing exponents, and the
+elimination reads those terms only.  No product of elementary polynomials
+is expanded, neither to eliminate nor to certify.  The coefficient of the
+monomial symmetric function m_mu in e_nu = e_(nu_1) e_(nu_2) ... is the
+number of (0,1)-matrices with row sums nu and column sums mu (Macdonald
+I.6, the transition matrix M(e, m)), nonzero exactly when mu <= nu' in
+dominance order (Gale 1957; Ryser 1957).  The elimination subtracts those
+counts, and the certificate checks that the rewrite, read through the same
+counts, agrees with the input at every vector of partitions either side
+has a term at; since both sides are symmetric in each block, that is
+equality.
 
 The three tables are computed on demand and memoized for the life of the
 process, since the lambda-ring checks ask for the same ones again and again;
@@ -35,15 +45,24 @@ import functools
 import itertools
 import math
 import operator
-import struct
 
 from .errors import InvalidInputError, NonSymmetricError
-from .rings import _FIELD_MASK, MultiPoly, PolynomialRing, _block_fields, _check_int
+from .rings import (
+    _FIELD_MASK,
+    MultiPoly,
+    PolynomialRing,
+    _block_fields,
+    _check_int,
+    _moved,
+    _poly,
+    _union,
+)
 from .series import TruncSeries, from_power_sums, ghost_exterior, power_sums
 
 
 def esym_of_elements(k, elems):
     """Elementary symmetric polynomial e_k of a list of MultiPoly values."""
+    _check_int(k, "elementary symmetric index")
     if k < 0:
         raise InvalidInputError("negative elementary symmetric index")
     partial = [MultiPoly.const(1)] + [MultiPoly.const(0)] * k
@@ -71,43 +90,54 @@ def _orbit_size(exps):
     return size
 
 
-def is_symmetric(p, block):
-    """True when p is invariant under every permutation of the block's
-    variables.  A name given twice is one variable, and a name p does not
-    use is a variable p holds to degree 0; a bad name is an
-    InvalidElementError.
+def _orbit_table(p, block):
+    """p's terms at the partitions of the block, {lam: {rest: c}}, when p
+    is symmetric in the block, else None.  lam is a term's vector of block
+    exponents when it is weakly decreasing, and rest its packed key on
+    p.layout with the block's fields cleared.
 
     One pass over p's packed keys, by orbits (I. G. Macdonald, Symmetric
     Functions and Hall Polynomials, 2nd ed., 1995, I.2).  A term's orbit is
-    named by its key with the block's fields cleared and its sorted block
-    exponents.  p is symmetric exactly when every orbit it meets holds
-    k!/prod(mult!) terms, for k block variables and the multiplicities of
-    the sorted exponents, all with the same coefficient.
+    named by rest and its block exponents sorted into a partition lam.  p
+    is symmetric exactly when every orbit it meets holds k!/prod(mult!)
+    terms, for k block variables and the multiplicities of lam, all with
+    the same coefficient, which is then the coefficient at lam.
     """
     block = list(block)
     shifts, keep = _block_fields(p.layout, block)
     # one shift per distinct name, once every name has been checked
     shifts = list(dict(zip(block, shifts)).values())
-    if len(shifts) < 2:
-        return True
     orbits = {}
     for key, c in p.terms.items():
-        orbit = (key & keep, tuple(sorted([(key >> s) & _FIELD_MASK for s in shifts])))
+        exps = sorted([(key >> s) & _FIELD_MASK for s in shifts], reverse=True)
+        orbit = (key & keep, tuple(exps))
         seen = orbits.get(orbit)
         if seen is None:
             orbits[orbit] = [c, 1]
         elif seen[0] != c:
-            return False
+            return None
         else:
             seen[1] += 1
     sizes = {}
-    for (_, exps), (_, count) in orbits.items():
-        size = sizes.get(exps)
+    table = {}
+    for (rest, lam), (c, count) in orbits.items():
+        size = sizes.get(lam)
         if size is None:
-            size = sizes[exps] = _orbit_size(exps)
+            size = sizes[lam] = _orbit_size(lam)
         if count != size:
-            return False
-    return True
+            return None
+        table.setdefault(lam, {})[rest] = c
+    return table
+
+
+def is_symmetric(p, block):
+    """True when p is invariant under every permutation of the block's
+    variables.  A name given twice is one variable, and a name p does not
+    use is a variable p holds to degree 0; a bad name is an
+    InvalidElementError.  One pass over p's terms, by orbits (see
+    _orbit_table).
+    """
+    return _orbit_table(p, block) is not None
 
 
 def _dominant(vec):
@@ -115,53 +145,87 @@ def _dominant(vec):
     return all(map(operator.ge, vec, vec[1:]))
 
 
-class _DominantParts(dict):
-    """{lam: part}, each part computed on first use: the terms of
-    prod_i e_i^(lam_i - lam_(i+1)) in len(lam) variables at the partitions
-    mu other than lam, as {mu: integer coefficient}.  The product's
-    leading term is x^lam, with coefficient 1."""
+@functools.cache
+def _count(rows, cols):
+    """The number of (0,1)-matrices with row sums rows and column sums
+    cols, two weakly decreasing tuples of positive integers with one sum.
 
-    def __missing__(self, lam):
-        k = len(lam)
-        names = ["x%d" % j for j in range(1, k + 1)]
-        product = MultiPoly.const(1)
-        for i in range(k):
-            step = lam[i] - (lam[i + 1] if i + 1 < k else 0)
-            if step:
-                product = product.mul(elementary_symmetric(i + 1, names).pow(step))
-        # the k 64-bit fields of a key: field j holds the exponent of names[j]
-        unpack = struct.Struct("<%dQ" % k).unpack
-        part = self[lam] = {}
-        for key, c in product.terms.items():
-            mu = unpack(key.to_bytes(8 * k, "little"))
-            if mu != lam and _dominant(mu):
-                part[mu] = c
-        return part
-
-
-def _eliminate_block(p, block, symbols, ring, dominant_parts):
-    """Rewrite p, symmetric in block, through the block's elementary
-    polynomials, named symbols.
-
-    Leading-term elimination on the dominant terms only.  A symmetric
-    polynomial is fixed by its coefficients at the weakly decreasing
-    exponent vectors on the block (partitions), one per orbit, so p is
-    collected once and only those coefficients, polynomials in the other
-    variables, are kept.  Each step takes the lex-largest partition lam,
-    with coefficient q, records q * prod symbols[i]^(lam_i - lam_(i+1)),
-    and subtracts q times dominant_parts[lam] from the smaller partitions.
-    No other term of p is read: rewrite_in_elementaries checks symmetry
-    first and certifies the result by back-substitution.  ring holds every
-    name, so the result is on its layout.
+    The first row's ones go into the classes of columns of equal sum: t of
+    a class of m columns in binom(m, t) ways, which leaves t of them one
+    lower.  The other rows are counted on the sorted sums that are left.
     """
-    k = len(block)
+    if not rows:
+        return 1
+    first, rows = rows[0], rows[1:]
+    classes = [(c, len(list(run))) for c, run in itertools.groupby(cols)]
+    total = 0
+    for takes in itertools.product(*[range(min(m, first) + 1) for _, m in classes]):
+        if sum(takes) != first:
+            continue
+        ways = 1
+        left = []
+        for (c, m), t in zip(classes, takes):
+            ways *= math.comb(m, t)
+            left += [c] * (m - t) + [c - 1] * t
+        left.sort(reverse=True)
+        total += ways * _count(rows, tuple(c for c in left if c))
+    return total
+
+
+def _below(lam, mu=()):
+    """The partitions below lam in dominance order that extend mu, as
+    vectors of length len(lam), in lex-decreasing order: lam first."""
+    i = len(mu)
+    if i == len(lam):
+        yield mu
+        return
+    left = sum(lam) - sum(mu)
+    top = min(mu[-1] if mu else left, sum(lam[: i + 1]) - sum(mu))
+    # the parts still to come are at most this one, so it takes at least
+    # its share of what is left
+    for part in range(top, -(-left // (len(lam) - i)) - 1, -1):
+        yield from _below(lam, mu + (part,))
+
+
+@functools.cache
+def _e_image(lam):
+    """{mu: N(lam', mu)}: the terms of prod_i e_i^(lam_i - lam_(i+1)) in
+    len(lam) variables at the partitions mu, where N counts the
+    (0,1)-matrices with row sums lam' (the conjugate of lam) and column
+    sums mu.
+
+    The product is e_(lam'), and its coefficient at x^mu is that count
+    (Macdonald I.6, the transition matrix M(e, m)).  The count is nonzero
+    exactly when mu <= lam in dominance order (Gale 1957, Ryser 1957), so
+    the keys are _below(lam); the leading term x^lam has coefficient 1.
+    """
+    rows = tuple(sum(part >= j for part in lam) for j in range(1, max(lam, default=0) + 1))
+    return {mu: _count(rows, tuple(c for c in mu if c)) for mu in _below(lam)}
+
+
+def _eliminate_block(table, layout, symbols, ring):
+    """Rewrite a polynomial symmetric in a block through the block's
+    elementary polynomials, named symbols, from its terms at the block's
+    partitions: table is {lam: {rest: c}}, rest a packed key on layout with
+    the block's fields cleared.
+
+    A symmetric polynomial is fixed by its coefficients at the weakly
+    decreasing exponent vectors on the block (partitions), one per orbit,
+    so no other term is read.  Leading-term elimination: each step takes
+    the lex-largest partition lam, with coefficient q, records
+    q * prod symbols[i]^(lam_i - lam_(i+1)) and subtracts q * N(lam', mu)
+    at each smaller mu <= lam, the counts of (0,1)-matrices in
+    _e_image(lam) (Macdonald I.6; Gale-Ryser), so no product of elementary
+    polynomials is expanded.  rewrite_in_elementaries tests symmetry first
+    and certifies the result by the same counts (_certified).  ring holds
+    every name, so the result is on its layout.
+    """
+    k = len(symbols)
     one = MultiPoly.const(1)
-    groups = p.collect(block)
-    rest = groups.pop((0,) * k, None)
-    pairs = [] if rest is None else [(rest, one)]
+    pairs = []
     # partition -> (coefficient, factor) pairs whose products sum to its
-    # coefficient in what is left of p
-    todo = {lam: [(q, one)] for lam, q in groups.items() if _dominant(lam)}
+    # coefficient in what is left of the polynomial
+    todo = {lam: [(_poly(rests, layout), one)] for lam, rests in table.items()}
     while todo:
         lam = max(todo)
         q = ring.dot(todo.pop(lam))
@@ -173,32 +237,94 @@ def _eliminate_block(p, block, symbols, ring, dominant_parts):
             if step:
                 mono = mono.mul(ring.var(name, step))
         pairs.append((q, mono))
-        for mu, c in dominant_parts[lam].items():
-            todo.setdefault(mu, []).append((q, MultiPoly.const(-c)))
+        for mu, c in _e_image(lam).items():
+            if mu != lam:
+                todo.setdefault(mu, []).append((q, MultiPoly.const(-c)))
     return ring.dot(pairs)
+
+
+def _certified(p, table, blocks, out, symbols):
+    """Whether out, with each block's elementary polynomials put in for its
+    symbols, equals p, counted without expanding; table is
+    _orbit_table(p, blocks[0]).
+
+    p is symmetric in each block (tested), and so is out(e(x)), out being
+    a polynomial in the symbols and the other variables.  So they are equal
+    exactly when they agree at the exponent vectors that are partitions in
+    every block, one per orbit.  p's terms there are the terms of table
+    whose vectors on the other blocks are partitions.  A term
+    c * rest * prod_i symbols[i]^(a_i) of out, one such product per block,
+    adds c * rest * prod N(lam', mu) at each vector of partitions mu <= lam,
+    for lam_i = a_i + a_(i+1) + ... in each block: the counts of
+    _e_image(lam).  The sides are compared over the union of their vectors,
+    so a term that only one side has fails.
+    """
+    others = [_block_fields(p.layout, block) for block in blocks[1:]]
+    keep = functools.reduce(operator.and_, [mask for _, mask in others], -1)
+    # rest -> {vector of partitions: p's coefficient minus out's}
+    diff = {}
+    for lam, rests in table.items():
+        for rest, c in rests.items():
+            vecs = [lam]
+            for shifts, _ in others:
+                vec = tuple([(rest >> s) & _FIELD_MASK for s in shifts])
+                if not _dominant(vec):
+                    break
+                vecs.append(vec)
+            else:
+                diff.setdefault(rest & keep, {})[tuple(vecs)] = c
+    # p's keys keep their packing unless out's layout holds all of p's names
+    lay = _union(p.layout, out.layout)
+    diff = _moved(diff, p.layout.names, lay)
+    fields = [_block_fields(lay, names) for names in symbols]
+    keep = functools.reduce(operator.and_, [mask for _, mask in fields], -1)
+    for key, c in _moved(out.terms, out.layout.names, lay).items():
+        images = []
+        for shifts, _ in fields:
+            steps = [(key >> s) & _FIELD_MASK for s in reversed(shifts)]
+            images.append(_e_image(tuple(itertools.accumulate(steps))[::-1]).items())
+        row = diff.setdefault(key & keep, {})
+        for combo in itertools.product(*images):
+            n = c
+            for _, count in combo:
+                n *= count
+            vecs = tuple(mu for mu, _ in combo)
+            row[vecs] = row.get(vecs, 0) - n
+    return not any(n for row in diff.values() for n in row.values())
 
 
 def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
     """Express p through elementary symmetric polynomials of each block.
 
-    blocks is one or two lists of variable names; p must be symmetric in
-    each block separately (NonSymmetricError otherwise).  Block number i
-    gets symbols prefixes[i] + "1", "2", ...; the result is verified by
-    substituting the elementary polynomials back in.  An empty block has no
-    elementary polynomials, so there p is its own rewrite.
+    blocks is one or two lists of distinct variable names; p must be
+    symmetric in each block separately (NonSymmetricError otherwise).
+    Block number i gets symbols prefixes[i] + "1", "2", ...  An empty block
+    has no elementary polynomials, so there p is its own rewrite.
+
+    The first block is eliminated from p's terms at its partitions, kept
+    by the symmetry test's one pass; a later block from the partitions of
+    what is left.  The result is certified without expanding it
+    (_certified): the coefficient of m_mu in e_nu is the number of
+    (0,1)-matrices with row sums nu and column sums mu (Macdonald I.6),
+    nonzero exactly when mu <= nu' (Gale-Ryser), and the result read
+    through those counts must agree with p at every vector of partitions
+    where either side has a term; a failure is a RuntimeError.
     """
     blocks = [list(b) for b in blocks]
     if not blocks or len(blocks) > len(prefixes):
         raise InvalidInputError(
             "need between 1 and %d variable blocks" % len(prefixes)
         )
-    seen = set()
-    for block in blocks:
+    seen = {}
+    for i, block in enumerate(blocks):
         for v in block:
             if v in seen:
-                raise InvalidInputError("variable %r appears in two blocks" % v)
-            seen.add(v)
-    taken = p.variables() | seen
+                raise InvalidInputError(
+                    "variable %r repeats in block %r" % (v, block) if seen[v] == i
+                    else "variable %r appears in two blocks" % v
+                )
+            seen[v] = i
+    taken = p.variables() | seen.keys()
     symbols = []
     for block, prefix in zip(blocks, prefixes):
         names = ["%s%d" % (prefix, i) for i in range(1, len(block) + 1)]
@@ -208,45 +334,56 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
                     "symbol %r collides with an existing variable" % name
                 )
         symbols.append(names)
+    tables = []
     for block in blocks:
-        if not is_symmetric(p, block):
+        tables.append(_orbit_table(p, block))
+        if tables[-1] is None:
             raise NonSymmetricError(
                 "polynomial is not symmetric in block %r" % (block,)
             )
     ring = PolynomialRing(sorted(taken) + [name for names in symbols for name in names])
-    out = p
-    # shared by the blocks, so two blocks of one length read each part once
-    dominant_parts = _DominantParts()
-    for block, names in zip(blocks, symbols):
-        out = _eliminate_block(out, block, names, ring, dominant_parts)
-    back = {}
-    for block, names in zip(blocks, symbols):
-        roots = [ring.var(v) for v in block]
-        for i, name in enumerate(names):
-            back[name] = esym_of_elements(i + 1, roots)
-    if out.substitute(back) != p:
-        raise RuntimeError("internal error: rewrite failed back-substitution")
+    out = _eliminate_block(tables[0], p.layout, symbols[0], ring)
+    for block, names in zip(blocks[1:], symbols[1:]):
+        groups = out.collect(block)
+        table = {vec: q.terms for vec, q in groups.items() if _dominant(vec)}
+        out = _eliminate_block(table, out.layout, names, ring)
+    if not _certified(p, tables[0], blocks, out, symbols):
+        raise RuntimeError("internal error: rewrite failed its certificate")
     return out
 
 
-@functools.cache
+# The three tables are checked before their functools.cache lookup: True == 1
+# and 2.0 == 2, so a bool or a float would otherwise read the entry of an int.
+
+
 def newton_polynomial(n):
     """Power sum p_n as a polynomial in e_1, ..., e_n (Newton's identity)."""
+    _check_int(n, "power sum index")
     if n < 1:
         raise InvalidInputError("power sums are indexed from 1")
+    return _newton_polynomial(n)
+
+
+@functools.cache
+def _newton_polynomial(n):
     names = ["e%d" % i for i in range(1, n + 1)]
     ring = PolynomialRing(names)
     f = TruncSeries(ring, [ring.one()] + [ring.var(v) for v in names])
     return power_sums(f, n)[n - 1]
 
 
-@functools.cache
 def universal_P(n):
     """Witt product coefficient law: t^n coefficient of the product of
     1 + e_1 t + ... + e_n t^n and 1 + f_1 t + ... + f_n t^n in the Witt ring.
     """
+    _check_int(n, "coefficient index")
     if n < 0:
         raise InvalidInputError("negative coefficient index")
+    return _universal_P(n)
+
+
+@functools.cache
+def _universal_P(n):
     if n == 0:
         return MultiPoly.const(1)
     enames = ["e%d" % i for i in range(1, n + 1)]
@@ -257,13 +394,19 @@ def universal_P(n):
     return from_power_sums(ring, [ring.mul(a, b) for a, b in zip(pf, pg)], n + 1).coeffs[n]
 
 
-@functools.cache
 def universal_Q(m, n):
     """Exterior power coefficient law: t^m coefficient of the n-th exterior
     power of 1 + e_1 t + ... + e_{m*n} t^{m*n}.
     """
+    _check_int(m, "exterior power index")
+    _check_int(n, "exterior power index")
     if m < 0 or n < 0:
         raise InvalidInputError("negative exterior power parameters")
+    return _universal_Q(m, n)
+
+
+@functools.cache
+def _universal_Q(m, n):
     if m == 0:
         return MultiPoly.const(1)
     if n == 0:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from mzeta.errors import InvalidElementError, InvalidInputError, NonSymmetricError
 from mzeta.oracles import binom
-from mzeta import rings
+from mzeta import rings, symfunc
 from mzeta.rings import IntegerRing, MultiPoly
 from mzeta.lambda_rings import WittElement, witt_lambda, witt_mul
 from mzeta.series import TruncSeries
@@ -394,3 +395,143 @@ def test_empty_blocks_rewrite_to_themselves():
     p = MultiPoly.var("x", 2).add(MultiPoly.var("y").mul_int(-3))
     assert rewrite_in_elementaries(p, [[]]) == p
     assert rewrite_in_elementaries(p, [[], ["x"]]) == p.substitute({"x": MultiPoly.var("f1")})
+
+
+def test_tables_reject_non_integer_indices():
+    # True == 1 and 2.0 == 2, so without a check before the cache these
+    # read the entries of P_1 and P_2
+    assert universal_P(1) is universal_P(1) and universal_P(2) is universal_P(2)
+    x = MultiPoly.var("x")
+    for call in (lambda: universal_P(True), lambda: universal_P(2.0), lambda: universal_P("2"),
+                 lambda: universal_Q(True, 2), lambda: universal_Q(2, 1.5),
+                 lambda: universal_Q("2", 2), lambda: newton_polynomial(True),
+                 lambda: newton_polynomial(2.0), lambda: witt_product_coeff(True),
+                 lambda: witt_product_coeff(1.5), lambda: esym_of_elements(True, [x]),
+                 lambda: esym_of_elements("2", [x, x]),
+                 lambda: elementary_symmetric(1.5, ["x", "y"]),
+                 lambda: elementary_symmetric(True, ["x"])):
+        with pytest.raises(InvalidInputError, match="must be an integer$"):
+            call()
+    assert universal_P(1) == MultiPoly.var("e1").mul(MultiPoly.var("f1"))
+
+
+def test_rewrite_names_a_name_repeated_in_one_block():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    with pytest.raises(InvalidInputError, match=r"^variable 'x' repeats in block \['x', 'x'\]$"):
+        rewrite_in_elementaries(x.pow(2), [["x", "x"]])
+    with pytest.raises(InvalidInputError, match="^variable 'y' repeats in block "):
+        rewrite_in_elementaries(x.mul(y), [["x"], ["y", "z", "y"]])
+    with pytest.raises(InvalidInputError, match="^variable 'x' appears in two blocks$"):
+        rewrite_in_elementaries(x.mul(y), [["x", "y"], ["x"]])
+
+
+def partitions(n, top=None):
+    """Every partition of n with parts at most top, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, n if top is None else top), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def enumerated_count(rows, cols):
+    """(0,1)-matrices with these row and column sums, by listing every
+    matrix with the row sums and summing its columns."""
+    count = 0
+    for chosen in itertools.product(*[itertools.combinations(range(len(cols)), r)
+                                      for r in rows]):
+        sums = [0] * len(cols)
+        for row in chosen:
+            for j in row:
+                sums[j] += 1
+        count += sums == list(cols)
+    return count
+
+
+def test_count_matches_enumerated_matrices():
+    checked = nonzero = 0
+    for n in range(8):
+        for rows in partitions(n):
+            for cols in partitions(n):
+                if len(rows) * len(cols) <= 16:
+                    want = enumerated_count(rows, cols)
+                    assert symfunc._count(rows, cols) == want, (rows, cols)
+                    checked += 1
+                    nonzero += want > 0
+    assert checked > 300 and 0 < nonzero < checked
+
+
+def test_e_image_matches_expanded_products():
+    # the terms of prod_i e_i^(lam_i - lam_(i+1)) at partitions, read off
+    # the expanded product: nonzero exactly below lam (Gale-Ryser)
+    for k in range(5):
+        names = ["x%d" % j for j in range(1, k + 1)]
+        for n in range(7):
+            for lam in partitions(n):
+                if len(lam) > k:
+                    continue
+                lam = lam + (0,) * (k - len(lam))
+                product = MultiPoly.const(1)
+                for i in range(k):
+                    step = lam[i] - (lam[i + 1] if i + 1 < k else 0)
+                    product = product.mul(elementary_symmetric(i + 1, names).pow(step))
+                want = {}
+                for mono, c in product.items():
+                    vec = tuple(dict(mono).get(v, 0) for v in names)
+                    if all(a >= b for a, b in zip(vec, vec[1:])):
+                        want[vec] = c
+                got = symfunc._e_image(lam)
+                assert got == want, lam
+                assert next(iter(got)) == lam and got[lam] == 1
+
+
+def rewrite_case(rng, two):
+    """A random polynomial symmetric in one or two blocks, with t riding
+    along: (p, blocks, symbols, back)."""
+    if two:
+        blocks, symbols = [["a1", "a2", "a3"], ["b1", "b2"]], [["e1", "e2", "e3"], ["f1", "f2"]]
+    else:
+        blocks, symbols = [["a1", "a2", "a3", "a4"]], [["e1", "e2", "e3", "e4"]]
+    exps = {v: 2 for block in blocks for v in block}
+    exps["t"] = 2
+    p = random_poly(rng, exps, rng.randint(0, 3))
+    for block in blocks:
+        p = symmetrized(p, block)
+    back = {}
+    for block, names in zip(blocks, symbols):
+        for i, name in enumerate(names):
+            back[name] = elementary_symmetric(i + 1, block)
+    return p, blocks, symbols, back
+
+
+def test_counting_certificate_agrees_with_back_substitution():
+    # the substitution is the judge: on the rewrite itself, on outs with a
+    # term more, a term less or one coefficient off, and on a term whose
+    # image lies only at vectors p has no term at
+    rng = random.Random(7717)
+    kinds = collections.Counter()
+    for trial in range(80):
+        p, blocks, symbols, back = rewrite_case(rng, trial % 2)
+        out = rewrite_in_elementaries(p, blocks)
+        assert out.substitute(back) == p
+        table = symfunc._orbit_table(p, blocks[0])
+        names = [name for group in symbols for name in group] + ["t"]
+        extra = MultiPoly.const(rng.choice((-2, -1, 1, 2)))
+        for name in rng.sample(names, 2):
+            extra = extra.mul(MultiPoly.var(name, rng.randint(1, 2)))
+        top = max([sum(dict(mono).get(v, 0) for v in blocks[0]) for mono, _ in p.items()],
+                  default=0)
+        candidates = {"rewrite": out, "term more": out.add(extra),
+                      "beyond": out.add(MultiPoly.var(symbols[0][0], top + 1))}
+        if out.terms:
+            (mono, c), = rng.sample(out.items(), 1)
+            candidates["term less"] = out.sub(MultiPoly({mono: c}))
+            candidates["one off"] = out.add(MultiPoly({mono: rng.choice((-1, 1))}))
+        for kind, cand in candidates.items():
+            want = cand.substitute(back) == p
+            assert symfunc._certified(p, table, blocks, cand, symbols) == want, (kind, str(p))
+            kinds[kind, want] += 1
+    assert kinds["rewrite", True] == 80
+    for kind in ("term more", "beyond", "term less", "one off"):
+        assert kinds[kind, True] == 0 and kinds[kind, False] >= 20, kinds
