@@ -55,8 +55,8 @@ sys.intern, a layout fixes only how a monomial is stored: no value, output
 order or error depends on it, because equality compares keys on one layout,
 and everything that leaves the process (JSON, str, sorting, error messages)
 decodes keys back to names.
-Layouts are kept for the life of the process, so they suit the name sets of
-a computation, not an unbounded stream of fresh names.
+A layout lives while a polynomial, ring or memo holds it, so a stream of
+fresh names does not pile up layouts in the process.
 
 Keys decode once per polynomial: items(), variables() and poly_to_json find
 the fields its keys use from one OR of the keys and read every term through
@@ -111,6 +111,8 @@ import math
 import operator
 import re
 import sys
+import threading
+import weakref
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -136,9 +138,9 @@ _EXP_LIMIT = 1 << (_FIELD - 1)
 class _Layout:
     """The field order of packed keys: field i belongs to names[i].
 
-    Layouts are interned by _layout_of, so equal layouts are identical."""
+    Layouts are interned by _layout_of: equal live layouts are identical."""
 
-    __slots__ = ("names", "index", "guard", "above_one", "decode")
+    __slots__ = ("names", "index", "guard", "above_one", "decode", "__weakref__")
 
     def __init__(self, names):
         self.names = names
@@ -162,14 +164,18 @@ class _Layout:
         return [(v, s) for v, s in self.decode if (acc >> s) & _FIELD_MASK]
 
 
-_layouts = {}
+_layouts = weakref.WeakValueDictionary()
+# a weak table's setdefault is not atomic: two threads interning one tuple
+# of names at once would otherwise make it two live layouts
+_interning = threading.Lock()
 
 
 def _layout_of(names):
     """The interned layout of a tuple of distinct, valid names."""
     lay = _layouts.get(names)
     if lay is None:
-        lay = _layouts.setdefault(names, _Layout(names))
+        with _interning:
+            lay = _layouts.setdefault(names, _Layout(names))
     return lay
 
 

@@ -59,6 +59,7 @@ class TruncSeries(JsonPayload):
 
     @classmethod
     def one(cls, ring, precision):
+        _check_int(precision, "precision")
         return cls.from_ints(ring, [int(i == 0) for i in range(precision)])
 
     @classmethod
@@ -72,6 +73,7 @@ class TruncSeries(JsonPayload):
 
     @classmethod
     def from_polynomial(cls, ring, coeffs, precision):
+        _check_int(precision, "precision")
         coeffs = list(coeffs)
         if len(coeffs) > precision:
             raise PrecisionError("polynomial degree exceeds requested precision")
@@ -79,6 +81,7 @@ class TruncSeries(JsonPayload):
         return cls(ring, coeffs)
 
     def coefficient(self, i):
+        _check_int(i, "coefficient index")
         if i < 0 or i >= self.precision:
             raise PrecisionError("coefficient %d outside precision %d" % (i, self.precision))
         return self.coeffs[i]
@@ -175,6 +178,7 @@ class TruncSeries(JsonPayload):
 
     def is_zero_beyond(self, degree):
         """True when all known coefficients after `degree` vanish."""
+        _check_int(degree, "degree")
         r = self.ring
         return all(r.is_zero(c) for c in self.coeffs[degree + 1 :])
 
@@ -227,6 +231,7 @@ def series_from_json(obj):
 
 def power_sums(f, upto):
     """Power sums p_1..p_upto of the formal roots of f; f must start at 1."""
+    _check_int(upto, "power sum count")
     r = f.ring
     if not r.eq(f.coeffs[0], r.one()):
         raise InvalidInputError("power sums need a series with constant term 1")
@@ -249,6 +254,7 @@ def from_power_sums(ring, psums, precision):
     Divisions by k are exact for coefficients that come from universal
     integer polynomials; a failure raises ExactDivisionError.
     """
+    _check_int(precision, "precision")
     if precision - 1 > len(psums):
         raise PrecisionError(
             "need %d power sums for precision %d, have %d" % (precision - 1, precision, len(psums))
@@ -267,6 +273,8 @@ def ghost_exterior(ring, k, p, m):
     sums p (at least k*(m-1) of them) of its argument: p'_r is e_k of the
     roots' r-th powers, from_power_sums on the window p_r, p_2r, ..., p_kr.
     Every reconstruction division is exact (see from_power_sums)."""
+    _check_int(k, "exterior power index")
+    _check_int(m, "precision")
     return [from_power_sums(ring, p[r - 1 : k * r : r], k + 1).coeffs[k] for r in range(1, m)]
 
 

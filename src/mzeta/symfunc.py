@@ -21,17 +21,19 @@ symmetric result in elementary symmetric polynomials.
 The rewrite works on orbits of the symmetric group on a block of roots
 (Macdonald, Symmetric Functions and Hall Polynomials, I.2): the symmetry
 test finds each orbit complete with one coefficient in one pass and keeps
-its dominant term, the one with weakly decreasing exponents, and the
-elimination reads those terms only.  No product of elementary polynomials
-is expanded, neither to eliminate nor to certify.  The coefficient of the
-monomial symmetric function m_mu in e_nu = e_(nu_1) e_(nu_2) ... is the
-number of (0,1)-matrices with row sums nu and column sums mu (Macdonald
-I.6, the transition matrix M(e, m)), nonzero exactly when mu <= nu' in
-dominance order (Gale 1957; Ryser 1957).  The elimination subtracts those
-counts, and the certificate checks that the rewrite, read through the same
-counts, agrees with the input at every vector of partitions either side
-has a term at; since both sides are symmetric in each block, that is
-equality.
+its dominant term, the one with weakly decreasing exponents.  The first
+block's pass reads the input, and each later block's pass reads only what
+the passes before it kept.  One elimination then runs over the vectors of
+partitions, one per block, and expands no product of elementary
+polynomials, nor does the certificate.  The coefficient of the monomial
+symmetric function m_mu in e_nu = e_(nu_1) e_(nu_2) ... is the number of
+(0,1)-matrices with row sums nu and column sums mu (Macdonald I.6, the
+transition matrix M(e, m)), nonzero exactly when mu <= nu' in dominance
+order (Gale 1957; Ryser 1957).  The elimination subtracts those counts,
+multiplied across the blocks, and the certificate checks that the rewrite,
+read through the same counts, agrees with the input at every vector of
+partitions either side has a term at; since both sides are symmetric in
+each block, that is equality.
 
 The three tables are computed on demand and memoized for the life of the
 process, since the lambda-ring checks ask for the same ones again and again;
@@ -53,6 +55,7 @@ from .rings import (
     PolynomialRing,
     _block_fields,
     _check_int,
+    _check_name,
     _moved,
     _poly,
     _union,
@@ -90,25 +93,21 @@ def _orbit_size(exps):
     return size
 
 
-def _orbit_table(p, block):
-    """p's terms at the partitions of the block, {lam: {rest: c}}, when p
-    is symmetric in the block, else None.  lam is a term's vector of block
-    exponents when it is weakly decreasing, and rest its packed key on
-    p.layout with the block's fields cleared.
+def _orbits(terms, shifts, keep):
+    """{lam: {rest: c}}, the terms at the partitions of a block, when terms,
+    a dict of packed keys, is symmetric in it, else None.  shifts, one per
+    distinct name, and keep come from _block_fields; lam is a term's block
+    exponents when weakly decreasing, rest its key with them cleared.
 
-    One pass over p's packed keys, by orbits (I. G. Macdonald, Symmetric
-    Functions and Hall Polynomials, 2nd ed., 1995, I.2).  A term's orbit is
-    named by rest and its block exponents sorted into a partition lam.  p
-    is symmetric exactly when every orbit it meets holds k!/prod(mult!)
+    One pass over the keys, by orbits (I. G. Macdonald, Symmetric Functions
+    and Hall Polynomials, 2nd ed., 1995, I.2).  A term's orbit is named by
+    rest and its block exponents sorted into a partition lam.  The terms
+    are symmetric exactly when every orbit they meet holds k!/prod(mult!)
     terms, for k block variables and the multiplicities of lam, all with
     the same coefficient, which is then the coefficient at lam.
     """
-    block = list(block)
-    shifts, keep = _block_fields(p.layout, block)
-    # one shift per distinct name, once every name has been checked
-    shifts = list(dict(zip(block, shifts)).values())
     orbits = {}
-    for key, c in p.terms.items():
+    for key, c in terms.items():
         exps = sorted([(key >> s) & _FIELD_MASK for s in shifts], reverse=True)
         orbit = (key & keep, tuple(exps))
         seen = orbits.get(orbit)
@@ -134,15 +133,41 @@ def is_symmetric(p, block):
     """True when p is invariant under every permutation of the block's
     variables.  A name given twice is one variable, and a name p does not
     use is a variable p holds to degree 0; a bad name is an
-    InvalidElementError.  One pass over p's terms, by orbits (see
-    _orbit_table).
+    InvalidElementError.  One pass over p's terms, by orbits (see _orbits).
     """
-    return _orbit_table(p, block) is not None
+    block = list(block)
+    shifts, keep = _block_fields(p.layout, block)
+    # one shift per distinct name, once every name has been checked
+    shifts = list(dict(zip(block, shifts)).values())
+    return _orbits(p.terms, shifts, keep) is not None
 
 
-def _dominant(vec):
-    """Whether an exponent vector is weakly decreasing: a partition."""
-    return all(map(operator.ge, vec, vec[1:]))
+def _partition_table(p, blocks):
+    """p's terms at the vectors of partitions, one partition per block of
+    distinct names: {(lam_1, ..., lam_r): {rest: c}}, rest a packed key on
+    p.layout with every block's fields cleared.  NonSymmetricError names
+    the first block p is not symmetric in.
+
+    The first block's pass (_orbits) reads p's terms, and each later
+    block's pass every rest dict the passes before it left (Macdonald I.2):
+    p symmetric in block a is sum_lam m_lam(x_a) T_lam, the m_lam are
+    linearly independent over the other variables, and a permutation of
+    block b moves only the T_lam, so p is symmetric in b iff each T_lam is.
+    """
+    table = {(): p.terms}
+    for block in blocks:
+        shifts, keep = _block_fields(p.layout, block)
+        grown = {}
+        for vec, terms in table.items():
+            orbits = _orbits(terms, shifts, keep)
+            if orbits is None:
+                raise NonSymmetricError(
+                    "polynomial is not symmetric in block %r" % (block,)
+                )
+            for lam, rests in orbits.items():
+                grown[vec + (lam,)] = rests
+        table = grown
+    return table
 
 
 @functools.cache
@@ -203,93 +228,77 @@ def _e_image(lam):
     return {mu: _count(rows, tuple(c for c in mu if c)) for mu in _below(lam)}
 
 
-def _eliminate_block(table, layout, symbols, ring):
-    """Rewrite a polynomial symmetric in a block through the block's
-    elementary polynomials, named symbols, from its terms at the block's
-    partitions: table is {lam: {rest: c}}, rest a packed key on layout with
-    the block's fields cleared.
+def _e_product(vec):
+    """(mu, N) for every vector of partitions mu with mu_i <= vec_i in each
+    block, N the product of the blocks' counts in _e_image."""
+    for combo in itertools.product(*[_e_image(lam).items() for lam in vec]):
+        yield tuple(mu for mu, _ in combo), math.prod(n for _, n in combo)
 
-    A symmetric polynomial is fixed by its coefficients at the weakly
-    decreasing exponent vectors on the block (partitions), one per orbit,
-    so no other term is read.  Leading-term elimination: each step takes
-    the lex-largest partition lam, with coefficient q, records
-    q * prod symbols[i]^(lam_i - lam_(i+1)) and subtracts q * N(lam', mu)
-    at each smaller mu <= lam, the counts of (0,1)-matrices in
-    _e_image(lam) (Macdonald I.6; Gale-Ryser), so no product of elementary
-    polynomials is expanded.  rewrite_in_elementaries tests symmetry first
-    and certifies the result by the same counts (_certified).  ring holds
-    every name, so the result is on its layout.
+
+def _eliminate(table, layout, symbols, ring):
+    """Rewrite a polynomial symmetric in each block through the blocks'
+    elementary polynomials, symbols[i] naming block i's, from its
+    _partition_table, rest keys on layout; ring holds every name.
+
+    Leading-term elimination over the vectors of partitions, one per orbit
+    (Macdonald I.2), so no other term is read: each step takes the
+    lex-largest vector lam, with coefficient q, records q times the product
+    over the blocks of symbols[i][j]^(lam_i[j] - lam_i[j+1]), and subtracts
+    q * N(lam_1', mu_1) * ... * N(lam_r', mu_r) at every other vector mu
+    with mu_i <= lam_i in each block (_e_product).  Dominance order implies
+    lex order, so mu is lex-smaller than lam and no step comes back to a
+    vector it has read.  One block is the one-tuple case.
     """
-    k = len(symbols)
     one = MultiPoly.const(1)
     pairs = []
-    # partition -> (coefficient, factor) pairs whose products sum to its
+    # vector -> (coefficient, factor) pairs whose products sum to its
     # coefficient in what is left of the polynomial
-    todo = {lam: [(_poly(rests, layout), one)] for lam, rests in table.items()}
+    todo = {vec: [(_poly(rests, layout), one)] for vec, rests in table.items()}
     while todo:
-        lam = max(todo)
-        q = ring.dot(todo.pop(lam))
+        vec = max(todo)
+        q = ring.dot(todo.pop(vec))
         if q.is_zero():
             continue
         mono = one
-        for i, name in enumerate(symbols):
-            step = lam[i] - (lam[i + 1] if i + 1 < k else 0)
-            if step:
-                mono = mono.mul(ring.var(name, step))
+        for lam, names in zip(vec, symbols):
+            for name, step in zip(names, map(operator.sub, lam, lam[1:] + (0,))):
+                if step:
+                    mono = mono.mul(ring.var(name, step))
         pairs.append((q, mono))
-        for mu, c in _e_image(lam).items():
-            if mu != lam:
-                todo.setdefault(mu, []).append((q, MultiPoly.const(-c)))
+        for mu, n in _e_product(vec):
+            if mu != vec:
+                todo.setdefault(mu, []).append((q, MultiPoly.const(-n)))
     return ring.dot(pairs)
 
 
-def _certified(p, table, blocks, out, symbols):
+def _certified(table, layout, out, symbols):
     """Whether out, with each block's elementary polynomials put in for its
-    symbols, equals p, counted without expanding; table is
-    _orbit_table(p, blocks[0]).
+    symbols, equals the polynomial p whose _partition_table is table (rest
+    keys on layout), counted without expanding.
 
-    p is symmetric in each block (tested), and so is out(e(x)), out being
-    a polynomial in the symbols and the other variables.  So they are equal
-    exactly when they agree at the exponent vectors that are partitions in
-    every block, one per orbit.  p's terms there are the terms of table
-    whose vectors on the other blocks are partitions.  A term
-    c * rest * prod_i symbols[i]^(a_i) of out, one such product per block,
-    adds c * rest * prod N(lam', mu) at each vector of partitions mu <= lam,
-    for lam_i = a_i + a_(i+1) + ... in each block: the counts of
-    _e_image(lam).  The sides are compared over the union of their vectors,
-    so a term that only one side has fails.
+    p is symmetric in each block (tested), and so is out(e(x)), so they are
+    equal exactly when they agree at the vectors of partitions: the table
+    _eliminate read.  A term c * rest * prod_i symbols[i]^(a_i) of out adds
+    c * rest * prod N(lam', mu) at each vector of partitions mu <= lam, for
+    lam_i = a_i + a_(i+1) + ... in each block (_e_product).  The sides are
+    compared over the union of their vectors, so a term that only one side
+    has fails.
     """
-    others = [_block_fields(p.layout, block) for block in blocks[1:]]
-    keep = functools.reduce(operator.and_, [mask for _, mask in others], -1)
-    # rest -> {vector of partitions: p's coefficient minus out's}
-    diff = {}
-    for lam, rests in table.items():
-        for rest, c in rests.items():
-            vecs = [lam]
-            for shifts, _ in others:
-                vec = tuple([(rest >> s) & _FIELD_MASK for s in shifts])
-                if not _dominant(vec):
-                    break
-                vecs.append(vec)
-            else:
-                diff.setdefault(rest & keep, {})[tuple(vecs)] = c
     # p's keys keep their packing unless out's layout holds all of p's names
-    lay = _union(p.layout, out.layout)
-    diff = _moved(diff, p.layout.names, lay)
+    lay = _union(layout, out.layout)
+    # vector of partitions -> {rest: p's coefficient minus out's}
+    diff = {vec: dict(_moved(rests, layout.names, lay)) for vec, rests in table.items()}
     fields = [_block_fields(lay, names) for names in symbols]
     keep = functools.reduce(operator.and_, [mask for _, mask in fields], -1)
     for key, c in _moved(out.terms, out.layout.names, lay).items():
-        images = []
+        vec = []
         for shifts, _ in fields:
             steps = [(key >> s) & _FIELD_MASK for s in reversed(shifts)]
-            images.append(_e_image(tuple(itertools.accumulate(steps))[::-1]).items())
-        row = diff.setdefault(key & keep, {})
-        for combo in itertools.product(*images):
-            n = c
-            for _, count in combo:
-                n *= count
-            vecs = tuple(mu for mu, _ in combo)
-            row[vecs] = row.get(vecs, 0) - n
+            vec.append(tuple(itertools.accumulate(steps))[::-1])
+        rest = key & keep
+        for mu, n in _e_product(vec):
+            row = diff.setdefault(mu, {})
+            row[rest] = row.get(rest, 0) - c * n
     return not any(n for row in diff.values() for n in row.values())
 
 
@@ -301,14 +310,13 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
     Block number i gets symbols prefixes[i] + "1", "2", ...  An empty block
     has no elementary polynomials, so there p is its own rewrite.
 
-    The first block is eliminated from p's terms at its partitions, kept
-    by the symmetry test's one pass; a later block from the partitions of
-    what is left.  The result is certified without expanding it
-    (_certified): the coefficient of m_mu in e_nu is the number of
-    (0,1)-matrices with row sums nu and column sums mu (Macdonald I.6),
-    nonzero exactly when mu <= nu' (Gale-Ryser), and the result read
-    through those counts must agree with p at every vector of partitions
-    where either side has a term; a failure is a RuntimeError.
+    One orbit pass per block fills a table of p's terms at the vectors of
+    partitions (_partition_table): the first block's pass reads p, each
+    later one what the passes before it left (Macdonald I.2).  One
+    elimination over the table rewrites every block at once (_eliminate).
+    The result is certified on the same table by counting (0,1)-matrices,
+    without expanding it (_certified, Macdonald I.6); a failure is a
+    RuntimeError.
     """
     blocks = [list(b) for b in blocks]
     if not blocks or len(blocks) > len(prefixes):
@@ -318,6 +326,7 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
     seen = {}
     for i, block in enumerate(blocks):
         for v in block:
+            _check_name(v)
             if v in seen:
                 raise InvalidInputError(
                     "variable %r repeats in block %r" % (v, block) if seen[v] == i
@@ -334,20 +343,10 @@ def rewrite_in_elementaries(p, blocks, prefixes=("e", "f")):
                     "symbol %r collides with an existing variable" % name
                 )
         symbols.append(names)
-    tables = []
-    for block in blocks:
-        tables.append(_orbit_table(p, block))
-        if tables[-1] is None:
-            raise NonSymmetricError(
-                "polynomial is not symmetric in block %r" % (block,)
-            )
+    table = _partition_table(p, blocks)
     ring = PolynomialRing(sorted(taken) + [name for names in symbols for name in names])
-    out = _eliminate_block(tables[0], p.layout, symbols[0], ring)
-    for block, names in zip(blocks[1:], symbols[1:]):
-        groups = out.collect(block)
-        table = {vec: q.terms for vec, q in groups.items() if _dominant(vec)}
-        out = _eliminate_block(table, out.layout, names, ring)
-    if not _certified(p, tables[0], blocks, out, symbols):
+    out = _eliminate(table, p.layout, symbols, ring)
+    if not _certified(table, p.layout, out, symbols):
         raise RuntimeError("internal error: rewrite failed its certificate")
     return out
 

@@ -7,6 +7,7 @@ variable names were first seen."""
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import os
@@ -401,6 +402,22 @@ def test_concurrent_registration_gives_each_name_one_field():
     for r in results:
         assert r[2] == r[3] == r[4]
         assert as_tuple(r[2]) == as_tuple(r[3]) == as_tuple(r[4]) == want
+
+
+def test_layout_table_forgets_layouts_nothing_holds():
+    # a product built one variable at a time over fresh names interns a
+    # layout per prefix; the table used to keep all 599 of them for good
+    gc.collect()
+    size = len(rings._layouts)
+    p = MultiPoly.const(1)
+    for i in range(300):
+        p = p.mul(MultiPoly.var("gone%d" % i))
+    assert len(rings._layouts) > size
+    assert p.layout is rings._layout_of(p.layout.names)
+    del p
+    gc.collect()
+    assert len(rings._layouts) == size
+    assert not any(name.startswith("gone") for names in rings._layouts for name in names)
 
 
 @pytest.mark.parametrize("name", ["1x", "", "x y", "_x", "x-y", "é", "x\n", 5, None])

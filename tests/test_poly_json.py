@@ -323,14 +323,13 @@ def test_every_negative_exponent_is_rejected():
         poly_from_json({"terms": [{"c": "0", "e": {"jdz": 2**63}}]})
 
 
-def test_bad_variable_name_is_rejected_before_it_is_registered():
+def test_bad_variable_name_is_rejected_before_it_is_registered(layouts_made):
     for name in ["1x", "", "x-y", "x y", "_x", "é", "x\n", "L" * 50 + "!"]:
-        size = len(rings._layouts)
         obj = {"terms": [{"c": "1", "e": {"jdz": 1}}, {"c": "2", "e": {name: 1}}]}
         with pytest.raises(InvalidInputError, match="^bad variable name "):
             poly_from_json(obj)
         with pytest.raises(InvalidInputError, match="^bad variable name "):
             RING.elem_from_json(obj)
         # no layout learnt the name, and none was made
-        assert len(rings._layouts) == size
+        assert layouts_made == []
         assert not any(name in lay.names for lay in rings._layouts.values())

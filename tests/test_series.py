@@ -27,6 +27,7 @@ from mzeta.rings import (
 from mzeta.series import (
     TruncSeries,
     from_power_sums,
+    ghost_exterior,
     poly_mul,
     power_sums,
     series_from_json,
@@ -66,6 +67,65 @@ def test_geometric_takes_integer_precision():
         with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
             TruncSeries.geometric(QQ, QQ.one(), bad)
     assert TruncSeries.geometric(QQ, Fraction(1, 2), 3).coeffs == (1, Fraction(1, 2), Fraction(1, 4))
+
+
+# each of these raised a bare TypeError on 1.5, and coefficient(True) read a_1
+def test_coefficient_takes_integer_index():
+    f = TruncSeries.from_ints(Z, [1, 2, 3, 4])
+    for bad in (1.5, True, "1"):
+        with pytest.raises(InvalidInputError, match="^coefficient index must be an integer$"):
+            f.coefficient(bad)
+    assert f.coefficient(1).as_int() == 2
+
+
+def test_is_zero_beyond_takes_integer_degree():
+    f = TruncSeries.from_ints(Z, [1, 2, 0, 0])
+    for bad in (1.5, True, "1"):
+        with pytest.raises(InvalidInputError, match="^degree must be an integer$"):
+            f.is_zero_beyond(bad)
+    assert f.is_zero_beyond(1) and not f.is_zero_beyond(0)
+
+
+def test_one_takes_integer_precision():
+    for bad in (1.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            TruncSeries.one(Z, bad)
+    assert TruncSeries.one(Z, 3).eq(TruncSeries.from_ints(Z, [1, 0, 0]))
+
+
+def test_from_polynomial_takes_integer_precision():
+    for bad in (1.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            TruncSeries.from_polynomial(Z, [Z.one(), Z.one()], bad)
+    assert TruncSeries.from_polynomial(Z, [Z.one()], 2).eq(TruncSeries.from_ints(Z, [1, 0]))
+
+
+def test_power_sums_takes_integer_count():
+    f = TruncSeries.from_ints(Z, [1, 3, 2])
+    for bad in (1.5, True, "2"):
+        with pytest.raises(InvalidInputError, match="^power sum count must be an integer$"):
+            power_sums(f, bad)
+    # roots 1 and 2
+    assert [c.as_int() for c in power_sums(f, 2)] == [3, 5]
+
+
+def test_from_power_sums_takes_integer_precision():
+    ps = [Z.from_int(3), Z.from_int(5)]
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            from_power_sums(Z, ps, bad)
+    assert from_power_sums(Z, ps, 3).eq(TruncSeries.from_ints(Z, [1, 3, 2]))
+
+
+def test_ghost_exterior_takes_integer_index_and_precision():
+    ps = power_sums(TruncSeries.from_ints(Z, [1, 3, 2, 0, 0, 0, 0]), 6)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(InvalidInputError, match="^exterior power index must be an integer$"):
+            ghost_exterior(Z, bad, ps, 3)
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            ghost_exterior(Z, 2, ps, bad)
+    # the second exterior power of roots 1 and 2 is the one root 2
+    assert [c.as_int() for c in ghost_exterior(Z, 2, ps, 3)] == [2, 4]
 
 
 def test_mul_truncates_to_min_precision():
