@@ -126,6 +126,7 @@ class WittElement:
         return self.series.to_json()
 
     def truncate(self, precision):
+        _check_int(precision, "precision")
         if not 1 <= precision <= self._precision:
             raise PrecisionError(
                 "cannot truncate precision %d to %d" % (self._precision, precision)
@@ -293,9 +294,8 @@ class LambdaRule:
 
     def pow(self, x, n):
         """x**n for n >= 0, by repeated squaring with mul."""
-        if n == 0:
-            return self.from_int(1)
-        return power(x, n, self.mul, None)
+        result = power(x, n, self.mul, None)
+        return self.from_int(1) if result is None else result
 
     def lam(self, n, x):
         raise NotImplementedError

@@ -68,13 +68,22 @@ def _check_param(value, what):
 
 
 class _Node:
-    """An expression node: immutable, equal to a node of its own type with
+    """An expression node; its class is the one definition of its grammar
+    constructor.  __slots__ lists the fields in grammar order, _tag is the
+    tag and _ints maps each integer field to the name its range check
+    uses; every other field is a subexpression.  A node checks its integer
+    fields when built and prints as tag(f1,f2), ints with %d, or as the
+    bare tag without fields; each class makes that format once, when it is
+    defined.  A node is immutable, equal to a node of its own type with
     equal fields, hashed as the tuple of its fields and shown as
-    Type(field=value, ...).  A subclass lists its fields in __slots__, in
-    the order its constructor takes them, and checks them in
-    __post_init__."""
+    Type(field=value, ...)."""
 
     __slots__ = ()
+    _ints = {}
+
+    def __init_subclass__(cls):
+        fields = ",".join("%d" if name in cls._ints else "%s" for name in cls.__slots__)
+        cls._format = "%s(%s)" % (cls._tag, fields) if fields else cls._tag
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
@@ -83,14 +92,15 @@ class _Node:
                 % (type(self).__name__, len(self.__slots__), len(values))
             )
         for name, value in zip(self.__slots__, values):
+            if name in self._ints:
+                _check_param(value, self._ints[name])
             object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _subexpressions(self):
+        return [getattr(self, name) for name in self.__slots__ if name not in self._ints]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -106,6 +116,9 @@ class _Node:
             ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
         )
 
+    def __str__(self):
+        return self._format % self._values()
+
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
 
@@ -118,111 +131,58 @@ class _Node:
 
 class Point(_Node):
     __slots__ = ()
-
-    def __str__(self):
-        return "point"
+    _tag = "point"
 
 
 class Affine(_Node):
     __slots__ = ("n",)
-
-    def __post_init__(self):
-        _check_param(self.n, "affine dimension")
-
-    def __str__(self):
-        return "A(%d)" % self.n
+    _tag = "A"
+    _ints = {"n": "affine dimension"}
 
 
 class Proj(_Node):
     __slots__ = ("n",)
-
-    def __post_init__(self):
-        _check_param(self.n, "projective dimension")
-
-    def __str__(self):
-        return "P(%d)" % self.n
+    _tag = "P"
+    _ints = {"n": "projective dimension"}
 
 
 class Torus(_Node):
     __slots__ = ("d",)
-
-    def __post_init__(self):
-        _check_param(self.d, "torus rank")
-
-    def __str__(self):
-        return "Gm(%d)" % self.d
+    _tag = "Gm"
+    _ints = {"d": "torus rank"}
 
 
 class Curve(_Node):
     __slots__ = ("genus",)
-
-    def __post_init__(self):
-        _check_param(self.genus, "genus")
-
-    def __str__(self):
-        return "Curve(%d)" % self.genus
+    _tag = "Curve"
+    _ints = {"genus": "genus"}
 
 
 class Prod(_Node):
     __slots__ = ("left", "right")
-
-    def __str__(self):
-        return "Prod(%s,%s)" % (self.left, self.right)
+    _tag = "Prod"
 
 
 class Disjoint(_Node):
     __slots__ = ("left", "right")
-
-    def __str__(self):
-        return "Disj(%s,%s)" % (self.left, self.right)
+    _tag = "Disj"
 
 
 class VectorBundle(_Node):
     __slots__ = ("base", "rank")
-
-    def __post_init__(self):
-        _check_param(self.rank, "bundle rank")
-
-    def __str__(self):
-        return "VB(%s,%d)" % (self.base, self.rank)
+    _tag = "VB"
+    _ints = {"rank": "bundle rank"}
 
 
 class ProjBundle(_Node):
     __slots__ = ("base", "rank")
-
-    def __post_init__(self):
-        _check_param(self.rank, "bundle rank")
-
-    def __str__(self):
-        return "PB(%s,%d)" % (self.base, self.rank)
+    _tag = "PB"
+    _ints = {"rank": "bundle rank"}
 
 
-_NODE_TYPES = (
-    Point,
-    Affine,
-    Proj,
-    Torus,
-    Curve,
-    Prod,
-    Disjoint,
-    VectorBundle,
-    ProjBundle,
-)
-
-
-def _children(e):
-    if isinstance(e, (Prod, Disjoint)):
-        return (e.left, e.right)
-    if isinstance(e, (VectorBundle, ProjBundle)):
-        return (e.base,)
-    return ()
-
-
-def _check_expr(e):
-    if not isinstance(e, _NODE_TYPES):
-        raise InvalidInputError("not a variety expression: %r" % (e,))
-    for child in _children(e):
-        _check_expr(child)
+# the grammar: every tag and the node class it builds, one per direct
+# subclass of _Node
+_CONSTRUCTORS = {ctor._tag: ctor for ctor in _Node.__subclasses__()}
 
 
 class _Parser:
@@ -231,6 +191,8 @@ class _Parser:
     expr := point | A(n) | P(n) | Gm(d) | Curve(g)
           | Prod(expr,expr) | Disj(expr,expr) | VB(expr,r) | PB(expr,r)
 
+    read from the node classes: a tag names its class in _CONSTRUCTORS,
+    whose fields follow in order between "(" and ")", separated by ",".
     Whitespace is skipped anywhere; error offsets are 1-based columns.
     """
 
@@ -275,31 +237,17 @@ class _Parser:
         name = self.text[start:self.pos]
         if not name:
             self.fail("expected a constructor")
-        if name == "point":
-            return Point()
-        if name in ("A", "P", "Gm", "Curve"):
-            ctor = {"A": Affine, "P": Proj, "Gm": Torus, "Curve": Curve}[name]
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
-            return ctor(n)
-        if name in ("Prod", "Disj"):
-            ctor = Prod if name == "Prod" else Disjoint
-            self.expect("(")
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect(")")
-            return ctor(left, right)
-        if name in ("VB", "PB"):
-            ctor = VectorBundle if name == "VB" else ProjBundle
-            self.expect("(")
-            base = self.parse_expr()
-            self.expect(",")
-            rank = self.parse_int()
-            self.expect(")")
-            return ctor(base, rank)
-        self.fail("unknown constructor '%s'" % name, start)
+        ctor = _CONSTRUCTORS.get(name)
+        if ctor is None:
+            self.fail("unknown constructor '%s'" % name, start)
+        if not ctor.__slots__:
+            return ctor()
+        values = []
+        for i, field in enumerate(ctor.__slots__):
+            self.expect("," if i else "(")
+            values.append(self.parse_int() if field in ctor._ints else self.parse_expr())
+        self.expect(")")
+        return ctor(*values)
 
 
 def parse_variety(text):
@@ -557,18 +505,19 @@ class MotivicModel:
     def __init__(self, expr, increment="J"):
         if increment not in ("J", "X"):
             raise InvalidInputError("curve increment must be 'J' or 'X'")
-        _check_expr(expr)
         self.expr = expr
         self.increment = increment
         curves = []
         seen = set()
 
         def walk(node):
+            if not isinstance(node, _Node):
+                raise InvalidInputError("not a variety expression: %r" % (node,))
             if isinstance(node, Curve) and node.genus >= 1:
                 if id(node) not in seen:
                     seen.add(id(node))
                     curves.append(node)
-            for child in _children(node):
+            for child in node._subexpressions():
                 walk(child)
 
         walk(expr)

@@ -720,7 +720,11 @@ def int_str(n):
 
 def power(x, n, mul, one):
     """x**n (n >= 0) by repeated squaring; returns one for n == 0 and x
-    itself for n == 1, so no product is formed that is not needed."""
+    itself for n == 1, so no product is formed that is not needed.  A
+    bool, a non-int or a negative n is an InvalidInputError."""
+    _check_int(n, "exponent")
+    if n < 0:
+        raise InvalidInputError("exponent must be nonnegative, not %d" % n)
     if n == 0:
         return one
     result = None

@@ -171,6 +171,9 @@ class TruncSeries(JsonPayload):
 
     def agrees_to(self, other, precision):
         n = self._match(other)
+        _check_int(precision, "precision")
+        if precision < 0:
+            raise PrecisionError("cannot compare to negative precision %d" % precision)
         if precision > n:
             raise PrecisionError("cannot compare to precision %d with only %d" % (precision, n))
         r = self.ring

@@ -118,6 +118,66 @@ def test_parse_bad_number_and_trailing():
         parse_variety("A(%s)" % ("7" * 5000))
 
 
+GRAMMAR_LEAVES = ("point", "A(%d)", "P(%d)", "Gm(%d)", "Curve(%d)")
+GRAMMAR_NODES = ("Prod(%s,%s)", "Disj(%s,%s)", "VB(%s,%d)", "PB(%s,%d)")
+# the grammar's own characters, a space, a sign and two non-ASCII
+# characters: a letter and an Arabic-Indic digit
+MUTANT_ALPHABET = sorted(set("pointAPGmCurveProdDisjVB(),0123456789")) + [" ", "-", "\u00e9", "\u0661"]
+
+
+def grammar_text(rng, depth):
+    """A random expression text over all nine constructors, parameters 0-12."""
+    if depth == 0 or rng.random() < 0.3:
+        form = rng.choice(GRAMMAR_LEAVES)
+        return form if form == "point" else form % rng.randint(0, 12)
+    form = rng.choice(GRAMMAR_NODES)
+    if form.startswith(("Prod", "Disj")):
+        return form % (grammar_text(rng, depth - 1), grammar_text(rng, depth - 1))
+    return form % (grammar_text(rng, depth - 1), rng.randint(0, 12))
+
+
+def mutant(rng, text):
+    """text with 1-2 characters replaced, inserted or deleted."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(MUTANT_ALPHABET)
+        op = rng.choice("rid") if text else "i"
+        if op == "i":
+            text = text[:i] + c + text[i:]
+        elif i < len(text):
+            text = text[:i] + (c if op == "r" else "") + text[i + 1 :]
+    return text
+
+
+def check_parse(text):
+    """A parsed node re-parses from its str to an equal node with the same
+    repr, and a pickle round trip gives it back; anything else is a
+    VarietySyntaxError inside the text or at its end."""
+    try:
+        e = parse_variety(text)
+    except VarietySyntaxError as err:
+        assert 1 <= err.offset <= len(text) + 1, (text, err.offset)
+        return False
+    again = parse_variety(str(e))
+    assert again == e and repr(again) == repr(e), text
+    assert pickle.loads(pickle.dumps(e)) == e, text
+    return True
+
+
+def test_parser_on_mutated_texts():
+    rng = random.Random(36)
+    parsed = failed = 0
+    for _ in range(1000):
+        text = grammar_text(rng, 3)
+        assert check_parse(text), text
+        for _ in range(10):
+            if check_parse(mutant(rng, text)):
+                parsed += 1
+            else:
+                failed += 1
+    assert parsed and failed
+
+
 def test_cell_profiles():
     assert cell_profile(Torus(2)) == {0: 1, 1: -2, 2: 1}
     assert cell_profile(ProjBundle(Affine(1), 1)) == {1: 1, 2: 1}

@@ -370,6 +370,28 @@ def test_power_by_squaring_product_count():
     assert ZL.pow(ZL.var("L"), 5) == MultiPoly.var("L", 5)
 
 
+# power(x, -1) kept squaring forever (n >>= 1 stays at -1); 1.5 and "2"
+# reached n & 1 as a bare TypeError, and True was taken as 1; mul raises
+# after a few products so a regression fails fast
+def test_power_takes_nonnegative_integers():
+    calls = [0]
+
+    def mul(a, b):
+        calls[0] += 1
+        if calls[0] > 8:
+            raise RuntimeError("power formed more products than it needs")
+        return a * b
+
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(InvalidInputError, match="^exponent must be an integer$"):
+            power(3, bad, mul, 1)
+    for bad in (-1, -2, -7):
+        with pytest.raises(InvalidInputError, match="^exponent must be nonnegative, not %d$" % bad):
+            power(3, bad, mul, 1)
+    assert calls[0] == 0
+    assert power(3, 5, mul, 1) == 243
+
+
 def test_eval_poly():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     expr = x.mul(x).add(y.mul_int(-1))  # x^2 - y

@@ -24,11 +24,13 @@ from mzeta.rings import (
     PolynomialRing,
     SquareZeroRing,
 )
+from mzeta import series as series_module
 from mzeta.series import (
     TruncSeries,
     from_power_sums,
     ghost_exterior,
     poly_mul,
+    poly_pow,
     power_sums,
     series_from_json,
 )
@@ -126,6 +128,44 @@ def test_ghost_exterior_takes_integer_index_and_precision():
             ghost_exterior(Z, 2, ps, bad)
     # the second exterior power of roots 1 and 2 is the one root 2
     assert [c.as_int() for c in ghost_exterior(Z, 2, ps, 3)] == [2, 4]
+
+
+# agrees_to(f, 1.5) raised a bare TypeError from range, True compared one
+# coefficient and -3 compared none
+def test_agrees_to_takes_a_nonnegative_integer_precision():
+    f = TruncSeries.from_ints(Z, [1, 2, 3, 4])
+    g = TruncSeries.from_ints(Z, [5, 2, 3, 4])
+    for bad in (1.5, True, "2"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            f.agrees_to(g, bad)
+    for bad in (-1, -3):
+        with pytest.raises(PrecisionError, match="negative precision %d" % bad):
+            f.agrees_to(g, bad)
+    assert f.agrees_to(g, 0) and not f.agrees_to(g, 1)
+    assert f.agrees_to(f, 4)
+
+
+# poly_pow(ring, p, -1) never returned and 1.5 raised a bare TypeError;
+# poly_mul raises after a few products so a regression fails fast
+def test_poly_pow_takes_nonnegative_integers(monkeypatch):
+    calls = [0]
+
+    def bounded_poly_mul(ring, a, b):
+        calls[0] += 1
+        if calls[0] > 8:
+            raise RuntimeError("poly_pow formed more products than it needs")
+        return poly_mul(ring, a, b)
+
+    monkeypatch.setattr(series_module, "poly_mul", bounded_poly_mul)
+    one_plus_t = [Z.one(), Z.one()]
+    for bad in (1.5, True):
+        with pytest.raises(InvalidInputError, match="^exponent must be an integer$"):
+            poly_pow(Z, one_plus_t, bad)
+    for bad in (-1, -4):
+        with pytest.raises(InvalidInputError, match="^exponent must be nonnegative"):
+            poly_pow(Z, one_plus_t, bad)
+    assert calls[0] == 0
+    assert [c.as_int() for c in poly_pow(Z, one_plus_t, 3)] == [1, 3, 3, 1]
 
 
 def test_mul_truncates_to_min_precision():

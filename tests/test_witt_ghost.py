@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from mzeta import series as series_module
-from mzeta.errors import PrecisionError, RingMismatchError
+from mzeta.errors import InvalidInputError, PrecisionError, RingMismatchError
 from mzeta.lambda_rings import (
     BigWitt,
     WittElement,
@@ -238,6 +238,41 @@ def test_truncate_keeps_what_the_element_holds(form):
     for bad in (0, 10):
         with pytest.raises(PrecisionError):
             F.truncate(bad)
+
+
+# on a ghost-only element truncate(2.5) raised a bare TypeError from the
+# slice, and truncate(True) kept True as the precision
+@pytest.mark.parametrize("form", FORMS)
+def test_truncate_takes_integers(form):
+    F = _element(TruncSeries.from_ints(IntegerRing(), [1, 3, 3, 1]), form)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(InvalidInputError, match="^precision must be an integer$"):
+            F.truncate(bad)
+    assert F.truncate(2).precision == 2
+
+
+# BigWitt.pow(x, -1) reached rings.power, which never returned, and
+# pow(x, False) was x^0; witt_mul raises after a few products so a
+# regression fails fast
+def test_big_witt_pow_takes_nonnegative_integers(monkeypatch):
+    calls = [0]
+
+    def bounded_mul(self, a, b):
+        calls[0] += 1
+        if calls[0] > 8:
+            raise RuntimeError("pow formed more products than it needs")
+        return witt_mul(a, b)
+
+    monkeypatch.setattr(BigWitt, "mul", bounded_mul)
+    ring = IntegerRing()
+    rule = BigWitt(ring, 4)
+    x = WittElement(TruncSeries.from_ints(ring, [1, 2, 0, 0]))
+    for bad in (-1, 1.5, True, False, 0.0):
+        with pytest.raises(InvalidInputError, match="^exponent must be"):
+            rule.pow(x, bad)
+    assert calls[0] == 0
+    _assert_series(rule.pow(x, 2), witt_mul(x, x).series)
+    _assert_series(rule.pow(x, 0), rule.from_int(1).series)
 
 
 def test_ghost_is_read_only():
